@@ -19,6 +19,11 @@ BENCHMARK_MIN_STEP = 1e-4
 BUMP_PRODUCT_FLOOR = 0.75
 
 
+def _schwefel_rows(x: np.ndarray) -> np.ndarray:
+    """Schwefel values along the last axis of a vector or a row block."""
+    return -np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
+
+
 def schwefel(x: np.ndarray) -> float:
     """Schwefel function, minimization form.
 
@@ -26,8 +31,34 @@ def schwefel(x: np.ndarray) -> float:
     x_i = 420.9687 on every axis is the global minimum, about -418.983
     per dimension (-4189.83 in 10-D).
     """
-    x = np.asarray(x, dtype=float)
-    return float(-np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+    return float(_schwefel_rows(np.asarray(x, dtype=float)))
+
+
+def _bump_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bump numerator and denominator along the last axis.
+
+    num = sum cos^4 - 2 prod cos^2, den = sum(i * x_i^2), for a vector
+    or for every row of a block.
+    """
+    c = np.cos(x)
+    num = np.sum(c**4, axis=-1) - 2.0 * np.prod(c**2, axis=-1)
+    den = np.sum(np.arange(1, x.shape[-1] + 1) * x**2, axis=-1)
+    return num, den
+
+
+def _signed_ratio(num, den):
+    return num / den
+
+
+def _keane_ratio(num, den):
+    return np.abs(num) / np.sqrt(den)
+
+
+def _bump(x: np.ndarray, ratio) -> float:
+    num, den = _bump_terms(np.asarray(x, dtype=float))
+    if den == 0.0:
+        raise ZeroDivisionError("bump ratio undefined at the origin")
+    return float(ratio(num, den))
 
 
 def bump_value(x: np.ndarray) -> float:
@@ -37,41 +68,38 @@ def bump_value(x: np.ndarray) -> float:
     index-weighted sum of squares. See keane_bump for the variant with
     an absolute value and square-root denominator.
     """
-    x = np.asarray(x, dtype=float)
-    c = np.cos(x)
-    num = float(np.sum(c**4) - 2.0 * np.prod(c**2))
-    den = float(np.sum(np.arange(1, x.size + 1) * x**2))
-    if den == 0.0:
-        raise ZeroDivisionError("bump ratio undefined at the origin")
-    return num / den
+    return _bump(x, _signed_ratio)
 
 
 def keane_bump(x: np.ndarray) -> float:
     """Classic bump formulation: |sum cos^4 - 2 prod cos^2| / sqrt(sum i*x_i^2)."""
-    x = np.asarray(x, dtype=float)
-    c = np.cos(x)
-    num = abs(float(np.sum(c**4) - 2.0 * np.prod(c**2)))
-    den = math.sqrt(float(np.sum(np.arange(1, x.size + 1) * x**2)))
-    if den == 0.0:
-        raise ZeroDivisionError("bump ratio undefined at the origin")
-    return num / den
+    return _bump(x, _keane_ratio)
+
+
+def _bump_feasible_rows(x: np.ndarray) -> np.ndarray:
+    """Both bump constraints along the last axis of a vector or a row block.
+
+    The product test runs in log space so 50-component products neither
+    overflow nor underflow. Nonpositive components fail the positivity
+    test, and their logarithm is taken of 1 instead, so a block with
+    such rows raises no floating-point warning.
+    """
+    positive = np.all(x > 0.0, axis=-1)
+    logs = np.log(np.where(x > 0.0, x, 1.0))
+    return (
+        (np.sum(x, axis=-1) < 7.5 * x.shape[-1])
+        & positive
+        & (np.sum(logs, axis=-1) > math.log(BUMP_PRODUCT_FLOOR))
+    )
 
 
 def bump_feasible(x: np.ndarray) -> bool:
-    """Both bump constraints: prod(x_i) > 0.75 and sum(x_i) < 7.5 n.
-
-    The product test runs in log space so 50-component products neither
-    overflow nor underflow; any nonpositive component fails immediately.
-    """
-    x = np.asarray(x, dtype=float)
-    if float(np.sum(x)) >= 7.5 * x.size:
-        return False
-    if np.any(x <= 0.0):
-        return False
-    return float(np.sum(np.log(x))) > math.log(BUMP_PRODUCT_FLOOR)
+    """Both bump constraints: prod(x_i) > 0.75 and sum(x_i) < 7.5 n."""
+    return bool(_bump_feasible_rows(np.asarray(x, dtype=float)))
 
 
-BUMP_VARIANTS = {"keane": keane_bump, "signed": bump_value}
+#: Bump formula per variant name, as a ratio of ``_bump_terms``.
+BUMP_VARIANTS = {"keane": _keane_ratio, "signed": _signed_ratio}
 
 
 def make_schwefel10() -> Objective:
@@ -82,6 +110,7 @@ def make_schwefel10() -> Objective:
         fn=lambda raw: (schwefel(raw), True),
         sense=MINIMIZE,
         name="schwefel10",
+        fn_batch=lambda raw: (_schwefel_rows(raw), np.ones(len(raw), dtype=bool)),
     )
 
 
@@ -95,14 +124,21 @@ def make_bump(n: int, variant: str = "keane") -> Objective:
     if n < 2:
         raise ValueError("bump needs at least 2 dimensions")
     try:
-        value_fn = BUMP_VARIANTS[variant]
+        ratio = BUMP_VARIANTS[variant]
     except KeyError:
         raise ValueError(f"unknown bump variant: {variant!r}") from None
 
     def fn(raw: np.ndarray) -> tuple[float, bool]:
         if not bump_feasible(raw):
             return 0.0, False
-        return value_fn(raw), True
+        return _bump(raw, ratio), True
+
+    def fn_batch(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        feasible = _bump_feasible_rows(raw)
+        values = np.zeros(len(raw))
+        if feasible.any():
+            values[feasible] = ratio(*_bump_terms(raw[feasible]))
+        return values, feasible
 
     space = ParameterSpace.cube(0.0, 10.0, n, min_step=BENCHMARK_MIN_STEP)
-    return Objective(space=space, fn=fn, sense=MAXIMIZE, name=f"bump{n}")
+    return Objective(space=space, fn=fn, sense=MAXIMIZE, name=f"bump{n}", fn_batch=fn_batch)

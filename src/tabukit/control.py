@@ -115,6 +115,24 @@ def resolved_step_min(config: SearchConfig, space: ParameterSpace) -> float:
     return float(np.max(space.min_step / space.span))
 
 
+def start_point(start: np.ndarray, dimension: int, name: str = "start") -> np.ndarray:
+    """Check a normalized start vector and clamp it into the unit cube.
+
+    Raises ValueError naming ``name`` when the shape is not
+    ``(dimension,)`` or a coordinate is not finite, so a bad start is
+    reported as such before anything is evaluated.
+    """
+    x = np.asarray(start, dtype=float)
+    if x.shape != (dimension,):
+        raise ValueError(
+            f"{name} must have one coordinate per parameter: expected shape ({dimension},), got {x.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"{name} has non-finite coordinates at indices {bad.tolist()}: {x[bad].tolist()}")
+    return clamp(x)
+
+
 def control_decision(fail_count: int, config: SearchConfig) -> str:
     """Map the consecutive-failure count onto the escalation ladder.
 
@@ -204,16 +222,13 @@ def run_single(
     if step_floor > config.step_initial:
         raise ValueError("step_initial is below the resolution floor of the space")
 
+    if start is not None:
+        start = start_point(start, space.dimension)
     rng = np.random.default_rng(config.seed)
     counter = EvalCounter()
     memory = IntermediateMemory(config.m_elite, config.match_tol)
 
-    if start is None:
-        x0 = rng.random(space.dimension)
-    else:
-        x0 = clamp(np.asarray(start, dtype=float))
-        if x0.shape != (space.dimension,):
-            raise ValueError("start must have one coordinate per parameter")
+    x0 = rng.random(space.dimension) if start is None else start
     base = evaluate(objective, counter, x0)
     state = fresh_state(base, config)
     state.tabu.push(base.x)

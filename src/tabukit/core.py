@@ -83,12 +83,19 @@ class Objective:
     ``fn`` maps a denormalized parameter vector to ``(value, feasible)``
     and must be deterministic. ``sense`` states whether the raw value is
     to be minimized or maximized; the engine sees minimization only.
+
+    ``fn_batch`` is optional. It maps a ``(k, N)`` block of denormalized
+    rows to ``(values, feasible)`` arrays of shape ``(k,)`` and must
+    agree with ``fn`` row by row, bit for bit; values on infeasible rows
+    are ignored. Without it, blocks are evaluated by calling ``fn`` on
+    each row in order.
     """
 
     space: ParameterSpace
     fn: Callable[[np.ndarray], tuple[float, bool]]
     sense: str = MINIMIZE
     name: str = ""
+    fn_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.sense not in (MINIMIZE, MAXIMIZE):
@@ -111,9 +118,9 @@ class EvalCounter:
         self._count = 0
         self._lock = threading.Lock()
 
-    def increment(self) -> None:
+    def increment(self, n: int = 1) -> None:
         with self._lock:
-            self._count += 1
+            self._count += n
 
     @property
     def count(self) -> int:
@@ -131,11 +138,16 @@ def normalize(space: ParameterSpace, raw: np.ndarray) -> np.ndarray:
 
 
 def denormalize(space: ParameterSpace, x: np.ndarray) -> np.ndarray:
-    """Map normalized [0, 1]^N coordinates back to problem units."""
+    """Map normalized [0, 1]^N coordinates back to problem units.
+
+    Accepts one vector or a ``(k, N)`` block of rows. The result is
+    clamped to ``[lower, upper]``: ``lower + 1.0 * span`` can round past
+    ``upper``, and objectives are promised in-bounds input.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (space.dimension,):
+    if x.ndim not in (1, 2) or x.shape[-1] != space.dimension:
         raise ValueError(f"expected {space.dimension} components, got {x.shape}")
-    return space.lower + x * space.span
+    return np.clip(space.lower + x * space.span, space.lower, space.upper)
 
 
 def clamp(x: np.ndarray) -> np.ndarray:
@@ -143,18 +155,53 @@ def clamp(x: np.ndarray) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
+def evaluate_block(
+    objective: Objective, counter: EvalCounter, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a ``(k, N)`` block of normalized rows, counting k evaluations.
+
+    Returns engine values (infeasible rows carry ``INFEASIBLE_VALUE``)
+    and the feasibility mask. Uses ``objective.fn_batch`` when present,
+    else calls ``fn`` on each row in order. Raises ValueError if the
+    objective reports a non-finite value for a feasible row; that is an
+    objective bug, not a search condition.
+    """
+    raw = denormalize(objective.space, X)
+    k = len(raw)
+    if objective.fn_batch is not None:
+        values, feasible = objective.fn_batch(raw)
+        counter.increment(k)
+        values = np.asarray(values, dtype=float)
+        feasible = np.asarray(feasible, dtype=bool)
+        if values.shape != (k,) or feasible.shape != (k,):
+            raise ValueError(
+                f"objective {objective.name!r}: fn_batch returned shapes "
+                f"{values.shape} and {feasible.shape} for {k} rows"
+            )
+    else:
+        values = np.full(k, INFEASIBLE_VALUE)
+        feasible = np.zeros(k, dtype=bool)
+        for r, row in enumerate(raw):
+            value, ok = objective.fn(row)
+            counter.increment()
+            if ok:
+                feasible[r] = True
+                values[r] = value
+    bad = feasible & ~np.isfinite(values)
+    if bad.any():
+        value = float(values[np.argmax(bad)])
+        raise ValueError(f"objective {objective.name!r} returned non-finite value {value!r} for a feasible point")
+    if objective.sense == MAXIMIZE:
+        values = -values
+    return np.where(feasible, values, INFEASIBLE_VALUE), feasible
+
+
 def evaluate(objective: Objective, counter: EvalCounter, x: np.ndarray) -> SearchPoint:
     """Evaluate one normalized point, counting exactly one evaluation.
 
-    Raises ValueError if the objective reports a non-finite value for a
-    feasible point; that is an objective bug, not a search condition.
+    A one-row call to ``evaluate_block``, with the same error for a
+    non-finite feasible value.
     """
-    raw = denormalize(objective.space, x)
-    value, feasible = objective.fn(raw)
-    counter.increment()
-    if not feasible:
-        return SearchPoint(x=np.array(x, dtype=float, copy=True), value=INFEASIBLE_VALUE, feasible=False)
-    if not math.isfinite(value):
-        raise ValueError(f"objective {objective.name!r} returned non-finite value {value!r} for a feasible point")
-    engine = -float(value) if objective.sense == MAXIMIZE else float(value)
-    return SearchPoint(x=np.array(x, dtype=float, copy=True), value=engine, feasible=True)
+    x = np.array(x, dtype=float, copy=True)
+    values, feasible = evaluate_block(objective, counter, x[np.newaxis])
+    return SearchPoint(x=x, value=float(values[0]), feasible=bool(feasible[0]))

@@ -4,15 +4,21 @@ One step explores the 2N axial neighbors of the base point, picks the
 best allowable candidate (the least-bad one when nothing improves),
 then tries to extend the accepted move along its own direction. Tabu
 candidates are skipped before evaluation, so they cost nothing.
+
+The neighbors are handled as one ``(2N, N)`` block per step: built and
+clamped together, screened against the tabu list in one broadcast and
+evaluated in one call, so the per-step cost is a few array operations
+rather than a Python loop over candidates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EvalCounter, Objective, SearchPoint, clamp, evaluate
+from .core import EvalCounter, Objective, SearchPoint, clamp, evaluate, evaluate_block
 from .memory import IntermediateMemory, TabuList
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,36 +42,63 @@ class Candidate:
     sign: int
 
 
+class _Candidates(Sequence):
+    """Read-only view of a MoveSet's rows as Candidate objects.
+
+    A view rather than a list, so that taking its length, as tracing
+    hooks do on every step, builds no per-candidate objects.
+    """
+
+    def __init__(self, moves: "MoveSet"):
+        self._moves = moves
+
+    def __len__(self) -> int:
+        return len(self._moves.x)
+
+    def __getitem__(self, r: int) -> Candidate:
+        m = self._moves
+        return Candidate(x=m.x[r], axis=int(m.axis[r]), sign=int(m.sign[r]))
+
+
 @dataclass
 class MoveSet:
-    """Allowable axial candidates around a base point, plus rejection tallies."""
+    """Allowable axial candidates around a base point, plus rejection tallies.
 
-    candidates: list[Candidate] = field(default_factory=list)
+    Row r of the ``(k, N)`` block ``x`` is the base with variable
+    ``axis[r]`` moved by ``sign[r] * step``; rows keep generation order.
+    """
+
+    x: np.ndarray
+    axis: np.ndarray
+    sign: np.ndarray
     tabu_rejected: int = 0
     infeasible_rejected: int = 0
+
+    @property
+    def candidates(self) -> Sequence[Candidate]:
+        return _Candidates(self)
 
 
 def axial_moves(base_x: np.ndarray, step: float, tabu: TabuList) -> MoveSet:
     """Generate the clamped, tabu-screened axial neighbors of ``base_x``.
 
-    Candidates are ordered by variable index with the increment before
-    the decrement, which is also the tie-break order downstream.
-    Candidates that clamp back onto the base (base already at a bound)
-    are dropped as degenerate.
+    All 2N probes are built as one block, ordered by variable index with
+    the increment before the decrement, which is also the tie-break
+    order downstream. Probes that clamp back onto the base (base already
+    at a bound) are dropped as degenerate; the rest are screened against
+    the tabu list in one call.
     """
-    moves = MoveSet()
-    for i in range(base_x.size):
-        for sign in (1, -1):
-            x = base_x.copy()
-            x[i] += sign * step
-            x = clamp(x)
-            if x[i] == base_x[i]:
-                continue
-            if tabu.is_tabu(x):
-                moves.tabu_rejected += 1
-                continue
-            moves.candidates.append(Candidate(x=x, axis=i, sign=sign))
-    return moves
+    n = base_x.size
+    rows = np.arange(2 * n)
+    axis = rows // 2
+    sign = 1 - 2 * (rows % 2)
+    X = np.tile(base_x, (2 * n, 1))
+    X[rows, axis] += sign * step
+    X = clamp(X)
+    moved = X[rows, axis] != base_x[axis]
+    tabu_hit = moved & tabu.screen(X)
+    keep = moved & ~tabu_hit
+    return MoveSet(X[keep], axis[keep], sign[keep], tabu_rejected=int(np.count_nonzero(tabu_hit)))
 
 
 def explore(
@@ -75,24 +108,24 @@ def explore(
     counter: EvalCounter,
     tabu: TabuList,
 ) -> tuple[SearchPoint | None, MoveSet]:
-    """Evaluate the allowable neighbors and return the best one.
+    """Evaluate the allowable neighbors as one block and return the best one.
 
     The best move is returned even when it is worse than the base: when
-    nothing improves, the smallest increase wins. Returns None only when
-    every neighbor was degenerate, tabu or infeasible.
+    nothing improves, the smallest increase wins, and ties go to the
+    first generated candidate. Returns None only when every neighbor was
+    degenerate, tabu or infeasible.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     moves = axial_moves(base.x, step, tabu)
-    best: SearchPoint | None = None
-    for cand in moves.candidates:
-        point = evaluate(objective, counter, cand.x)
-        if not point.feasible:
-            moves.infeasible_rejected += 1
-            continue
-        if best is None or point.value < best.value:
-            best = point
-    return best, moves
+    if len(moves.x) == 0:
+        return None, moves
+    values, feasible = evaluate_block(objective, counter, moves.x)
+    moves.infeasible_rejected = len(feasible) - int(feasible.sum())
+    if moves.infeasible_rejected == len(feasible):
+        return None, moves
+    w = int(np.argmin(values))
+    return SearchPoint(x=moves.x[w].copy(), value=float(values[w]), feasible=True), moves
 
 
 def pattern_move(old_base: np.ndarray, new_base: np.ndarray, k: float) -> np.ndarray:

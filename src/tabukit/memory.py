@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import threading
-from collections import deque
 
 import numpy as np
 
@@ -22,7 +21,12 @@ DEFAULT_MATCH_TOL = 1e-6
 
 
 class TabuList:
-    """Fixed-capacity FIFO of recently accepted normalized vectors."""
+    """Fixed-capacity FIFO of recently accepted normalized vectors.
+
+    Entries live in a ``(capacity, N)`` ring buffer, allocated at the
+    first push once N is known, so a whole candidate block is screened
+    against every entry in one broadcast.
+    """
 
     def __init__(self, capacity: int = DEFAULT_TABU_CAPACITY, match_tol: float = DEFAULT_MATCH_TOL):
         if capacity < 1:
@@ -31,21 +35,43 @@ class TabuList:
             raise ValueError("match tolerance must be non-negative")
         self.capacity = capacity
         self.match_tol = match_tol
-        self.entries: deque[np.ndarray] = deque(maxlen=capacity)
+        self._ring: np.ndarray | None = None
+        self._size = 0
+        self._next = 0  # slot of the next push, which holds the oldest entry once full
 
     def push(self, x: np.ndarray) -> None:
         """Record an accepted vector, evicting the oldest entry when full."""
-        self.entries.append(np.array(x, dtype=float, copy=True))
+        if self._ring is None:
+            self._ring = np.empty((self.capacity, np.size(x)))
+        self._ring[self._next] = x
+        self._next = (self._next + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
+
+    def screen(self, X: np.ndarray) -> np.ndarray:
+        """Mask of the rows of ``X`` that match some entry within the
+        tolerance (max norm), testing every row against every entry at once."""
+        X = np.asarray(X, dtype=float)
+        if self._size == 0:
+            return np.zeros(len(X), dtype=bool)
+        diff = X[:, np.newaxis, :] - self._ring[np.newaxis, : self._size, :]
+        np.abs(diff, out=diff)
+        return (diff.max(axis=2) <= self.match_tol).any(axis=1)
 
     def is_tabu(self, x: np.ndarray) -> bool:
         """True when some entry matches ``x`` within the tolerance (max norm)."""
-        for entry in self.entries:
-            if np.max(np.abs(entry - x)) <= self.match_tol:
-                return True
-        return False
+        return bool(self.screen(np.asarray(x, dtype=float)[np.newaxis])[0])
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Copy of the held vectors as rows, oldest first."""
+        if self._ring is None:
+            return np.empty((0, 0))
+        if self._size < self.capacity:
+            return self._ring[: self._size].copy()
+        return np.roll(self._ring, -self._next, axis=0)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._size
 
 
 class IntermediateMemory:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EvalCounter, Objective, SearchPoint, clamp, denormalize, evaluate
+from .core import EvalCounter, Objective, SearchPoint, denormalize, evaluate
 from .control import (
     CONTINUE,
     EVAL_BUDGET,
@@ -30,6 +30,7 @@ from .control import (
     control_decision,
     fresh_state,
     resolved_step_min,
+    start_point,
 )
 from .hillclimb import IMPROVED, hj_step
 from .memory import IntermediateMemory
@@ -128,17 +129,16 @@ class _SharedRun:
         self.lock = threading.Lock()
         self.token = threading.Lock()
 
+        dim = objective.space.dimension
+        starts = [
+            None if start is None else start_point(start, dim, f"{name} (thread {i})")
+            for i, (name, start) in enumerate((("start_a", config.start_a), ("start_b", config.start_b)))
+        ]
         rng_a, rng_b = thread_rngs(base.seed)
         self.rngs = (rng_a, rng_b)
-        starts = (config.start_a, config.start_b)
         self.states: list[ThreadState] = []
         for i in (0, 1):
-            if starts[i] is None:
-                x0 = self.rngs[i].random(objective.space.dimension)
-            else:
-                x0 = clamp(np.asarray(starts[i], dtype=float))
-                if x0.shape != (objective.space.dimension,):
-                    raise ValueError("start must have one coordinate per parameter")
+            x0 = self.rngs[i].random(dim) if starts[i] is None else starts[i]
             point = evaluate(objective, self.counters[i], x0)
             state = fresh_state(point, base, thread_id=i)
             state.tabu.push(point.x)

@@ -292,3 +292,36 @@ class TestRunSingle:
         assert result.best.feasible
         assert result.best.value >= 0.0
         assert math.isfinite(result.best.value)
+
+
+class TestStartValidation:
+    def counting_objective(self, dim=2):
+        calls = []
+        space = ParameterSpace.cube(-1.0, 1.0, dim, min_step=1e-4)
+        return Objective(space=space, fn=lambda raw: (calls.append(1) or 0.0, True)), calls
+
+    def test_non_finite_start_named_before_any_evaluation(self):
+        obj, calls = self.counting_objective()
+        with pytest.raises(ValueError, match=r"start has non-finite coordinates at indices \[1\]"):
+            run_single(obj, SearchConfig(), start=np.array([0.5, np.nan]))
+        assert calls == []
+
+    def test_infinite_start_rejected(self):
+        obj, calls = self.counting_objective()
+        with pytest.raises(ValueError, match="non-finite"):
+            run_single(obj, SearchConfig(), start=np.array([np.inf, 0.5]))
+        assert calls == []
+
+    def test_wrong_shape_start_named(self):
+        obj, calls = self.counting_objective()
+        with pytest.raises(ValueError, match=r"start must have one coordinate per parameter: expected shape \(2,\)"):
+            run_single(obj, SearchConfig(), start=np.zeros((2, 1)))
+        assert calls == []
+
+    def test_nan_start_not_blamed_on_objective(self):
+        from tabukit.benchmarks import make_schwefel10
+
+        with pytest.raises(ValueError) as info:
+            run_single(make_schwefel10(), SearchConfig(), start=np.full(10, np.nan))
+        assert "start" in str(info.value)
+        assert "objective" not in str(info.value)

@@ -165,3 +165,50 @@ class TestObjectiveExamples:
         p = evaluate(obj, EvalCounter(), x)
         assert not p.feasible
         assert p.value == INFEASIBLE_VALUE
+
+
+class TestDenormalizeBounds:
+    def test_upper_end_does_not_overshoot(self):
+        # -0.1 + 1.0 * 0.30000000000000004 rounds to 0.20000000000000004.
+        space = ParameterSpace(np.array([-0.1]), np.array([0.2]), np.array([0.01]))
+        assert space.lower[0] + 1.0 * space.span[0] > space.upper[0]
+        assert denormalize(space, np.array([1.0]))[0] == 0.2
+        assert denormalize(space, np.array([0.0]))[0] == -0.1
+
+    def test_objective_sees_in_bounds_input(self):
+        space = ParameterSpace(np.array([-0.1]), np.array([0.2]), np.array([0.01]))
+        seen = []
+        obj = Objective(space, fn=lambda raw: (seen.append(raw[0]) or 0.0, True))
+        evaluate(obj, EvalCounter(), np.array([1.0]))
+        assert seen == [0.2]
+
+    def test_block_rows_match_single_vectors(self):
+        space = ParameterSpace(np.array([-0.1, 1.0]), np.array([0.2, 1000.0]), np.array([0.01, 0.01]))
+        X = np.array([[1.0, 1.0], [0.0, 0.5], [0.3, 0.999]])
+        block = denormalize(space, X)
+        assert block.shape == (3, 2)
+        for r in range(3):
+            assert block[r].tobytes() == denormalize(space, X[r]).tobytes()
+
+    def test_rejects_wrong_width(self):
+        with pytest.raises(ValueError):
+            denormalize(unit_space(2), np.ones((3, 3)))
+
+    @given(
+        st.floats(-1e3, 1e3),
+        st.floats(1e-6, 1e3),
+        st.floats(0.0, 1.0),
+    )
+    def test_always_within_bounds(self, lower, width, x):
+        upper = lower + width
+        space = ParameterSpace(np.array([lower]), np.array([upper]), np.array([upper - lower]))
+        for t in (x, 1.0, 0.0):
+            raw = denormalize(space, np.array([t]))[0]
+            assert space.lower[0] <= raw <= space.upper[0]
+
+
+def test_counter_increment_by_n():
+    counter = EvalCounter()
+    counter.increment(5)
+    counter.increment()
+    assert counter.count == 6

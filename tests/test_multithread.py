@@ -191,3 +191,19 @@ class TestRunMulti:
         for t in result.threads:
             assert t.best_raw.shape == (10,)
             assert np.all(t.best_raw >= -500.0) and np.all(t.best_raw <= 500.0)
+
+
+class TestStartValidation:
+    def test_bad_start_names_thread_before_any_evaluation(self):
+        calls = []
+        obj = small_objective(seed_fn=lambda raw: (calls.append(1) or 0.0, True))
+        config = MultiConfig(base=SearchConfig(), start_a=np.array([0.5, 0.5]), start_b=np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError, match=r"start_b \(thread 1\) has non-finite coordinates at indices \[0\]"):
+            run_multi(obj, config)
+        assert calls == []
+
+    def test_wrong_shape_names_thread(self):
+        obj = small_objective()
+        config = MultiConfig(base=SearchConfig(), start_a=np.array([0.5, 0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"start_a \(thread 0\) must have one coordinate per parameter"):
+            run_multi(obj, config)
