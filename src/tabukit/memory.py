@@ -41,8 +41,12 @@ class TabuList:
 
     def push(self, x: np.ndarray) -> None:
         """Record an accepted vector, evicting the oldest entry when full."""
+        x = np.asarray(x, dtype=float)
         if self._ring is None:
-            self._ring = np.empty((self.capacity, np.size(x)))
+            self._ring = np.empty((self.capacity, x.size))
+        if x.shape != self._ring.shape[1:]:
+            # Assignment into the ring would broadcast a short vector silently.
+            raise ValueError(f"tabu entries have shape {self._ring.shape[1:]}, got {x.shape}")
         self._ring[self._next] = x
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)

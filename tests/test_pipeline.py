@@ -61,6 +61,7 @@ def raw_blocks(draw, objective):
     n = space.dimension
     lo, hi = float(space.lower[0]), float(space.upper[0])
     special = [lo, hi, 0.0, 0.5 * (lo + hi)]
+    edge = hi
     if objective.name.startswith("bump"):
         edge = 7.5  # all-7.5 rows sit exactly on sum == 7.5 n
         special += [edge, float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, 10.0)), 0.75, 1.0]
@@ -77,7 +78,7 @@ def raw_blocks(draw, objective):
             row = draw(st.lists(coord, min_size=n, max_size=n))
             row[draw(st.integers(0, n - 1))] = hi
         else:
-            row = [special[-5] if objective.name.startswith("bump") else hi] * n
+            row = [edge] * n
             row[draw(st.integers(0, n - 1))] = draw(coord)
         rows.append(row)
     return np.array(rows, dtype=float)
@@ -290,3 +291,11 @@ def test_non_finite_feasible_block_value_is_an_objective_error():
     base = SearchPoint(x=np.array([0.5]), value=0.0, feasible=True)
     with pytest.raises(ValueError, match="'broken' returned non-finite value nan"):
         explore(base, 0.1, objective, EvalCounter(), TabuList())
+
+
+def test_tabu_push_rejects_a_vector_of_another_length():
+    tabu = TabuList()
+    tabu.push(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="tabu entries have shape"):
+        tabu.push(np.array([0.25]))
+    assert tabu.entries.tolist() == [[0.5, 0.5]]
