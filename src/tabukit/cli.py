@@ -44,21 +44,11 @@ SEARCH_FIELDS: dict[str, Callable[[str], object]] = {
 }
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-#: Problem- and method-level options settable the same way.
+#: Problem options settable the same way.
 OPTION_FIELDS: dict[str, Callable[[str], object]] = {
     "bump_variant": str,
     "pump_speed": float,
     "starvation": str,
-    "lockstep": _parse_bool,
 }
 
 
@@ -161,7 +151,6 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ResultRow], Summary]:
     objective, fixed_start = PROBLEMS[spec.problem](spec.options)
     if spec.start == START_RANDOM:
         fixed_start = None
-    lockstep = bool(spec.options.get("lockstep", True))
 
     rows = []
     for i in range(spec.runs):
@@ -171,10 +160,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ResultRow], Summary]:
         if spec.method == SINGLE:
             result = run_single(objective, config, start=fixed_start)
         else:
-            result = run_multi(
-                objective,
-                MultiConfig(base=config, start_a=fixed_start, lockstep=lockstep),
-            )
+            result = run_multi(objective, MultiConfig(base=config, start_a=fixed_start))
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rows.append(
             ResultRow(

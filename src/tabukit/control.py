@@ -3,13 +3,17 @@
 A counter of consecutive non-improving steps drives the escalation
 ladder: recentre on the elite centroid, then jump to a recombined
 random point, then halve the step and restart from the best point
-found so far. The run ends when the step falls below the resolution
-floor or the evaluation budget is spent.
+found so far. The run ends when every thread's step has fallen below
+the resolution floor or the evaluation budget is spent.
+
+One lockstep driver, ``run_lockstep``, runs K threads over a shared
+elite archive; ``run_single`` is its K = 1 case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -192,6 +196,167 @@ def apply_action(
 
 
 @dataclass
+class CollisionLog:
+    """(total eval count, base distance) records, one per detected collision."""
+
+    events: list[tuple[int, float]] = field(default_factory=list)
+
+
+def detect_collision(
+    state_a: ThreadState,
+    state_b: ThreadState,
+    tol: float,
+    log: CollisionLog | None = None,
+    eval_count: int = 0,
+) -> bool:
+    """True when the two bases agree within ``tol`` in every coordinate."""
+    dist = float(np.max(np.abs(state_a.base.x - state_b.base.x)))
+    hit = dist <= tol
+    if hit and log is not None:
+        log.events.append((eval_count, dist))
+    return hit
+
+
+@dataclass
+class LockstepRun:
+    """Everything a lockstep run leaves behind, for the result types to read."""
+
+    states: list[ThreadState]
+    counters: list[EvalCounter]
+    #: Best point over all threads, and (total eval count, value) each
+    #: time it changed, sampled after each step and restructure.
+    best: SearchPoint
+    history: list[tuple[int, float]]
+    #: One tuple of per-thread actions per completed stage.
+    stages: list[tuple[str, ...]]
+    collisions: CollisionLog
+    evals: int
+    terminated_by: str
+
+
+def run_lockstep(
+    objective: Objective,
+    config: SearchConfig,
+    starts: Sequence[tuple[str, np.ndarray | None]],
+    seed_rngs: Callable[[int], Sequence[np.random.Generator]],
+) -> LockstepRun:
+    """Run one thread per ``(name, start)`` pair in lockstep to termination.
+
+    ``seed_rngs(config.seed)`` gives each thread its generator; a None
+    start is a uniform random point from it. The config, then the
+    starts (named in errors by ``name``) are checked before anything is
+    evaluated. The threads share the elite archive and the evaluation
+    budget, and each has its own tabu list and counter.
+
+    Each stage steps every live thread in index order, then lets at
+    most one restructure: among the threads that ask, the one with the
+    worst current best (lowest index on ties) goes, and the others keep
+    their request pending for the next stage unless they improve first.
+    After the stage every pair of bases is checked for a collision.
+    """
+    config.validate()
+    space = objective.space
+    step_floor = resolved_step_min(config, space)
+    if step_floor > config.step_initial:
+        raise ValueError("step_initial is below the resolution floor of the space")
+    dim = space.dimension
+    xs = [None if x is None else start_point(x, dim, name) for name, x in starts]
+    rngs = seed_rngs(config.seed)
+    memory = IntermediateMemory(config.m_elite, config.match_tol)
+    counters = [EvalCounter() for _ in xs]
+    states: list[ThreadState] = []
+    best = SearchPoint(x=np.zeros(dim), value=math.inf, feasible=False)
+    history: list[tuple[int, float]] = []
+    total = 0
+    for i, x0 in enumerate(xs):
+        counter = counters[i]
+        point = evaluate(objective, counter, rngs[i].random(dim) if x0 is None else x0)
+        total += counter.count
+        state = fresh_state(point, config, thread_id=i)
+        state.tabu.push(point.x)
+        memory.offer(point)
+        state.observe(point, counter.count)
+        states.append(state)
+        if state.best.value < best.value:
+            best = state.best
+            history.append((total, best.value))
+
+    # Plain loops and no helper calls below: at K = 1 this is the whole
+    # per-step overhead of run_single.
+    k = len(states)
+    live = k
+    pending: list[str | None] = [None] * k
+    stages: list[tuple[str, ...]] = []
+    collisions = CollisionLog()
+    terminated_by = EVAL_BUDGET
+    while total < config.max_evals:
+        desired = [CONTINUE] * k
+        for i in range(k):
+            state, counter = states[i], counters[i]
+            if state.step < step_floor or total >= config.max_evals:
+                continue
+            before = counter.count
+            if hj_step(state, objective, counter, memory, config.k_pattern) == IMPROVED:
+                state.fail_count = 0
+                pending[i] = None
+            else:
+                state.fail_count += 1
+            total += counter.count - before
+            if state.best.value < best.value:
+                best = state.best
+                history.append((total, best.value))
+            desired[i] = pending[i] or control_decision(state.fail_count, config)
+        if total >= config.max_evals:
+            break
+
+        # Restructure token: at most one non-continue action per stage.
+        performer = -1
+        for i in range(k):
+            if desired[i] == CONTINUE:
+                continue
+            if performer < 0 or states[i].best.value > states[performer].best.value:
+                if performer >= 0:
+                    pending[performer] = desired[performer]
+                performer = i
+            else:
+                pending[i] = desired[i]
+        actions = [CONTINUE] * k
+        if performer >= 0:
+            state, counter = states[performer], counters[performer]
+            action = actions[performer] = desired[performer]
+            pending[performer] = None
+            before = counter.count
+            apply_action(state, action, memory, objective, counter, rngs[performer], config)
+            total += counter.count - before
+            if state.best.value < best.value:
+                best = state.best
+                history.append((total, best.value))
+            if state.step < step_floor:
+                live -= 1
+
+        stages.append(tuple(actions))
+        for i in range(k):
+            for j in range(i + 1, k):
+                detect_collision(states[i], states[j], config.match_tol, collisions, total)
+        # Only a restructure changes a step, so checking after the stage
+        # sees every thread that fell below the floor.
+        if live == 0:
+            terminated_by = STEP_FLOOR
+            break
+
+    return LockstepRun(
+        states=states,
+        counters=counters,
+        best=best,
+        history=history,
+        stages=stages,
+        collisions=collisions,
+        evals=total,
+        terminated_by=terminated_by,
+    )
+
+
+@dataclass
 class RunResult:
     """Outcome of one search run."""
 
@@ -216,46 +381,12 @@ def run_single(
     the run starts from a seeded uniform random point.
     """
     config = config or SearchConfig()
-    config.validate()
-    space = objective.space
-    step_floor = resolved_step_min(config, space)
-    if step_floor > config.step_initial:
-        raise ValueError("step_initial is below the resolution floor of the space")
-
-    if start is not None:
-        start = start_point(start, space.dimension)
-    rng = np.random.default_rng(config.seed)
-    counter = EvalCounter()
-    memory = IntermediateMemory(config.m_elite, config.match_tol)
-
-    x0 = rng.random(space.dimension) if start is None else start
-    base = evaluate(objective, counter, x0)
-    state = fresh_state(base, config)
-    state.tabu.push(base.x)
-    memory.offer(base)
-    state.observe(base, counter.count)
-
-    terminated_by = EVAL_BUDGET
-    while True:
-        if counter.count >= config.max_evals:
-            break
-        outcome = hj_step(state, objective, counter, memory, config.k_pattern)
-        if outcome == IMPROVED:
-            state.fail_count = 0
-        else:
-            state.fail_count += 1
-        if counter.count >= config.max_evals:
-            break
-        action = control_decision(state.fail_count, config)
-        apply_action(state, action, memory, objective, counter, rng, config)
-        if state.step < step_floor:
-            terminated_by = STEP_FLOOR
-            break
-
+    run = run_lockstep(objective, config, [("start", start)], lambda seed: [np.random.default_rng(seed)])
+    state = run.states[0]
     return RunResult(
         best=state.best,
-        best_raw=denormalize(space, state.best.x),
-        evals=counter.count,
-        terminated_by=terminated_by,
+        best_raw=denormalize(objective.space, state.best.x),
+        evals=run.evals,
+        terminated_by=run.terminated_by,
         history=state.history,
     )

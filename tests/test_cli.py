@@ -288,6 +288,11 @@ class TestMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_removed_lockstep_setting_exits_two(self, capsys):
+        code = main(["--problem", "schwefel10", "--method", "multi", "--set", "lockstep=false"])
+        assert code == 2
+        assert "unknown setting: 'lockstep'" in capsys.readouterr().err
+
     def test_malformed_set_exits_two(self, capsys):
         code = main(["--problem", "schwefel10", "--set", "max_evals"])
         assert code == 2

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tabukit.benchmarks import make_schwefel10
-from tabukit.control import CONTINUE, EVAL_BUDGET, STEP_FLOOR, SearchConfig, fresh_state
+from tabukit.control import CONTINUE, EVAL_BUDGET, STEP_FLOOR, SearchConfig, fresh_state, run_single
 from tabukit.core import EvalCounter, Objective, ParameterSpace, evaluate
 from tabukit.multithread import (
     CollisionLog,
@@ -166,25 +168,6 @@ class TestRunMulti:
         for _, dist in result.collisions.events:
             assert dist <= cfg.match_tol
 
-    def test_free_running_mode(self):
-        obj = make_schwefel10()
-        # Free-running interleavings are nondeterministic, so the quality
-        # bar is best-of-three; the accounting invariants hold every run.
-        best_seen = float("inf")
-        for _ in range(3):
-            result = run_multi(
-                obj,
-                MultiConfig(base=SearchConfig(seed=10, max_evals=20000), lockstep=False),
-            )
-            assert result.evals == sum(t.evals for t in result.threads)
-            assert result.best.value == min(t.best.value for t in result.threads)
-            assert result.stages == []
-            assert result.terminated_by in (EVAL_BUDGET, STEP_FLOOR)
-            best_seen = min(best_seen, result.best.value)
-            if best_seen <= -4000.0:
-                break
-        assert best_seen <= -4000.0
-
     def test_thread_reports_denormalized(self):
         obj = make_schwefel10()
         result = run_multi(obj, MultiConfig(base=SearchConfig(seed=12, max_evals=4000)))
@@ -207,3 +190,41 @@ class TestStartValidation:
         config = MultiConfig(base=SearchConfig(), start_a=np.array([0.5, 0.5, 0.5]))
         with pytest.raises(ValueError, match=r"start_a \(thread 0\) must have one coordinate per parameter"):
             run_multi(obj, config)
+
+    @pytest.mark.parametrize("method", ["single", "multi"])
+    def test_bad_config_reported_before_bad_start(self, method):
+        calls = []
+        obj = small_objective(seed_fn=lambda raw: (calls.append(1) or 0.0, True))
+        config = SearchConfig(max_evals=0)
+        bad_start = np.array([np.nan, 0.5])
+        with pytest.raises(ValueError, match="max_evals must be at least 1"):
+            if method == "single":
+                run_single(obj, config, start=bad_start)
+            else:
+                run_multi(obj, MultiConfig(base=config, start_a=bad_start))
+        assert calls == []
+
+
+class TestErrorPropagation:
+    @pytest.mark.parametrize("method", ["single", "multi"])
+    def test_objective_error_propagates(self, method):
+        schwefel = make_schwefel10()
+        calls = []
+
+        def fn(raw):
+            calls.append(1)
+            if len(calls) == 500:
+                raise RuntimeError("objective failed on call 500")
+            return schwefel.fn(raw)
+
+        # Scalar fn only, so evaluation 500 is one call.
+        objective = dataclasses.replace(schwefel, fn=fn, fn_batch=None)
+        config = SearchConfig(seed=0, max_evals=5000)
+        result = None
+        with pytest.raises(RuntimeError, match="call 500"):
+            if method == "single":
+                result = run_single(objective, config)
+            else:
+                result = run_multi(objective, MultiConfig(base=config))
+        assert result is None
+        assert len(calls) == 500

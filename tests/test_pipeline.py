@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tabukit.benchmarks import make_bump, make_schwefel10
-from tabukit.control import SearchConfig, run_single
-from tabukit.core import EvalCounter, Objective, ParameterSpace, SearchPoint, clamp, evaluate
+from tabukit.control import CONTINUE, SearchConfig, run_single
+from tabukit.core import MAXIMIZE, EvalCounter, Objective, ParameterSpace, SearchPoint, clamp, evaluate
 from tabukit.hillclimb import axial_moves, explore
 from tabukit.hydraulic import make_circuit
 from tabukit.memory import TabuList
@@ -228,31 +228,54 @@ def test_explore_infeasible_rows_counted_not_chosen():
 
 
 def counting(objective):
-    calls = {"fn": 0, "rows": 0}
+    """The objective with its calls, batch rows and best engine value recorded."""
+    calls = {"fn": 0, "rows": 0, "best": math.inf}
+    sign = -1.0 if objective.sense == MAXIMIZE else 1.0
 
     def fn(raw):
         calls["fn"] += 1
-        return objective.fn(raw)
+        value, ok = objective.fn(raw)
+        if ok:
+            calls["best"] = min(calls["best"], sign * value)
+        return value, ok
 
     def fn_batch(raw):
         calls["rows"] += len(raw)
-        return objective.fn_batch(raw)
+        values, feasible = objective.fn_batch(raw)
+        for value, ok in zip(values, feasible):
+            if ok:
+                calls["best"] = min(calls["best"], sign * float(value))
+        return values, feasible
 
     return dataclasses.replace(objective, fn=fn, fn_batch=fn_batch), calls
 
 
 @pytest.mark.parametrize("name", sorted(BUILT_IN))
 @settings(max_examples=4, deadline=None)
-@given(seed=st.integers(0, 2**16), method=st.sampled_from(["single", "multi"]))
-def test_evals_equal_scalar_calls_plus_batch_rows(name, seed, method):
+@given(
+    seed=st.integers(0, 2**16),
+    method=st.sampled_from(["single", "multi"]),
+    max_evals=st.integers(400, 3000),
+    schedule=st.sampled_from([(5, 10, 15), (1, 2, 3)]),
+)
+def test_evals_equal_scalar_calls_plus_batch_rows(name, seed, method, max_evals, schedule):
     objective, calls = counting(BUILT_IN[name]())
-    config = SearchConfig(seed=seed, max_evals=400)
+    # The short schedule makes both threads ask for a restructure in
+    # the same stage within these budgets.
+    intensify, diversify, reduce = schedule
+    config = SearchConfig(
+        seed=seed, max_evals=max_evals, intensify_after=intensify, diversify_after=diversify, reduce_after=reduce
+    )
     if method == "single":
         result = run_single(objective, config)
     else:
         result = run_multi(objective, MultiConfig(base=config))
+        for stage in result.stages:
+            assert sum(action != CONTINUE for action in stage) <= 1
     assert calls["rows"] > 0
     assert result.evals == calls["fn"] + calls["rows"]
+    # The reported best is the minimum feasible engine value evaluated.
+    assert result.best.value == calls["best"]
 
 
 @pytest.mark.parametrize("name", ["schwefel10", "bump20-keane"])
