@@ -22,6 +22,8 @@ STARVATION_POLICIES = (PROPORTIONAL, PRIORITY)
 PUMP_DISP_BOUNDS = (1.0, 1000.0)
 MOTOR_DISP_BOUNDS = (1.0, 1000.0)
 VALVE_FLOW_BOUNDS = (10.0, 100.0)
+#: Bounds of the CircuitParams fields, in field order.
+_FIELD_BOUNDS = (PUMP_DISP_BOUNDS, MOTOR_DISP_BOUNDS, MOTOR_DISP_BOUNDS, VALVE_FLOW_BOUNDS, VALVE_FLOW_BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,27 @@ def _split_supply(supply: float, first_share: float, second_demand: float):
     q_rv = rest - min(second_demand, rest)
     q2 = rest - q_rv
     return q1, q2, q_rv
+
+
+def _split_supply_rows(supply: np.ndarray, first_share: np.ndarray, second_demand: np.ndarray):
+    """``_split_supply`` over arrays, operation by operation."""
+    rest = supply - np.minimum(first_share, supply)
+    q1 = supply - rest
+    q_rv = rest - np.minimum(second_demand, rest)
+    q2 = rest - q_rv
+    return q1, q2, q_rv
+
+
+def _proportional_share_rows(d1, total, q_pump):
+    return d1 * q_pump / total
+
+
+def _priority_share_rows(d1, total, q_pump):
+    return np.minimum(d1, q_pump)
+
+
+#: Branch 1's share of a starved pump, per policy, over arrays.
+_STARVED_SHARE_ROWS = {PROPORTIONAL: _proportional_share_rows, PRIORITY: _priority_share_rows}
 
 
 def simulate_steady(
@@ -149,14 +172,30 @@ def make_circuit(
     targets = targets or CircuitTargets()
     if policy not in STARVATION_POLICIES:
         raise ValueError(f"unknown starvation policy: {policy!r}")
-    space = ParameterSpace(
-        lower=np.array([1.0, 1.0, 1.0, 10.0, 10.0]),
-        upper=np.array([1000.0, 1000.0, 1000.0, 100.0, 100.0]),
-        min_step=np.full(5, 1e-4),
-    )
+    lower = np.array([lo for lo, _ in _FIELD_BOUNDS])
+    upper = np.array([hi for _, hi in _FIELD_BOUNDS])
+    space = ParameterSpace(lower=lower, upper=upper, min_step=np.full(5, 1e-4))
+    pump_speed = targets.pump_speed
+    omega1_target, omega2_target = targets.omega1_target, targets.omega2_target
+    starved_share = _STARVED_SHARE_ROWS[policy]
 
     def fn(raw: np.ndarray) -> tuple[float, bool]:
         params = CircuitParams(*raw)
         return circuit_objective(params, targets, policy), True
 
-    return Objective(space=space, fn=fn, sense=MINIMIZE, name="circuit")
+    def fn_batch(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # simulate_steady and circuit_objective over rows, in the same
+        # float operations and order, so every row matches fn bit for bit.
+        in_bounds = (lower <= raw) & (raw <= upper)
+        if np.count_nonzero(in_bounds) != in_bounds.size:
+            CircuitParams(*raw[np.argmin(in_bounds.all(axis=1))])  # raises fn's error for that row
+        pump_disp, motor1_disp, motor2_disp, d1, d2 = raw.T
+        q_pump = pump_disp * pump_speed / 1000.0
+        total = d1 + d2
+        share1 = np.where(total <= q_pump, d1, starved_share(d1, total, q_pump))
+        q1, q2, q_rv = _split_supply_rows(q_pump, share1, d2)
+        e1 = q1 * 1000.0 / motor1_disp - omega1_target
+        e2 = q2 * 1000.0 / motor2_disp - omega2_target
+        return (e1 * e1 + e2 * e2) * (1.0 + q_rv / q_pump), np.ones(len(raw), dtype=bool)
+
+    return Objective(space=space, fn=fn, sense=MINIMIZE, name="circuit", fn_batch=fn_batch)

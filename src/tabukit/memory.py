@@ -81,6 +81,11 @@ class TabuList:
 class IntermediateMemory:
     """Capacity-bounded elite archive ordered best (lowest value) first.
 
+    The archived vectors are also held as the rows of a best-first
+    ``(capacity, N)`` array, allocated at the first insert once N is
+    known, so an offer screens against every entry in one broadcast and
+    the restart generators read the same rows.
+
     Shared between search threads: offers and snapshot reads are
     serialized by an internal lock, so concurrent offers are applied in
     some order with none lost.
@@ -93,6 +98,7 @@ class IntermediateMemory:
         self.match_tol = match_tol
         self._entries: list[SearchPoint] = []
         self._values: list[float] = []  # parallel list, keeps bisect cheap
+        self._rows: np.ndarray | None = None  # entries' vectors, best first
         self._lock = threading.Lock()
 
     def offer(self, p: SearchPoint) -> bool:
@@ -100,29 +106,45 @@ class IntermediateMemory:
 
         A point qualifies when the archive has room or when it beats the
         current worst entry. Vectors already present (within the match
-        tolerance) are rejected so the archive cannot collapse onto
-        copies of one solution.
+        tolerance, max norm) are rejected so the archive cannot collapse
+        onto copies of one solution. A vector of another length than
+        the archived ones raises ValueError.
         """
         if not p.feasible:
             return False
+        x = np.asarray(p.x, dtype=float)
         with self._lock:
-            for entry in self._entries:
-                if np.max(np.abs(entry.x - p.x)) <= self.match_tol:
-                    return False
-            if len(self._entries) >= self.capacity and p.value >= self._values[-1]:
+            n = len(self._values)
+            if self._rows is not None and x.shape != self._rows.shape[1:]:
+                raise ValueError(f"archived vectors have shape {self._rows.shape[1:]}, got {x.shape}")
+            if n >= self.capacity and p.value >= self._values[-1]:
                 return False
+            if n and (np.abs(self._rows[:n] - x).max(axis=1) <= self.match_tol).any():
+                return False
+            if self._rows is None:
+                self._rows = np.empty((self.capacity, x.size))
             idx = bisect.bisect_right(self._values, p.value)
             self._entries.insert(idx, p)
             self._values.insert(idx, p.value)
-            if len(self._entries) > self.capacity:
+            if n == self.capacity:  # the worst entry drops out
                 self._entries.pop()
                 self._values.pop()
+                n -= 1
+            self._rows[idx + 1 : n + 1] = self._rows[idx:n]
+            self._rows[idx] = x
             return True
 
     def snapshot(self) -> list[SearchPoint]:
         """Consistent copy of the entries, best first."""
         with self._lock:
             return list(self._entries)
+
+    def rows(self) -> np.ndarray:
+        """Copy of the archived vectors as rows, best first."""
+        with self._lock:
+            if self._rows is None:
+                return np.empty((0, 0))
+            return self._rows[: len(self._values)].copy()
 
     def best(self) -> SearchPoint | None:
         with self._lock:
@@ -140,20 +162,20 @@ class IntermediateMemory:
         found for one parameter get tried in every other position. No
         arithmetic is performed on the copied values.
         """
-        entries = self.snapshot()
-        if not entries:
+        rows = self.rows()
+        if not len(rows):
             raise ValueError("cannot diversify from an empty archive")
-        n = entries[0].x.size
+        k, n = rows.shape
         out = np.empty(n)
         for j in range(n):
-            r = int(rng.integers(len(entries)))
+            r = int(rng.integers(k))
             c = int(rng.integers(n))
-            out[j] = entries[r].x[c]
+            out[j] = rows[r, c]
         return out
 
     def intensify(self) -> np.ndarray:
         """Componentwise mean of the archived vectors, clamped to [0, 1]."""
-        entries = self.snapshot()
-        if not entries:
+        rows = self.rows()
+        if not len(rows):
             raise ValueError("cannot intensify from an empty archive")
-        return clamp(np.mean([e.x for e in entries], axis=0))
+        return clamp(np.mean(rows, axis=0))

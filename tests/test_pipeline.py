@@ -1,24 +1,28 @@
-"""Batched candidate pipeline: block objectives, tabu screening and counting.
+"""Batched candidate pipeline: block objectives, tabu screening, the elite
+archive and counting.
 
 The per-candidate rules that the block pipeline replaced are kept here
 as reference implementations: every axial probe built, clamped, screened
-and evaluated one at a time, the best taken by first strict minimum.
-The block path must agree with them exactly.
+and evaluated one at a time, the best taken by first strict minimum, and
+every archive offer tested against one entry at a time. The block path
+must agree with them exactly.
 """
+import bisect
 import dataclasses
 import math
+import re
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit.control import CONTINUE, SearchConfig, run_single
 from tabukit.core import MAXIMIZE, EvalCounter, Objective, ParameterSpace, SearchPoint, clamp, evaluate
 from tabukit.hillclimb import axial_moves, explore
-from tabukit.hydraulic import make_circuit
-from tabukit.memory import TabuList
+from tabukit.hydraulic import STARVATION_POLICIES, CircuitParams, CircuitTargets, make_circuit, simulate_steady
+from tabukit.memory import IntermediateMemory, TabuList
 from tabukit.multithread import MultiConfig, run_multi
 
 BUILT_IN = {
@@ -27,11 +31,58 @@ BUILT_IN = {
     "bump20-signed": lambda: make_bump(20, "signed"),
     "bump50-keane": lambda: make_bump(50, "keane"),
     "bump50-signed": lambda: make_bump(50, "signed"),
+    "circuit": make_circuit,
+}
+
+#: Both starvation policies at the standard, a low and a starving pump
+#: speed (at 20 rpm the largest pump at most exactly feeds the smallest
+#: valve settings).
+CIRCUITS = {
+    f"circuit-{policy}-{speed:g}": (policy, speed)
+    for policy in STARVATION_POLICIES
+    for speed in (1500.0, 100.0, 20.0)
 }
 
 
 def reference_is_tabu(entries, x, tol):
     return any(np.max(np.abs(entry - x)) <= tol for entry in entries)
+
+
+class ReferenceMemory:
+    """The elite archive's per-entry rules: each archived point tested in
+    turn for a match, then the value rule; restarts read the points."""
+
+    def __init__(self, capacity, tol):
+        self.capacity, self.tol = capacity, tol
+        self.entries, self.values = [], []
+
+    def offer(self, p):
+        if not p.feasible:
+            return False
+        for entry in self.entries:
+            if np.max(np.abs(entry.x - p.x)) <= self.tol:
+                return False
+        if len(self.entries) >= self.capacity and p.value >= self.values[-1]:
+            return False
+        idx = bisect.bisect_right(self.values, p.value)
+        self.entries.insert(idx, p)
+        self.values.insert(idx, p.value)
+        if len(self.entries) > self.capacity:
+            self.entries.pop()
+            self.values.pop()
+        return True
+
+    def diversify(self, rng):
+        n = self.entries[0].x.size
+        out = np.empty(n)
+        for j in range(n):
+            r = int(rng.integers(len(self.entries)))
+            c = int(rng.integers(n))
+            out[j] = self.entries[r].x[c]
+        return out
+
+    def intensify(self):
+        return clamp(np.mean([e.x for e in self.entries], axis=0))
 
 
 def reference_axial(base_x, step, entries, tol):
@@ -54,42 +105,101 @@ def reference_axial(base_x, step, entries, tol):
 # --- fn_batch agrees with fn bit for bit -----------------------------------
 
 
+def coordinate(lo, hi, specials=()):
+    """Floats in [lo, hi], with the bounds, zero, the midpoint and the
+    given special values among them when they lie inside."""
+    special = [v for v in (lo, hi, 0.0, 0.5 * (lo + hi), *specials) if lo <= v <= hi]
+    return st.one_of(st.floats(lo, hi), st.sampled_from(special))
+
+
 @st.composite
-def raw_blocks(draw, objective):
-    """Blocks of in-bounds rows, with bounds, zeros and constraint edges."""
-    space = objective.space
-    n = space.dimension
-    lo, hi = float(space.lower[0]), float(space.upper[0])
-    special = [lo, hi, 0.0, 0.5 * (lo + hi)]
-    edge = hi
-    if objective.name.startswith("bump"):
-        edge = 7.5  # all-7.5 rows sit exactly on sum == 7.5 n
-        special += [edge, float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, 10.0)), 0.75, 1.0]
-    coord = st.one_of(st.floats(lo, hi), st.sampled_from(special))
-    kind = st.sampled_from(["mixed", "constant", "upper", "edge"])
+def raw_blocks(draw, objective, specials=(), edge_rows=None):
+    """Blocks of in-bounds rows over the objective's per-column bounds.
+
+    Rows are random, constant, on some column's bound, all-lower,
+    all-upper, or drawn from ``edge_rows`` (the objective's own edges).
+    """
+    lower, upper = objective.space.lower.tolist(), objective.space.upper.tolist()
+    n = len(lower)
+    columns = [coordinate(lo, hi, specials) for lo, hi in zip(lower, upper)]
+    kinds = ["mixed", "constant", "bound", "lower", "upper"] + (["edge"] if edge_rows is not None else [])
     rows = []
     for _ in range(draw(st.integers(1, 6))):
-        k = draw(kind)
+        k = draw(st.sampled_from(kinds))
         if k == "mixed":
-            row = draw(st.lists(coord, min_size=n, max_size=n))
+            row = [draw(c) for c in columns]
         elif k == "constant":
-            row = [draw(coord)] * n
+            row = [draw(coordinate(max(lower), min(upper), specials))] * n
+        elif k == "bound":
+            row = [draw(c) for c in columns]
+            j = draw(st.integers(0, n - 1))
+            row[j] = draw(st.sampled_from([lower[j], upper[j]]))
+        elif k == "lower":
+            row = list(lower)
         elif k == "upper":
-            row = draw(st.lists(coord, min_size=n, max_size=n))
-            row[draw(st.integers(0, n - 1))] = hi
+            row = list(upper)
         else:
-            row = [edge] * n
-            row[draw(st.integers(0, n - 1))] = draw(coord)
+            row = draw(edge_rows)
         rows.append(row)
     return np.array(rows, dtype=float)
 
 
-@pytest.mark.parametrize("name", sorted(BUILT_IN))
+BUMP_SPECIALS = (7.5, float(np.nextafter(7.5, 0.0)), float(np.nextafter(7.5, 10.0)), 0.75, 1.0)
+
+
+@st.composite
+def bump_edge_rows(draw, n):
+    """All-7.5 rows, which sit exactly on sum == 7.5 n, with one coordinate drawn."""
+    row = [7.5] * n
+    row[draw(st.integers(0, n - 1))] = draw(coordinate(0.0, 10.0, BUMP_SPECIALS))
+    return row
+
+
+@st.composite
+def circuit_edge_rows(draw, pump_speed):
+    """Circuit rows whose pump is starved, exactly fitted (d1 + d2 == q_pump)
+    or in surplus. No pump can be in surplus at 20 rpm."""
+    motor1, motor2 = draw(coordinate(1.0, 1000.0)), draw(coordinate(1.0, 1000.0))
+    kind = draw(st.sampled_from(["starved", "exact"] + (["surplus"] if pump_speed > 20.0 else [])))
+    if kind == "exact":
+        pump = float(draw(st.integers(math.ceil(20_000 / pump_speed), min(1000, math.floor(200_000 / pump_speed)))))
+        q_pump = pump * pump_speed / 1000.0
+        d1 = draw(st.floats(max(10.0, q_pump / 2, q_pump - 100.0), min(100.0, q_pump - 10.0)))
+        d2 = q_pump - d1  # exact (Sterbenz), so d1 + d2 == q_pump
+        assume(10.0 <= d2 <= 100.0)
+    else:
+        d1, d2 = draw(coordinate(10.0, 100.0)), draw(coordinate(10.0, 100.0))
+        fit = (d1 + d2) * 1000.0 / pump_speed  # the pump size that feeds both valves exactly
+        if kind == "starved":
+            pump = draw(st.floats(1.0, min(1000.0, fit)))
+        else:
+            assume(fit < 1000.0)
+            pump = draw(st.floats(fit, 1000.0))
+    q_pump = pump * pump_speed / 1000.0
+    want = {"starved": d1 + d2 > q_pump, "exact": d1 + d2 == q_pump, "surplus": d1 + d2 < q_pump}
+    assume(want[kind])
+    return [pump, motor1, motor2, d1, d2]
+
+
+def block_case(name):
+    """(objective, raw-block strategy) for a built-in name or a circuit variant."""
+    if name in CIRCUITS:
+        policy, pump_speed = CIRCUITS[name]
+        objective = make_circuit(CircuitTargets(pump_speed=pump_speed), policy)
+        return objective, raw_blocks(objective, edge_rows=circuit_edge_rows(pump_speed))
+    objective = BUILT_IN[name]()
+    if objective.name.startswith("bump"):
+        n = objective.space.dimension
+        return objective, raw_blocks(objective, BUMP_SPECIALS, bump_edge_rows(n))
+    return objective, raw_blocks(objective)
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN.keys() - {"circuit"} | CIRCUITS.keys()))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fn_batch_matches_fn_bit_for_bit(name, data):
-    objective = BUILT_IN[name]()
-    raw = data.draw(raw_blocks(objective))
+    objective, blocks = block_case(name)
+    raw = data.draw(blocks)
     values, feasible = objective.fn_batch(raw.copy())
     assert values.shape == feasible.shape == (len(raw),)
     assert feasible.dtype == bool
@@ -106,6 +216,57 @@ def test_fn_batch_edges_exercised():
     _, feasible = bump.fn_batch(raw)
     assert feasible.tolist() == [False, True, False, True]
     assert [bump.fn(row)[1] for row in raw] == feasible.tolist()
+
+
+def test_circuit_fn_batch_edges_exercised():
+    circuit = make_circuit()
+    raw = np.array(
+        [
+            [40.0, 200.0, 300.0, 24.0, 36.0],  # exact fit: 40 cc/rev at 1500 rpm is 60 L/min
+            [121.0, 200.0, 300.0, 95.8340882949998, 85.6659117050002],  # exact fit at 181.5 L/min
+            [10.0, 200.0, 300.0, 24.0, 36.0],  # starved
+            [100.0, 200.0, 300.0, 24.0, 36.0],  # surplus
+            circuit.space.lower,
+            circuit.space.upper,
+        ]
+    )
+    states = [simulate_steady(CircuitParams(*row)) for row in raw]
+    assert (states[0].q1, states[0].q2, states[0].q_rv) == (24.0, 36.0, 0.0)
+    # On the second row the proportional starved share would move q1 off
+    # d1 and spill 1.4e-14 L/min, so only the exact-fit branch gives fn's value.
+    d1, d2 = raw[1, 3], raw[1, 4]
+    assert d1 + d2 == 181.5 and d1 * 181.5 / (d1 + d2) != d1
+    assert (states[1].q1, states[1].q_rv) == (d1, 0.0)
+    assert states[2].q_rv == 0.0 and states[2].q1 + states[2].q2 < 60.0
+    assert states[3].q_rv > 0.0
+    for policy in STARVATION_POLICIES:
+        circuit = make_circuit(policy=policy)
+        values, feasible = circuit.fn_batch(raw)
+        assert feasible.all()
+        assert [v.hex() for v in values.tolist()] == [circuit.fn(row)[0].hex() for row in raw]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [(0, 0, 0.5)],
+        [(2, 4, 100.5)],
+        [(3, 1, math.nan)],
+        [(1, 3, 9.0), (3, 0, 1001.0)],  # the first bad row is named
+        [(2, 2, -1.0), (2, 1, 1e9)],  # the first bad field of that row is named
+    ],
+)
+def test_circuit_fn_batch_rejects_out_of_bounds_row_like_fn(bad):
+    circuit = make_circuit()
+    raw = np.tile([40.0, 200.0, 300.0, 24.0, 36.0], (4, 1))
+    for r, c, value in bad:
+        raw[r, c] = value
+    first = min(r for r, _, _ in bad)
+    with pytest.raises(ValueError) as scalar:
+        circuit.fn(raw[first])
+    assert "outside" in str(scalar.value)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+        circuit.fn_batch(raw)
 
 
 # --- TabuList.screen is is_tabu over a block --------------------------------
@@ -154,6 +315,47 @@ def test_screen_empty_list_and_empty_block():
     assert tabu.screen(np.empty((0, 2))).shape == (0,)
 
 
+# --- IntermediateMemory.offer is the per-entry rule over the archive rows --
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    capacity=st.sampled_from([1, 2, 3, 10]),
+    tol=st.sampled_from([0.0, 1 / 16, 1 / 8, 1e-6]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_offer_matches_per_entry_reference(dim, capacity, tol, seed, data):
+    vec = st.lists(st.one_of(GRID, st.floats(0.0, 1.0)), min_size=dim, max_size=dim).map(np.array)
+    value = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-10.0, 10.0))  # ties test the insert order
+    memory, reference = IntermediateMemory(capacity, tol), ReferenceMemory(capacity, tol)
+    for _ in range(data.draw(st.integers(1, 4 * capacity + 4))):
+        if reference.entries and data.draw(st.booleans()):
+            # Exactly at, or just past, the tolerance from an archived point.
+            x = data.draw(st.sampled_from(reference.entries)).x + data.draw(st.sampled_from([tol, 2 * tol, 1 / 16]))
+        else:
+            x = data.draw(vec)
+        p = SearchPoint(x=x, value=data.draw(value), feasible=data.draw(st.sampled_from([True, True, True, False])))
+        assert memory.offer(p) == reference.offer(p)
+        assert [e is q for e, q in zip(memory.snapshot(), reference.entries)] == [True] * len(reference.entries)
+        assert memory._values == reference.values
+        if reference.entries:
+            assert memory.rows().tobytes() == np.array([e.x for e in reference.entries]).tobytes()
+            assert memory.intensify().tobytes() == reference.intensify().tobytes()
+            got = memory.diversify(np.random.default_rng(seed))
+            assert got.tobytes() == reference.diversify(np.random.default_rng(seed)).tobytes()
+
+
+def test_offer_rejects_a_vector_of_another_length():
+    memory = IntermediateMemory(capacity=3)
+    assert memory.offer(SearchPoint(np.array([0.1, 0.2, 0.3]), 1.0, True))
+    with pytest.raises(ValueError, match=re.escape("archived vectors have shape (3,), got (1,)")):
+        memory.offer(SearchPoint(np.array([0.2]), 0.5, True))
+    assert len(memory) == 1
+    assert memory.intensify().tolist() == [0.1, 0.2, 0.3]
+
+
 # --- the block pipeline against the per-candidate reference ---------------
 
 
@@ -185,7 +387,7 @@ def test_axial_moves_match_reference(base, step, tol, data):
 
 @pytest.mark.parametrize("name", ["schwefel10", "bump20-keane", "circuit"])
 def test_explore_matches_per_candidate_reference(name):
-    objective = make_circuit() if name == "circuit" else BUILT_IN[name]()
+    objective = BUILT_IN[name]()
     rng = np.random.default_rng(5)
     n = objective.space.dimension
     for trial in range(30):
@@ -278,7 +480,7 @@ def test_evals_equal_scalar_calls_plus_batch_rows(name, seed, method, max_evals,
     assert result.best.value == calls["best"]
 
 
-@pytest.mark.parametrize("name", ["schwefel10", "bump20-keane"])
+@pytest.mark.parametrize("name", ["schwefel10", "bump20-keane", "circuit"])
 def test_scalar_fallback_gives_the_same_run(name):
     objective = BUILT_IN[name]()
     scalar_only = dataclasses.replace(objective, fn_batch=None)
