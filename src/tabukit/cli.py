@@ -20,7 +20,7 @@ from .benchmarks import BUMP_VARIANTS, make_bump, make_schwefel10
 from .control import RunResult, SearchConfig, run_single
 from .core import Objective, normalize
 from .hydraulic import STARVATION_POLICIES, CircuitTargets, make_circuit
-from .multithread import MultiConfig, MultiRunResult, run_multi
+from .multithread import MultiConfig, run_multi
 
 SINGLE = "single"
 MULTI = "multi"
@@ -156,7 +156,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ResultRow], Summary]:
     for i in range(spec.runs):
         config = SearchConfig(seed=spec.base_seed + i, **spec.overrides)
         t0 = time.perf_counter()
-        result: RunResult | MultiRunResult
+        result: RunResult
         if spec.method == SINGLE:
             result = run_single(objective, config, start=fixed_start)
         else:

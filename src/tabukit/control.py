@@ -7,7 +7,8 @@ found so far. The run ends when every thread's step has fallen below
 the resolution floor or the evaluation budget is spent.
 
 One lockstep driver, ``run_lockstep``, runs K threads over a shared
-elite archive; ``run_single`` is its K = 1 case.
+elite archive and returns a ``MultiRunResult``; ``run_single`` is its
+K = 1 case and returns the plain ``RunResult`` part.
 """
 from __future__ import annotations
 
@@ -99,6 +100,13 @@ class ThreadState:
             return True
         return False
 
+    def adopt(self, point: SearchPoint, memory: IntermediateMemory, eval_count: int) -> None:
+        """Move the base to ``point``: tabu it, offer it to the archive and observe it."""
+        self.base = point
+        self.tabu.push(point.x)
+        memory.offer(point)
+        self.observe(point, eval_count)
+
 
 def fresh_state(base: SearchPoint, config: SearchConfig, thread_id: int = 0) -> ThreadState:
     """Build a ThreadState around an already-evaluated starting point."""
@@ -188,11 +196,7 @@ def apply_action(
     else:
         raise ValueError(f"unknown control action: {action!r}")
 
-    point = evaluate(objective, counter, x)
-    state.base = point
-    state.tabu.push(point.x)
-    memory.offer(point)
-    state.observe(point, counter.count)
+    state.adopt(evaluate(objective, counter, x), memory, counter.count)
 
 
 @dataclass
@@ -218,20 +222,40 @@ def detect_collision(
 
 
 @dataclass
-class LockstepRun:
-    """Everything a lockstep run leaves behind, for the result types to read."""
+class RunResult:
+    """Outcome of one search run."""
 
-    states: list[ThreadState]
-    counters: list[EvalCounter]
-    #: Best point over all threads, and (total eval count, value) each
-    #: time it changed, sampled after each step and restructure.
     best: SearchPoint
-    history: list[tuple[int, float]]
-    #: One tuple of per-thread actions per completed stage.
-    stages: list[tuple[str, ...]]
-    collisions: CollisionLog
+    best_raw: np.ndarray
     evals: int
     terminated_by: str
+    #: (total eval count, best value) each time the best improved.
+    history: list[tuple[int, float]]
+
+    def best_native(self, objective: Objective) -> float:
+        return objective.native_value(self.best.value)
+
+
+@dataclass
+class ThreadReport:
+    """Per-thread outcome inside a lockstep run."""
+
+    thread_id: int
+    best: SearchPoint
+    best_raw: np.ndarray
+    evals: int
+    step_final: float
+    history: list[tuple[int, float]]
+
+
+@dataclass
+class MultiRunResult(RunResult):
+    """A lockstep run's outcome: the global best and totals, plus per-thread detail."""
+
+    threads: list[ThreadReport]
+    collisions: CollisionLog
+    #: One tuple of per-thread actions per completed stage.
+    stages: list[tuple[str, ...]]
 
 
 def run_lockstep(
@@ -239,7 +263,7 @@ def run_lockstep(
     config: SearchConfig,
     starts: Sequence[tuple[str, np.ndarray | None]],
     seed_rngs: Callable[[int], Sequence[np.random.Generator]],
-) -> LockstepRun:
+) -> MultiRunResult:
     """Run one thread per ``(name, start)`` pair in lockstep to termination.
 
     ``seed_rngs(config.seed)`` gives each thread its generator; a None
@@ -253,6 +277,10 @@ def run_lockstep(
     worst current best (lowest index on ties) goes, and the others keep
     their request pending for the next stage unless they improve first.
     After the stage every pair of bases is checked for a collision.
+
+    The global best starts as thread 0's, so a run that finds no
+    feasible point reports thread 0's evaluated start and an empty
+    history. At K = 1 the global best and history are thread 0's.
     """
     config.validate()
     space = objective.space
@@ -265,19 +293,17 @@ def run_lockstep(
     memory = IntermediateMemory(config.m_elite, config.match_tol)
     counters = [EvalCounter() for _ in xs]
     states: list[ThreadState] = []
-    best = SearchPoint(x=np.zeros(dim), value=math.inf, feasible=False)
-    history: list[tuple[int, float]] = []
     total = 0
     for i, x0 in enumerate(xs):
         counter = counters[i]
         point = evaluate(objective, counter, rngs[i].random(dim) if x0 is None else x0)
         total += counter.count
         state = fresh_state(point, config, thread_id=i)
-        state.tabu.push(point.x)
-        memory.offer(point)
-        state.observe(point, counter.count)
+        state.adopt(point, memory, counter.count)
         states.append(state)
-        if state.best.value < best.value:
+        if i == 0:
+            best, history = state.best, list(state.history)
+        elif state.best.value < best.value:
             best = state.best
             history.append((total, best.value))
 
@@ -344,30 +370,27 @@ def run_lockstep(
             terminated_by = STEP_FLOOR
             break
 
-    return LockstepRun(
-        states=states,
-        counters=counters,
+    threads = [
+        ThreadReport(
+            thread_id=state.thread_id,
+            best=state.best,
+            best_raw=denormalize(space, state.best.x),
+            evals=counter.count,
+            step_final=state.step,
+            history=list(state.history),
+        )
+        for state, counter in zip(states, counters)
+    ]
+    return MultiRunResult(
         best=best,
-        history=history,
-        stages=stages,
-        collisions=collisions,
+        best_raw=denormalize(space, best.x),
         evals=total,
         terminated_by=terminated_by,
+        history=history,
+        threads=threads,
+        collisions=collisions,
+        stages=stages,
     )
-
-
-@dataclass
-class RunResult:
-    """Outcome of one search run."""
-
-    best: SearchPoint
-    best_raw: np.ndarray
-    evals: int
-    terminated_by: str
-    history: list[tuple[int, float]]
-
-    def best_native(self, objective: Objective) -> float:
-        return objective.native_value(self.best.value)
 
 
 def run_single(
@@ -382,11 +405,4 @@ def run_single(
     """
     config = config or SearchConfig()
     run = run_lockstep(objective, config, [("start", start)], lambda seed: [np.random.default_rng(seed)])
-    state = run.states[0]
-    return RunResult(
-        best=state.best,
-        best_raw=denormalize(objective.space, state.best.x),
-        evals=run.evals,
-        terminated_by=run.terminated_by,
-        history=state.history,
-    )
+    return RunResult(run.best, run.best_raw, run.evals, run.terminated_by, run.history)

@@ -164,8 +164,5 @@ def hj_step(
         if pattern_point.feasible and pattern_point.value < move.value:
             adopted = pattern_point
 
-    state.base = adopted
-    state.tabu.push(adopted.x)
-    shared.offer(adopted)
-    state.observe(adopted, counter.count)
+    state.adopt(adopted, shared, counter.count)
     return IMPROVED if adopted.value < best_before - IMPROVE_TOL else NOT_IMPROVED

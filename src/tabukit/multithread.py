@@ -1,14 +1,11 @@
-"""Two cooperating search threads over one shared elite archive.
+"""Two-thread setup, seeding and entry point.
 
-Each thread has a private tabu list and shares the intermediate memory,
-one evaluation budget and a restructure token: per stage at most one
-thread may intensify, diversify or reduce its step; when both want to,
-the one whose current best is worse goes first and the other retries
-next stage. Collisions (both bases within the match tolerance) are
-logged, not prevented.
-
-The two threads are interleaved deterministically in one OS thread by
-the lockstep driver in ``control``, so a seeded run is bit-reproducible.
+Two threads share the intermediate memory, one evaluation budget and a
+restructure token; each has a private tabu list. The lockstep driver
+in ``control`` runs them, interleaved deterministically in one OS
+thread, so a seeded run is bit-reproducible. This module holds only
+what is particular to two threads: the starts, the per-thread
+generators and ``run_multi``.
 """
 from __future__ import annotations
 
@@ -16,10 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# CollisionLog and detect_collision live beside the driver that uses
-# them and are re-exported here.
-from .control import CollisionLog, SearchConfig, detect_collision, run_lockstep  # noqa: F401
-from .core import Objective, SearchPoint, denormalize
+# The result types and collision detection live beside the driver that
+# builds and uses them, and are re-exported here.
+from .control import (  # noqa: F401
+    CollisionLog,
+    MultiRunResult,
+    SearchConfig,
+    ThreadReport,
+    detect_collision,
+    run_lockstep,
+)
+from .core import Objective
 
 
 @dataclass
@@ -33,36 +37,6 @@ class MultiConfig:
     base: SearchConfig = field(default_factory=SearchConfig)
     start_a: np.ndarray | None = None
     start_b: np.ndarray | None = None
-
-
-@dataclass
-class ThreadReport:
-    """Per-thread outcome inside a multi-thread run."""
-
-    thread_id: int
-    best: SearchPoint
-    best_raw: np.ndarray
-    evals: int
-    step_final: float
-    history: list[tuple[int, float]]
-
-
-@dataclass
-class MultiRunResult:
-    """Combined outcome: global best, totals, per-thread detail, collisions."""
-
-    best: SearchPoint
-    best_raw: np.ndarray
-    evals: int
-    terminated_by: str
-    history: list[tuple[int, float]]
-    threads: list[ThreadReport]
-    collisions: CollisionLog
-    #: Stage trace as (action_a, action_b) pairs, one per completed stage.
-    stages: list[tuple[str, str]]
-
-    def best_native(self, objective: Objective) -> float:
-        return objective.native_value(self.best.value)
 
 
 def thread_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -81,26 +55,4 @@ def run_multi(objective: Objective, config: MultiConfig | None = None) -> MultiR
     """
     config = config or MultiConfig()
     starts = [("start_a (thread 0)", config.start_a), ("start_b (thread 1)", config.start_b)]
-    run = run_lockstep(objective, config.base, starts, thread_rngs)
-    space = objective.space
-    threads = [
-        ThreadReport(
-            thread_id=state.thread_id,
-            best=state.best,
-            best_raw=denormalize(space, state.best.x),
-            evals=counter.count,
-            step_final=state.step,
-            history=list(state.history),
-        )
-        for state, counter in zip(run.states, run.counters)
-    ]
-    return MultiRunResult(
-        best=run.best,
-        best_raw=denormalize(space, run.best.x),
-        evals=run.evals,
-        terminated_by=run.terminated_by,
-        history=run.history,
-        threads=threads,
-        collisions=run.collisions,
-        stages=run.stages,
-    )
+    return run_lockstep(objective, config.base, starts, thread_rngs)

@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import tabukit
+from tabukit import control, multithread
 from tabukit.benchmarks import make_schwefel10
-from tabukit.control import CONTINUE, EVAL_BUDGET, STEP_FLOOR, SearchConfig, fresh_state, run_single
-from tabukit.core import EvalCounter, Objective, ParameterSpace, evaluate
+from tabukit.control import CONTINUE, EVAL_BUDGET, STEP_FLOOR, RunResult, SearchConfig, fresh_state, run_single
+from tabukit.core import EvalCounter, Objective, ParameterSpace, denormalize, evaluate
 from tabukit.multithread import (
     CollisionLog,
     MultiConfig,
@@ -228,3 +230,38 @@ class TestErrorPropagation:
                 result = run_multi(objective, MultiConfig(base=config))
         assert result is None
         assert len(calls) == 500
+
+
+class TestAllInfeasible:
+    @pytest.mark.parametrize("method", ["single", "multi"])
+    @pytest.mark.parametrize("start", [np.array([0.75, 0.75]), None], ids=["fixed", "random"])
+    def test_reports_thread_0_evaluated_start(self, method, start):
+        obj = small_objective(seed_fn=lambda raw: (0.0, False))
+        config = SearchConfig(seed=5, max_evals=2000)
+        if method == "single":
+            result = run_single(obj, config, start=start)
+            rng = np.random.default_rng(5)
+        else:
+            result = run_multi(obj, MultiConfig(base=config, start_a=start))
+            rng = thread_rngs(5)[0]
+        x0 = rng.random(2) if start is None else start
+        assert result.best.feasible is False
+        assert result.history == []
+        assert np.array_equal(result.best_raw, denormalize(obj.space, x0))
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        for name in tabukit.__all__:
+            assert getattr(tabukit, name) is not None, name
+
+    @pytest.mark.parametrize("name", ["MultiRunResult", "ThreadReport", "CollisionLog", "detect_collision"])
+    def test_multithread_reexports_control_objects(self, name):
+        assert getattr(multithread, name) is getattr(control, name)
+
+    def test_run_multi_result_is_a_run_result(self):
+        result = run_multi(make_schwefel10(), MultiConfig(base=SearchConfig(seed=9, max_evals=20000)))
+        assert isinstance(result, RunResult)
+        assert [t.thread_id for t in result.threads] == [0, 1]
+        assert result.stages and all(len(stage) == 2 for stage in result.stages)
+        assert result.collisions.events

@@ -430,11 +430,19 @@ def test_explore_infeasible_rows_counted_not_chosen():
 
 
 def counting(objective):
-    """The objective with its calls, batch rows and best engine value recorded."""
+    """The objective with its calls, batch rows and best engine value recorded.
+
+    Every raw input, scalar or batch row, must lie within the bounds.
+    """
     calls = {"fn": 0, "rows": 0, "best": math.inf}
     sign = -1.0 if objective.sense == MAXIMIZE else 1.0
+    lower, upper = objective.space.lower, objective.space.upper
+
+    def in_bounds(raw):
+        assert np.all((lower <= raw) & (raw <= upper)), f"raw input outside the bounds: {raw}"
 
     def fn(raw):
+        in_bounds(raw)
         calls["fn"] += 1
         value, ok = objective.fn(raw)
         if ok:
@@ -442,6 +450,7 @@ def counting(objective):
         return value, ok
 
     def fn_batch(raw):
+        in_bounds(raw)
         calls["rows"] += len(raw)
         values, feasible = objective.fn_batch(raw)
         for value, ok in zip(values, feasible):
