@@ -8,7 +8,10 @@ the resolution floor or the evaluation budget is spent.
 
 One lockstep driver, ``run_lockstep``, runs K threads over a shared
 elite archive and returns a ``MultiRunResult``; ``run_single`` is its
-K = 1 case and returns the plain ``RunResult`` part.
+K = 1 case and returns the plain ``RunResult`` part. Each stage steps
+the live threads through one ``hillclimb.hj_stage`` call, which
+evaluates all their candidates in two objective calls, and the result
+is the same as stepping them one after another.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .core import (
     denormalize,
     evaluate,
 )
-from .hillclimb import IMPROVED, hj_step
+from .hillclimb import IMPROVED, hj_stage
 from .memory import (
     DEFAULT_ELITE_CAPACITY,
     DEFAULT_MATCH_TOL,
@@ -272,8 +275,11 @@ def run_lockstep(
     evaluated. The threads share the elite archive and the evaluation
     budget, and each has its own tabu list and counter.
 
-    Each stage steps every live thread in index order, then lets at
-    most one restructure: among the threads that ask, the one with the
+    Each stage steps every live thread, with the result of stepping
+    them one by one in index order: a thread steps only while the total
+    spent before it is below the budget. The threads that step together
+    are evaluated as one block (see ``hj_stage``). Then the stage lets
+    at most one restructure: among the threads that ask, the one with the
     worst current best (lowest index on ties) goes, and the others keep
     their request pending for the next stage unless they improve first.
     After the stage every pair of bases is checked for a collision.
@@ -317,21 +323,32 @@ def run_lockstep(
     terminated_by = EVAL_BUDGET
     while total < config.max_evals:
         desired = [CONTINUE] * k
-        for i in range(k):
-            state, counter = states[i], counters[i]
-            if state.step < step_floor or total >= config.max_evals:
-                continue
-            before = counter.count
-            if hj_step(state, objective, counter, memory, config.k_pattern) == IMPROVED:
-                state.fail_count = 0
-                pending[i] = None
-            else:
-                state.fail_count += 1
-            total += counter.count - before
-            if state.best.value < best.value:
-                best = state.best
-                history.append((total, best.value))
-            desired[i] = pending[i] or control_decision(state.fail_count, config)
+        # Every thread above the floor steps while the budget lasts. One
+        # hj_stage call steps as many of them as the budget surely
+        # admits; a thread it leaves waits for the actual total.
+        stepping = [i for i in range(k) if states[i].step >= step_floor]
+        while stepping and total < config.max_evals:
+            steps = hj_stage(
+                [states[i] for i in stepping],
+                [counters[i] for i in stepping],
+                objective,
+                memory,
+                config.k_pattern,
+                config.max_evals - total,
+            )
+            for i, (outcome, spent) in zip(stepping, steps):
+                state = states[i]
+                if outcome == IMPROVED:
+                    state.fail_count = 0
+                    pending[i] = None
+                else:
+                    state.fail_count += 1
+                total += spent
+                if state.best.value < best.value:
+                    best = state.best
+                    history.append((total, best.value))
+                desired[i] = pending[i] or control_decision(state.fail_count, config)
+            stepping = stepping[len(steps) :]
         if total >= config.max_evals:
             break
 

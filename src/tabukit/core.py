@@ -9,7 +9,6 @@ evaluation boundary.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -107,7 +106,7 @@ class Objective:
 
 
 class EvalCounter:
-    """Thread-safe count of true objective evaluations.
+    """Count of true objective evaluations.
 
     Tabu-rejected candidates are never evaluated and therefore never
     counted; that bookkeeping is what makes the eval columns of the
@@ -116,11 +115,9 @@ class EvalCounter:
 
     def __init__(self):
         self._count = 0
-        self._lock = threading.Lock()
 
     def increment(self, n: int = 1) -> None:
-        with self._lock:
-            self._count += n
+        self._count += n
 
     @property
     def count(self) -> int:

@@ -9,7 +9,6 @@ the centroid (intensify) and per-coordinate resampling (diversify).
 from __future__ import annotations
 
 import bisect
-import threading
 
 import numpy as np
 
@@ -61,6 +60,26 @@ class TabuList:
         np.abs(diff, out=diff)
         return (diff.max(axis=2) <= self.match_tol).any(axis=1)
 
+    def screen_axial(self, base: np.ndarray, axis: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        """``screen`` of the probes that copy ``base`` and set coordinate
+        ``axis[r]`` to ``moved[r]``, without building them.
+
+        A probe matches an entry when both lie within the tolerance in the
+        moved coordinate and in every other one, which the probe shares
+        with the base: the entry may lie farther than the tolerance from
+        the base in the moved coordinate only.
+        """
+        if self._size == 0:
+            return np.zeros(len(axis), dtype=bool)
+        entries = self._ring[: self._size]
+        far = np.abs(base - entries) > self.match_tol
+        # rest_near[e, j]: no coordinate but j of entry e is far from the base.
+        rest_near = far.sum(axis=1, keepdims=True) == far
+        own = entries[:, axis]
+        np.subtract(moved, own, out=own)
+        np.abs(own, out=own)
+        return ((own <= self.match_tol) & rest_near[:, axis]).any(axis=0)
+
     def is_tabu(self, x: np.ndarray) -> bool:
         """True when some entry matches ``x`` within the tolerance (max norm)."""
         return bool(self.screen(np.asarray(x, dtype=float)[np.newaxis])[0])
@@ -86,9 +105,8 @@ class IntermediateMemory:
     known, so an offer screens against every entry in one broadcast and
     the restart generators read the same rows.
 
-    Shared between search threads: offers and snapshot reads are
-    serialized by an internal lock, so concurrent offers are applied in
-    some order with none lost.
+    Shared by the search threads of a run, which the lockstep driver
+    steps in one OS thread; it is not safe to share across OS threads.
     """
 
     def __init__(self, capacity: int = DEFAULT_ELITE_CAPACITY, match_tol: float = DEFAULT_MATCH_TOL):
@@ -99,7 +117,6 @@ class IntermediateMemory:
         self._entries: list[SearchPoint] = []
         self._values: list[float] = []  # parallel list, keeps bisect cheap
         self._rows: np.ndarray | None = None  # entries' vectors, best first
-        self._lock = threading.Lock()
 
     def offer(self, p: SearchPoint) -> bool:
         """Insert a feasible point if it qualifies; returns True when inserted.
@@ -113,46 +130,41 @@ class IntermediateMemory:
         if not p.feasible:
             return False
         x = np.asarray(p.x, dtype=float)
-        with self._lock:
-            n = len(self._values)
-            if self._rows is not None and x.shape != self._rows.shape[1:]:
-                raise ValueError(f"archived vectors have shape {self._rows.shape[1:]}, got {x.shape}")
-            if n >= self.capacity and p.value >= self._values[-1]:
-                return False
-            if n and (np.abs(self._rows[:n] - x).max(axis=1) <= self.match_tol).any():
-                return False
-            if self._rows is None:
-                self._rows = np.empty((self.capacity, x.size))
-            idx = bisect.bisect_right(self._values, p.value)
-            self._entries.insert(idx, p)
-            self._values.insert(idx, p.value)
-            if n == self.capacity:  # the worst entry drops out
-                self._entries.pop()
-                self._values.pop()
-                n -= 1
-            self._rows[idx + 1 : n + 1] = self._rows[idx:n]
-            self._rows[idx] = x
-            return True
+        n = len(self._values)
+        if self._rows is not None and x.shape != self._rows.shape[1:]:
+            raise ValueError(f"archived vectors have shape {self._rows.shape[1:]}, got {x.shape}")
+        if n >= self.capacity and p.value >= self._values[-1]:
+            return False
+        if n and (np.abs(self._rows[:n] - x).max(axis=1) <= self.match_tol).any():
+            return False
+        if self._rows is None:
+            self._rows = np.empty((self.capacity, x.size))
+        idx = bisect.bisect_right(self._values, p.value)
+        self._entries.insert(idx, p)
+        self._values.insert(idx, p.value)
+        if n == self.capacity:  # the worst entry drops out
+            self._entries.pop()
+            self._values.pop()
+            n -= 1
+        self._rows[idx + 1 : n + 1] = self._rows[idx:n]
+        self._rows[idx] = x
+        return True
 
     def snapshot(self) -> list[SearchPoint]:
-        """Consistent copy of the entries, best first."""
-        with self._lock:
-            return list(self._entries)
+        """Copy of the entries, best first."""
+        return list(self._entries)
 
     def rows(self) -> np.ndarray:
         """Copy of the archived vectors as rows, best first."""
-        with self._lock:
-            if self._rows is None:
-                return np.empty((0, 0))
-            return self._rows[: len(self._values)].copy()
+        if self._rows is None:
+            return np.empty((0, 0))
+        return self._rows[: len(self._values)].copy()
 
     def best(self) -> SearchPoint | None:
-        with self._lock:
-            return self._entries[0] if self._entries else None
+        return self._entries[0] if self._entries else None
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def diversify(self, rng: np.random.Generator) -> np.ndarray:
         """Build a point by sampling every coordinate independently.

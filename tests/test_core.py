@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -131,22 +130,6 @@ class TestEvaluate:
 
     def test_sense_constants(self):
         assert MINIMIZE != MAXIMIZE
-
-
-class TestEvalCounter:
-    def test_concurrent_increments_none_lost(self):
-        counter = EvalCounter()
-
-        def bump():
-            for _ in range(10000):
-                counter.increment()
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.count == 40000
 
 
 class TestObjectiveExamples:

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -133,22 +131,6 @@ class TestIntermediateMemory:
         assert snap == sorted(snap)
         # Best offered value is never evicted.
         assert snap[0] == min(float(v) for v in values)
-
-    def test_concurrent_offers_none_lost(self):
-        mem = IntermediateMemory(capacity=200)
-
-        def offer_block(lo):
-            for i in range(100):
-                mem.offer(point([(lo + i) / 1000.0, 0.0], float(lo + i)))
-
-        threads = [threading.Thread(target=offer_block, args=(k * 100,)) for k in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        snap = mem.snapshot()
-        assert len(snap) == 200
-        assert [e.value for e in snap] == sorted(e.value for e in snap)
 
 
 class TestDiversify:

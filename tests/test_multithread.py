@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tabukit
 from tabukit import control, multithread
 from tabukit.benchmarks import make_schwefel10
 from tabukit.control import CONTINUE, EVAL_BUDGET, STEP_FLOOR, RunResult, SearchConfig, fresh_state, run_single
 from tabukit.core import EvalCounter, Objective, ParameterSpace, denormalize, evaluate
+from tabukit.hillclimb import axial_moves
+from tabukit.memory import TabuList
 from tabukit.multithread import (
     CollisionLog,
     MultiConfig,
@@ -207,29 +210,56 @@ class TestStartValidation:
         assert calls == []
 
 
+def failing_run(method, m, seed=0):
+    """Run schwefel10 through a scalar-only objective that raises on its
+    m-th call; returns the raw vectors it was called with."""
+    schwefel = make_schwefel10()
+    calls = []
+
+    def fn(raw):
+        calls.append(raw.copy())
+        if len(calls) == m:
+            raise RuntimeError(f"objective failed on call {m}")
+        return schwefel.fn(raw)
+
+    # Scalar fn only, so evaluation m is one call.
+    objective = dataclasses.replace(schwefel, fn=fn, fn_batch=None)
+    config = SearchConfig(seed=seed, max_evals=5000)
+    result = None
+    with pytest.raises(RuntimeError, match=f"call {m}$"):
+        if method == "single":
+            result = run_single(objective, config)
+        else:
+            result = run_multi(objective, MultiConfig(base=config))
+    assert result is None
+    return calls
+
+
 class TestErrorPropagation:
     @pytest.mark.parametrize("method", ["single", "multi"])
     def test_objective_error_propagates(self, method):
-        schwefel = make_schwefel10()
-        calls = []
+        assert len(failing_run(method, 500)) == 500
 
-        def fn(raw):
-            calls.append(1)
-            if len(calls) == 500:
-                raise RuntimeError("objective failed on call 500")
-            return schwefel.fn(raw)
+    @settings(max_examples=40, deadline=None)
+    @given(method=st.sampled_from(["single", "multi"]), m=st.integers(1, 600), seed=st.integers(0, 3))
+    def test_objective_error_on_any_call_propagates(self, method, m, seed):
+        assert len(failing_run(method, m, seed)) == m
 
-        # Scalar fn only, so evaluation 500 is one call.
-        objective = dataclasses.replace(schwefel, fn=fn, fn_batch=None)
-        config = SearchConfig(seed=0, max_evals=5000)
-        result = None
-        with pytest.raises(RuntimeError, match="call 500"):
-            if method == "single":
-                result = run_single(objective, config)
-            else:
-                result = run_multi(objective, MultiConfig(base=config))
-        assert result is None
-        assert len(calls) == 500
+    @pytest.mark.parametrize("row", [0, 5])
+    def test_error_in_thread_1_rows_of_a_stacked_block(self, row):
+        # The starts take calls 1 and 2; the first stage's block holds
+        # thread 0's axial rows, then thread 1's.
+        space = make_schwefel10().space
+        x0, x1 = (rng.random(10) for rng in thread_rngs(0))
+        first = []
+        for x in (x0, x1):
+            tabu = TabuList()
+            tabu.push(x)
+            first.append(axial_moves(x, SearchConfig().step_initial, tabu).x)
+        m = 2 + len(first[0]) + row + 1
+        calls = failing_run("multi", m)
+        assert len(calls) == m
+        assert calls[-1].tobytes() == denormalize(space, first[1][row]).tobytes()
 
 
 class TestAllInfeasible:

@@ -1,0 +1,357 @@
+"""Stacked lockstep stages against the per-thread rules they replaced.
+
+The driver steps all live threads of a stage as one batched operation
+(``hj_stage``), and ``axial_moves`` screens its probes from the base and
+the moved coordinates alone. The constructions they replaced are kept
+here as references: every probe built as a full row with ``np.tile``,
+clamped and screened with ``TabuList.screen``; and the driver loop that
+stepped each live thread on its own, one ``hj_step`` after another. The
+new code must agree with them exactly.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tabukit import control
+from tabukit.benchmarks import make_bump, make_schwefel10
+from tabukit.control import (
+    CONTINUE,
+    EVAL_BUDGET,
+    IMPROVED,
+    STEP_FLOOR,
+    CollisionLog,
+    MultiRunResult,
+    SearchConfig,
+    ThreadReport,
+    apply_action,
+    control_decision,
+    detect_collision,
+    fresh_state,
+    resolved_step_min,
+    run_lockstep,
+    start_point,
+)
+from tabukit.core import EvalCounter, SearchPoint, clamp, denormalize, evaluate, evaluate_block
+from tabukit.hillclimb import IMPROVE_TOL, NOT_IMPROVED, STALLED, MoveSet, axial_moves, pattern_move
+from tabukit.hydraulic import make_circuit
+from tabukit.memory import IntermediateMemory, TabuList
+from tabukit.multithread import thread_rngs
+
+PROBLEMS = {
+    "schwefel10": make_schwefel10,
+    "bump20": lambda: make_bump(20),
+    "bump50": lambda: make_bump(50),
+    "circuit": make_circuit,
+}
+
+
+def tile_axial_moves(base_x, step, tabu):
+    """Every probe built as a full row, the whole block clamped, then
+    screened with ``TabuList.screen`` in one broadcast."""
+    n = base_x.size
+    rows = np.arange(2 * n)
+    axis = rows // 2
+    sign = 1 - 2 * (rows % 2)
+    X = np.tile(base_x, (2 * n, 1))
+    X[rows, axis] += sign * step
+    X = clamp(X)
+    moved = X[rows, axis] != base_x[axis]
+    tabu_hit = moved & tabu.screen(X)
+    keep = moved & ~tabu_hit
+    return MoveSet(X[keep], axis[keep], sign[keep], tabu_rejected=int(np.count_nonzero(tabu_hit)))
+
+
+def reference_hj_step(state, objective, counter, shared, k_pattern):
+    """One thread's step with the tile screen, its axial block and its
+    pattern point each evaluated on their own."""
+    best_before = state.best.value
+    moves = tile_axial_moves(state.base.x, state.step, state.tabu)
+    if len(moves.x) == 0:
+        return STALLED
+    values, feasible = evaluate_block(objective, counter, moves.x)
+    if not feasible.any():
+        return STALLED
+    w = int(np.argmin(values))
+    move = SearchPoint(x=moves.x[w].copy(), value=float(values[w]), feasible=True)
+    adopted = move
+    p_x = pattern_move(state.base.x, move.x, k_pattern)
+    if not np.array_equal(p_x, move.x) and not state.tabu.is_tabu(p_x):
+        pattern_point = evaluate(objective, counter, p_x)
+        if pattern_point.feasible and pattern_point.value < move.value:
+            adopted = pattern_point
+    state.adopt(adopted, shared, counter.count)
+    return IMPROVED if adopted.value < best_before - IMPROVE_TOL else NOT_IMPROVED
+
+
+def reference_lockstep(objective, config, starts, seed_rngs, step_ends=None):
+    """The lockstep driver with one ``reference_hj_step`` per live thread.
+
+    Appends the running total after every thread step to ``step_ends``.
+    """
+    space = objective.space
+    step_floor = resolved_step_min(config, space)
+    dim = space.dimension
+    xs = [None if x is None else start_point(x, dim, name) for name, x in starts]
+    rngs = seed_rngs(config.seed)
+    memory = IntermediateMemory(config.m_elite, config.match_tol)
+    counters = [EvalCounter() for _ in xs]
+    states = []
+    total = 0
+    for i, x0 in enumerate(xs):
+        point = evaluate(objective, counters[i], rngs[i].random(dim) if x0 is None else x0)
+        total += counters[i].count
+        state = fresh_state(point, config, thread_id=i)
+        state.adopt(point, memory, counters[i].count)
+        states.append(state)
+        if i == 0:
+            best, history = state.best, list(state.history)
+        elif state.best.value < best.value:
+            best = state.best
+            history.append((total, best.value))
+
+    k = len(states)
+    live = k
+    pending = [None] * k
+    stages = []
+    collisions = CollisionLog()
+    terminated_by = EVAL_BUDGET
+    while total < config.max_evals:
+        desired = [CONTINUE] * k
+        for i in range(k):
+            state, counter = states[i], counters[i]
+            if state.step < step_floor or total >= config.max_evals:
+                continue
+            before = counter.count
+            if reference_hj_step(state, objective, counter, memory, config.k_pattern) == IMPROVED:
+                state.fail_count = 0
+                pending[i] = None
+            else:
+                state.fail_count += 1
+            total += counter.count - before
+            if step_ends is not None:
+                step_ends.append(total)
+            if state.best.value < best.value:
+                best = state.best
+                history.append((total, best.value))
+            desired[i] = pending[i] or control_decision(state.fail_count, config)
+        if total >= config.max_evals:
+            break
+
+        performer = -1
+        for i in range(k):
+            if desired[i] == CONTINUE:
+                continue
+            if performer < 0 or states[i].best.value > states[performer].best.value:
+                if performer >= 0:
+                    pending[performer] = desired[performer]
+                performer = i
+            else:
+                pending[i] = desired[i]
+        actions = [CONTINUE] * k
+        if performer >= 0:
+            state, counter = states[performer], counters[performer]
+            action = actions[performer] = desired[performer]
+            pending[performer] = None
+            before = counter.count
+            apply_action(state, action, memory, objective, counter, rngs[performer], config)
+            total += counter.count - before
+            if state.best.value < best.value:
+                best = state.best
+                history.append((total, best.value))
+            if state.step < step_floor:
+                live -= 1
+
+        stages.append(tuple(actions))
+        for i in range(k):
+            for j in range(i + 1, k):
+                detect_collision(states[i], states[j], config.match_tol, collisions, total)
+        if live == 0:
+            terminated_by = STEP_FLOOR
+            break
+
+    threads = [
+        ThreadReport(
+            thread_id=state.thread_id,
+            best=state.best,
+            best_raw=denormalize(space, state.best.x),
+            evals=counter.count,
+            step_final=state.step,
+            history=list(state.history),
+        )
+        for state, counter in zip(states, counters)
+    ]
+    return MultiRunResult(
+        best=best,
+        best_raw=denormalize(space, best.x),
+        evals=total,
+        terminated_by=terminated_by,
+        history=history,
+        threads=threads,
+        collisions=collisions,
+        stages=stages,
+    )
+
+
+def point_key(p):
+    return p.x.tobytes(), float(p.value).hex(), p.feasible
+
+
+def result_key(r):
+    """Every compared field of a MultiRunResult, with floats as exact bits."""
+    return (
+        point_key(r.best),
+        r.best_raw.tobytes(),
+        r.evals,
+        r.terminated_by,
+        r.history,
+        r.stages,
+        r.collisions.events,
+        [
+            (t.thread_id, point_key(t.best), t.best_raw.tobytes(), t.evals, float(t.step_final).hex(), t.history)
+            for t in r.threads
+        ],
+    )
+
+
+def lockstep_setup(threads):
+    """(starts, seed_rngs) of run_single for one thread, of run_multi for two."""
+    if threads == 1:
+        return [("start", None)], lambda seed: [np.random.default_rng(seed)]
+    return [("start_a (thread 0)", None), ("start_b (thread 1)", None)], thread_rngs
+
+
+# --- axial_moves against the tile + screen construction -------------------
+
+#: Dyadic coordinates, steps and tolerances, so every distance is exact
+#: and entries can sit exactly at the tolerance.
+GRID = st.integers(0, 32).map(lambda k: k / 32.0)
+TOLS = [0.0, 1 / 32, 1 / 16, 1e-6]
+
+
+@st.composite
+def tabu_entry(draw, base, step, tol):
+    """A vector near the base: on a probe, or a tolerance off it or off the
+    base in the moved axis and in up to two others, or anywhere."""
+    n = base.size
+    kind = draw(st.sampled_from(["probe", "offset", "random"]))
+    if kind == "random":
+        return np.array(draw(st.lists(st.one_of(GRID, st.floats(0.0, 1.0)), min_size=n, max_size=n)))
+    x = base.copy()
+    if kind == "probe" or draw(st.booleans()):
+        a = draw(st.integers(0, n - 1))
+        x[a] += draw(st.sampled_from([step, -step]))
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, n - 1))
+        x[j] += draw(st.sampled_from([tol, -tol, 2 * tol, 1 / 32]))
+    return clamp(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.lists(st.one_of(GRID, st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=6).map(
+        np.array
+    ),
+    step=st.sampled_from([1 / 32, 1 / 16, 0.25, 0.6, 0.1]),
+    tol=st.sampled_from(TOLS),
+    capacity=st.integers(1, 4),
+    data=st.data(),
+)
+def test_axial_moves_match_tile_screen(base, step, tol, capacity, data):
+    tabu = TabuList(capacity, tol)
+    # From an empty list up to three times the capacity, so the ring wraps.
+    for _ in range(data.draw(st.integers(0, 3 * capacity))):
+        tabu.push(data.draw(tabu_entry(base, step, tol)))
+    got = axial_moves(base, step, tabu)
+    want = tile_axial_moves(base, step, tabu)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.x.shape == want.x.shape
+    assert got.axis.tolist() == want.axis.tolist()
+    assert got.sign.tolist() == want.sign.tolist()
+    assert got.tabu_rejected == want.tabu_rejected
+
+
+def test_axial_screen_cases_at_the_tolerance():
+    tol = 1 / 16
+    base = np.array([0.5, 0.0, 1.0])
+    tabu = TabuList(4, tol)
+    tabu.push(np.array([0.625 + tol, 0.0, 1.0]))  # probe 0 (+x0) lies exactly tol away on its own axis
+    tabu.push(np.array([0.375, tol, 1.0]))  # probe 1 (-x0) lies exactly tol away on another axis
+    tabu.push(np.array([0.5, 0.125 + 2 * tol, 1.0 - tol]))  # probe +x1 is 2 tol off: allowed
+    tabu.push(np.array([0.5 + tol, 0.0, 0.875 - tol]))  # probe -x2 is tol off on two axes: tabu
+    got = axial_moves(base, 0.125, tabu)
+    want = tile_axial_moves(base, 0.125, tabu)
+    # x1 and x2 sit on a bound, so one probe of each is degenerate.
+    assert got.axis.tolist() == want.axis.tolist() == [1]
+    assert got.sign.tolist() == [1]
+    assert got.tabu_rejected == want.tabu_rejected == 3
+    assert got.x.tobytes() == want.x.tobytes()
+
+
+# --- the stacked driver against the per-thread reference -----------------
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@settings(max_examples=12, deadline=None)
+@given(
+    threads=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**16),
+    schedule=st.sampled_from([(5, 10, 15), (1, 2, 3)]),
+    budget=st.one_of(
+        st.tuples(st.just("edge"), st.integers(0, 10_000), st.integers(-1, 2)),
+        st.tuples(st.just("any"), st.integers(1, 3000), st.just(0)),
+    ),
+)
+def test_stacked_stage_matches_serial_threads(problem, threads, seed, schedule, budget):
+    objective = PROBLEMS[problem]()
+    intensify, diversify, reduce = schedule
+    starts, seed_rngs = lockstep_setup(threads)
+
+    def config(max_evals):
+        return SearchConfig(
+            seed=seed,
+            max_evals=max_evals,
+            intensify_after=intensify,
+            diversify_after=diversify,
+            reduce_after=reduce,
+        )
+
+    kind, pick, offset = budget
+    if kind == "edge":
+        # End the budget just after some thread's step, found on a longer
+        # run: the next thread of that stage then sits at the budget edge.
+        step_ends = []
+        reference_lockstep(objective, config(2500), starts, seed_rngs, step_ends)
+        max_evals = max(1, step_ends[pick % len(step_ends)] + offset)
+    else:
+        max_evals = pick
+    got = run_lockstep(objective, config(max_evals), starts, seed_rngs)
+    want = reference_lockstep(objective, config(max_evals), starts, seed_rngs)
+    assert result_key(got) == result_key(want)
+
+
+def test_budget_edge_splits_a_stage(monkeypatch):
+    """A thread that the budget bound leaves out of the stacked block
+    still steps when the actual total allows it, as a second group."""
+    objective = make_schwefel10()
+    starts, seed_rngs = lockstep_setup(2)
+    step_ends = []
+    reference_lockstep(objective, SearchConfig(seed=3, max_evals=600), starts, seed_rngs, step_ends)
+    real_stage = control.hj_stage
+    groups = []
+
+    def stage(states, *args):
+        steps = real_stage(states, *args)
+        groups.append((len(states), len(steps)))
+        return steps
+
+    monkeypatch.setattr(control, "hj_stage", stage)
+    split = 0
+    for end in step_ends[::2]:  # where thread 0's steps end
+        for offset in (0, 1):
+            groups.clear()
+            config = SearchConfig(seed=3, max_evals=end + offset)
+            got = run_lockstep(objective, config, starts, seed_rngs)
+            want = reference_lockstep(objective, config, starts, seed_rngs)
+            assert result_key(got) == result_key(want)
+            split += groups[-2:] == [(2, 1), (1, 1)]
+    assert split
