@@ -21,15 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    EvalCounter,
-    Objective,
-    ParameterSpace,
-    SearchPoint,
-    clamp,
-    denormalize,
-    evaluate,
-)
+from .core import Objective, ParameterSpace, SearchPoint, clamp, denormalize, evaluate
 from .hillclimb import IMPROVED, hj_stage
 from .memory import (
     DEFAULT_ELITE_CAPACITY,
@@ -76,9 +68,11 @@ class SearchConfig:
             raise ValueError("step_min must lie in (0, step_initial]")
         if self.n_tabu < 1 or self.m_elite < 1:
             raise ValueError("memory capacities must be at least 1")
-        if self.k_pattern <= 0:
-            raise ValueError("k_pattern must be positive")
-        if self.max_evals < 1:
+        if not (0.0 < self.k_pattern < math.inf):
+            raise ValueError("k_pattern must be positive and finite")
+        if not (0.0 <= self.match_tol < math.inf):
+            raise ValueError("match_tol must be non-negative and finite")
+        if not self.max_evals >= 1:  # also rejects NaN
             raise ValueError("max_evals must be at least 1")
 
 
@@ -92,27 +86,30 @@ class ThreadState:
     tabu: TabuList
     fail_count: int = 0
     thread_id: int = 0
+    #: Objective evaluations this thread has spent.
+    evals: int = 0
     #: (evaluation count, best value) at each improvement, oldest first.
     history: list[tuple[int, float]] = field(default_factory=list)
 
-    def observe(self, point: SearchPoint, eval_count: int) -> bool:
+    def observe(self, point: SearchPoint) -> bool:
         """Track the incumbent best. Returns True when ``point`` takes over."""
         if point.feasible and point.value < self.best.value:
             self.best = point
-            self.history.append((eval_count, point.value))
+            self.history.append((self.evals, point.value))
             return True
         return False
 
-    def adopt(self, point: SearchPoint, memory: IntermediateMemory, eval_count: int) -> None:
+    def adopt(self, point: SearchPoint, memory: IntermediateMemory) -> None:
         """Move the base to ``point``: tabu it, offer it to the archive and observe it."""
         self.base = point
         self.tabu.push(point.x)
         memory.offer(point)
-        self.observe(point, eval_count)
+        self.observe(point)
 
 
 def fresh_state(base: SearchPoint, config: SearchConfig, thread_id: int = 0) -> ThreadState:
-    """Build a ThreadState around an already-evaluated starting point."""
+    """Build a ThreadState around an already-evaluated starting point,
+    whose evaluation is the thread's first."""
     sentinel = SearchPoint(x=base.x, value=math.inf, feasible=False)
     return ThreadState(
         base=base,
@@ -120,6 +117,7 @@ def fresh_state(base: SearchPoint, config: SearchConfig, thread_id: int = 0) -> 
         step=config.step_initial,
         tabu=TabuList(config.n_tabu, config.match_tol),
         thread_id=thread_id,
+        evals=1,
     )
 
 
@@ -169,16 +167,16 @@ def apply_action(
     action: str,
     memory: IntermediateMemory,
     objective: Objective,
-    counter: EvalCounter,
     rng: np.random.Generator,
     config: SearchConfig,
 ) -> None:
     """Carry out a control action, mutating ``state`` in place.
 
-    Intensify and diversify relocate the base (costing one evaluation);
-    reduce_step halves the step, restarts from the incumbent best and
-    resets the failure counter. With an empty elite archive intensify
-    is a no-op and diversify falls back to a uniform random point.
+    Intensify and diversify relocate the base, which costs one
+    evaluation, added to ``state.evals``; reduce_step halves the step,
+    restarts from the incumbent best and resets the failure counter.
+    With an empty elite archive intensify is a no-op and diversify
+    falls back to a uniform random point.
     """
     if action == CONTINUE:
         return
@@ -199,7 +197,9 @@ def apply_action(
     else:
         raise ValueError(f"unknown control action: {action!r}")
 
-    state.adopt(evaluate(objective, counter, x), memory, counter.count)
+    point = evaluate(objective, x)
+    state.evals += 1
+    state.adopt(point, memory)
 
 
 @dataclass
@@ -273,7 +273,7 @@ def run_lockstep(
     start is a uniform random point from it. The config, then the
     starts (named in errors by ``name``) are checked before anything is
     evaluated. The threads share the elite archive and the evaluation
-    budget, and each has its own tabu list and counter.
+    budget, and each has its own tabu list and evaluation count.
 
     Each stage steps every live thread, with the result of stepping
     them one by one in index order: a thread steps only while the total
@@ -297,15 +297,13 @@ def run_lockstep(
     xs = [None if x is None else start_point(x, dim, name) for name, x in starts]
     rngs = seed_rngs(config.seed)
     memory = IntermediateMemory(config.m_elite, config.match_tol)
-    counters = [EvalCounter() for _ in xs]
     states: list[ThreadState] = []
     total = 0
     for i, x0 in enumerate(xs):
-        counter = counters[i]
-        point = evaluate(objective, counter, rngs[i].random(dim) if x0 is None else x0)
-        total += counter.count
+        point = evaluate(objective, rngs[i].random(dim) if x0 is None else x0)
+        total += 1
         state = fresh_state(point, config, thread_id=i)
-        state.adopt(point, memory, counter.count)
+        state.adopt(point, memory)
         states.append(state)
         if i == 0:
             best, history = state.best, list(state.history)
@@ -330,7 +328,6 @@ def run_lockstep(
         while stepping and total < config.max_evals:
             steps = hj_stage(
                 [states[i] for i in stepping],
-                [counters[i] for i in stepping],
                 objective,
                 memory,
                 config.k_pattern,
@@ -365,12 +362,12 @@ def run_lockstep(
                 pending[i] = desired[i]
         actions = [CONTINUE] * k
         if performer >= 0:
-            state, counter = states[performer], counters[performer]
+            state = states[performer]
             action = actions[performer] = desired[performer]
             pending[performer] = None
-            before = counter.count
-            apply_action(state, action, memory, objective, counter, rngs[performer], config)
-            total += counter.count - before
+            before = state.evals
+            apply_action(state, action, memory, objective, rngs[performer], config)
+            total += state.evals - before
             if state.best.value < best.value:
                 best = state.best
                 history.append((total, best.value))
@@ -392,11 +389,11 @@ def run_lockstep(
             thread_id=state.thread_id,
             best=state.best,
             best_raw=denormalize(space, state.best.x),
-            evals=counter.count,
+            evals=state.evals,
             step_final=state.step,
             history=list(state.history),
         )
-        for state, counter in zip(states, counters)
+        for state in states
     ]
     return MultiRunResult(
         best=best,

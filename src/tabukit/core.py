@@ -1,5 +1,5 @@
 """Problem-independent types: bounded parameter spaces, normalized
-coordinates, objective wrappers and evaluation counting.
+coordinates, objective wrappers and evaluation.
 
 All search logic works in normalized [0, 1] coordinates; objective
 functions receive vectors in their own (denormalized) units. The engine
@@ -9,7 +9,7 @@ evaluation boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -105,25 +105,6 @@ class Objective:
         return -engine_value if self.sense == MAXIMIZE else engine_value
 
 
-class EvalCounter:
-    """Count of true objective evaluations.
-
-    Tabu-rejected candidates are never evaluated and therefore never
-    counted; that bookkeeping is what makes the eval columns of the
-    result tables meaningful.
-    """
-
-    def __init__(self):
-        self._count = 0
-
-    def increment(self, n: int = 1) -> None:
-        self._count += n
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-
 def normalize(space: ParameterSpace, raw: np.ndarray) -> np.ndarray:
     """Map a raw in-bounds vector to [0, 1]^N coordinates."""
     raw = np.asarray(raw, dtype=float)
@@ -152,10 +133,8 @@ def clamp(x: np.ndarray) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def evaluate_block(
-    objective: Objective, counter: EvalCounter, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a ``(k, N)`` block of normalized rows, counting k evaluations.
+def evaluate_block(objective: Objective, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a ``(k, N)`` block of normalized rows: k evaluations.
 
     Returns engine values (infeasible rows carry ``INFEASIBLE_VALUE``)
     and the feasibility mask. Uses ``objective.fn_batch`` when present,
@@ -167,7 +146,6 @@ def evaluate_block(
     k = len(raw)
     if objective.fn_batch is not None:
         values, feasible = objective.fn_batch(raw)
-        counter.increment(k)
         values = np.asarray(values, dtype=float)
         feasible = np.asarray(feasible, dtype=bool)
         if values.shape != (k,) or feasible.shape != (k,):
@@ -180,7 +158,6 @@ def evaluate_block(
         feasible = np.zeros(k, dtype=bool)
         for r, row in enumerate(raw):
             value, ok = objective.fn(row)
-            counter.increment()
             if ok:
                 feasible[r] = True
                 values[r] = value
@@ -193,12 +170,12 @@ def evaluate_block(
     return np.where(feasible, values, INFEASIBLE_VALUE), feasible
 
 
-def evaluate(objective: Objective, counter: EvalCounter, x: np.ndarray) -> SearchPoint:
-    """Evaluate one normalized point, counting exactly one evaluation.
+def evaluate(objective: Objective, x: np.ndarray) -> SearchPoint:
+    """Evaluate one normalized point: exactly one evaluation.
 
     A one-row call to ``evaluate_block``, with the same error for a
     non-finite feasible value.
     """
     x = np.array(x, dtype=float, copy=True)
-    values, feasible = evaluate_block(objective, counter, x[np.newaxis])
+    values, feasible = evaluate_block(objective, x[np.newaxis])
     return SearchPoint(x=x, value=float(values[0]), feasible=bool(feasible[0]))

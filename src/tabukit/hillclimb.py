@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EvalCounter, Objective, SearchPoint, clamp, evaluate_block
+from .core import Objective, SearchPoint, clamp, evaluate_block
 from .memory import IntermediateMemory, TabuList
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -143,7 +143,6 @@ def explore(
     base: SearchPoint,
     step: float,
     objective: Objective,
-    counter: EvalCounter,
     tabu: TabuList,
 ) -> tuple[SearchPoint | None, MoveSet]:
     """Evaluate the allowable neighbors as one block and return the best one.
@@ -156,7 +155,7 @@ def explore(
     moves = axial_moves(base.x, step, tabu)
     if len(moves.x) == 0:
         return None, moves
-    values, feasible = evaluate_block(objective, counter, moves.x)
+    values, feasible = evaluate_block(objective, moves.x)
     return _select(moves, values, feasible), moves
 
 
@@ -174,7 +173,6 @@ def _stack(blocks: list[np.ndarray]) -> np.ndarray:
 
 def hj_stage(
     states: Sequence["ThreadState"],
-    counters: Sequence[EvalCounter],
     objective: Objective,
     shared: IntermediateMemory,
     k_pattern: float = 1.0,
@@ -182,13 +180,13 @@ def hj_stage(
 ) -> list[tuple[str, int]]:
     """One exploration + pattern-move cycle for each of several threads.
 
-    Steps the leading threads of ``states`` (each with its own entry of
-    ``counters``) as one batched operation, with the result of stepping
-    them one by one in order. A thread takes part only while the
-    evaluations that the threads before it may spend, at most their
-    rows plus one pattern point each, stay below ``budget``; the first
-    always does. Returns ``(outcome, evaluations)`` for each thread that
-    stepped, in order.
+    Steps the leading threads of ``states`` as one batched operation,
+    with the result of stepping them one by one in order. A thread takes
+    part only while the evaluations that the threads before it may
+    spend, at most their rows plus one pattern point each, stay below
+    ``budget``; the first always does. Each stepping thread adds what it
+    spent to its ``evals``. Returns ``(outcome, evaluations)`` for each
+    thread that stepped, in order.
 
     All axial blocks are evaluated in one call, then the pattern points
     that are new and not tabu in a second; without ``fn_batch`` the
@@ -210,7 +208,7 @@ def hj_stage(
         bound += len(m.x) + 1
     X = _stack([m.x for m in moves])
     if len(X):
-        values, feasible = evaluate_block(objective, EvalCounter(), X)
+        values, feasible = evaluate_block(objective, X)
     else:
         values = feasible = np.empty(0)
 
@@ -231,15 +229,15 @@ def hj_stage(
             probes.append((i, p_x))
     patterns: list[SearchPoint | None] = [None] * len(moves)
     if probes:
-        p_values, p_feasible = evaluate_block(objective, EvalCounter(), _stack([p[np.newaxis] for _, p in probes]))
+        p_values, p_feasible = evaluate_block(objective, _stack([p[np.newaxis] for _, p in probes]))
         for r, (i, p_x) in enumerate(probes):
             patterns[i] = SearchPoint(x=p_x, value=float(p_values[r]), feasible=bool(p_feasible[r]))
 
     steps: list[tuple[str, int]] = []
     for i, move in enumerate(winners):
-        state, counter, pattern = states[i], counters[i], patterns[i]
+        state, pattern = states[i], patterns[i]
         spent = len(moves[i].x) + (pattern is not None)
-        counter.increment(spent)
+        state.evals += spent
         if move is None:
             steps.append((STALLED, spent))
             continue
@@ -247,7 +245,7 @@ def hj_stage(
         adopted = move
         if pattern is not None and pattern.feasible and pattern.value < move.value:
             adopted = pattern
-        state.adopt(adopted, shared, counter.count)
+        state.adopt(adopted, shared)
         steps.append((IMPROVED if adopted.value < best_before - IMPROVE_TOL else NOT_IMPROVED, spent))
     return steps
 
@@ -255,10 +253,9 @@ def hj_stage(
 def hj_step(
     state: "ThreadState",
     objective: Objective,
-    counter: EvalCounter,
     shared: IntermediateMemory,
     k_pattern: float = 1.0,
 ) -> str:
     """One exploration + pattern-move cycle from the thread's base point:
     ``hj_stage`` for one thread. Returns the outcome."""
-    return hj_stage([state], [counter], objective, shared, k_pattern)[0][0]
+    return hj_stage([state], objective, shared, k_pattern)[0][0]

@@ -30,8 +30,8 @@ class TabuList:
     def __init__(self, capacity: int = DEFAULT_TABU_CAPACITY, match_tol: float = DEFAULT_MATCH_TOL):
         if capacity < 1:
             raise ValueError("tabu capacity must be positive")
-        if match_tol < 0:
-            raise ValueError("match tolerance must be non-negative")
+        if not match_tol >= 0:  # also rejects NaN
+            raise ValueError(f"match tolerance must be non-negative, got {match_tol!r}")
         self.capacity = capacity
         self.match_tol = match_tol
         self._ring: np.ndarray | None = None
@@ -112,6 +112,8 @@ class IntermediateMemory:
     def __init__(self, capacity: int = DEFAULT_ELITE_CAPACITY, match_tol: float = DEFAULT_MATCH_TOL):
         if capacity < 1:
             raise ValueError("elite capacity must be positive")
+        if not match_tol >= 0:
+            raise ValueError(f"match tolerance must be non-negative, got {match_tol!r}")
         self.capacity = capacity
         self.match_tol = match_tol
         self._entries: list[SearchPoint] = []

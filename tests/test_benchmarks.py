@@ -14,7 +14,7 @@ from tabukit.benchmarks import (
     schwefel,
 )
 from tabukit.control import SearchConfig, run_single
-from tabukit.core import MAXIMIZE, MINIMIZE, EvalCounter, Objective, evaluate, normalize
+from tabukit.core import MAXIMIZE, MINIMIZE, Objective, evaluate, normalize
 
 # Frozen regression anchors, computed once with plain-python loop
 # implementations of the formulas (no numpy, no shared code).
@@ -187,21 +187,21 @@ class TestBumpFactory:
     def test_engine_value_negated(self):
         obj = make_bump(20)
         x = normalize(obj.space, np.full(20, 5.0))
-        p = evaluate(obj, EvalCounter(), x)
+        p = evaluate(obj, x)
         assert p.value == pytest.approx(-BUMP20_KEANE_AT_5, rel=1e-12)
         assert obj.native_value(p.value) == pytest.approx(BUMP20_KEANE_AT_5, rel=1e-12)
 
     def test_signed_variant_selectable(self):
         obj = make_bump(20, variant="signed")
         x = normalize(obj.space, np.full(20, 5.0))
-        p = evaluate(obj, EvalCounter(), x)
+        p = evaluate(obj, x)
         assert obj.native_value(p.value) == pytest.approx(BUMP20_SIGNED_AT_5, rel=1e-12)
 
     def test_infeasible_point_reported(self):
         obj = make_bump(20)
         raw = np.full(20, 5.0)
         raw[0] = 0.0
-        p = evaluate(obj, EvalCounter(), normalize(obj.space, raw))
+        p = evaluate(obj, normalize(obj.space, raw))
         assert not p.feasible
 
     def test_rejects_bad_inputs(self):

@@ -288,6 +288,11 @@ class TestMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_search_setting_exits_two(self, capsys):
+        code = main(["--problem", "schwefel10", "--set", "k_pattern=inf"])
+        assert code == 2
+        assert "k_pattern" in capsys.readouterr().err
+
     def test_removed_lockstep_setting_exits_two(self, capsys):
         code = main(["--problem", "schwefel10", "--method", "multi", "--set", "lockstep=false"])
         assert code == 2

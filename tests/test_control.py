@@ -17,8 +17,9 @@ from tabukit.control import (
     resolved_step_min,
     run_single,
 )
-from tabukit.core import EvalCounter, Objective, ParameterSpace, evaluate
+from tabukit.core import Objective, ParameterSpace, evaluate
 from tabukit.memory import IntermediateMemory
+from tabukit.multithread import MultiConfig, run_multi
 
 
 def interval_objective(fn, lower=-1.0, upper=1.0, min_step=1e-4, dim=1):
@@ -71,6 +72,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SearchConfig(step_min=0.5).validate()  # above step_initial
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("k_pattern", 0.0),
+            ("k_pattern", math.inf),
+            ("k_pattern", math.nan),
+            ("match_tol", -1.0),
+            ("match_tol", math.inf),
+            ("match_tol", math.nan),
+            ("max_evals", 0),
+            ("max_evals", math.nan),
+        ],
+    )
+    def test_bad_value_rejected_before_any_evaluation(self, name, value):
+        calls = []
+        obj = interval_objective(lambda raw: calls.append(raw) or raw[0] ** 2)
+        cfg = SearchConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            cfg.validate()
+        with pytest.raises(ValueError, match=name):
+            run_single(obj, cfg, start=np.array([0.5]))
+        with pytest.raises(ValueError, match=name):
+            run_multi(obj, MultiConfig(base=cfg))
+        assert calls == []
+
     def test_step_min_derived_from_space(self):
         space = ParameterSpace(
             lower=np.array([0.0, 0.0]),
@@ -83,50 +109,49 @@ class TestConfigValidation:
 
 
 def seeded_state(obj, x0, config):
-    counter = EvalCounter()
-    base = evaluate(obj, counter, np.asarray(x0, dtype=float))
+    base = evaluate(obj, np.asarray(x0, dtype=float))
     state = fresh_state(base, config)
     state.tabu.push(base.x)
-    state.observe(base, counter.count)
-    return state, counter
+    state.observe(base)
+    return state
 
 
 class TestApplyAction:
     def test_continue_is_noop(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state, counter = seeded_state(obj, [0.7], cfg)
-        before = counter.count
+        state = seeded_state(obj, [0.7], cfg)
+        before = state.evals
         base_before = state.base
         apply_action(
-            state, CONTINUE, IntermediateMemory(), obj, counter, np.random.default_rng(0), cfg
+            state, CONTINUE, IntermediateMemory(), obj, np.random.default_rng(0), cfg
         )
-        assert counter.count == before
+        assert state.evals == before
         assert state.base is base_before
 
     def test_reduce_step(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig(step_initial=0.1, step_reduce_factor=0.5)
-        state, counter = seeded_state(obj, [0.7], cfg)
+        state = seeded_state(obj, [0.7], cfg)
         state.fail_count = 15
-        before = counter.count
+        before = state.evals
         apply_action(
-            state, REDUCE_STEP, IntermediateMemory(), obj, counter, np.random.default_rng(0), cfg
+            state, REDUCE_STEP, IntermediateMemory(), obj, np.random.default_rng(0), cfg
         )
         assert state.step == 0.05
         assert state.fail_count == 0
         assert state.base is state.best
-        assert counter.count == before  # no evaluation consumed
+        assert state.evals == before  # no evaluation consumed
 
     def test_reduce_step_factor_exact(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state, counter = seeded_state(obj, [0.7], cfg)
+        state = seeded_state(obj, [0.7], cfg)
         mem = IntermediateMemory()
         rng = np.random.default_rng(0)
         steps = [state.step]
         for _ in range(4):
-            apply_action(state, REDUCE_STEP, mem, obj, counter, rng, cfg)
+            apply_action(state, REDUCE_STEP, mem, obj, rng, cfg)
             steps.append(state.step)
         for prev, cur in zip(steps, steps[1:]):
             assert cur == prev * cfg.step_reduce_factor
@@ -135,70 +160,70 @@ class TestApplyAction:
     def test_intensify_moves_to_centroid(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state, counter = seeded_state(obj, [0.7], cfg)
+        state = seeded_state(obj, [0.7], cfg)
         mem = IntermediateMemory()
         for x, v in (([0.2], 2.0), ([0.4], 1.0)):
-            mem.offer(evaluate(obj, EvalCounter(), np.array(x)))
-        before = counter.count
-        apply_action(state, INTENSIFY, mem, obj, counter, np.random.default_rng(0), cfg)
-        assert counter.count == before + 1
+            mem.offer(evaluate(obj, np.array(x)))
+        before = state.evals
+        apply_action(state, INTENSIFY, mem, obj, np.random.default_rng(0), cfg)
+        assert state.evals == before + 1
         assert state.base.x[0] == pytest.approx(0.3)
         assert state.tabu.is_tabu(state.base.x)
 
     def test_intensify_empty_memory_noop(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state, counter = seeded_state(obj, [0.7], cfg)
-        before = counter.count
+        state = seeded_state(obj, [0.7], cfg)
+        before = state.evals
         base_before = state.base
         apply_action(
-            state, INTENSIFY, IntermediateMemory(), obj, counter, np.random.default_rng(0), cfg
+            state, INTENSIFY, IntermediateMemory(), obj, np.random.default_rng(0), cfg
         )
-        assert counter.count == before
+        assert state.evals == before
         assert state.base is base_before
 
     def test_diversify_consumes_one_eval(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state, counter = seeded_state(obj, [0.7], cfg)
+        state = seeded_state(obj, [0.7], cfg)
         mem = IntermediateMemory()
-        mem.offer(evaluate(obj, EvalCounter(), np.array([0.25])))
-        before = counter.count
-        apply_action(state, DIVERSIFY, mem, obj, counter, np.random.default_rng(0), cfg)
-        assert counter.count == before + 1
+        mem.offer(evaluate(obj, np.array([0.25])))
+        before = state.evals
+        apply_action(state, DIVERSIFY, mem, obj, np.random.default_rng(0), cfg)
+        assert state.evals == before + 1
         # Single elite entry: the diversified point must copy its value.
         assert state.base.x[0] == 0.25
 
     def test_diversify_empty_memory_uses_random_point(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state, counter = seeded_state(obj, [0.7], cfg)
-        before = counter.count
+        state = seeded_state(obj, [0.7], cfg)
+        before = state.evals
         apply_action(
-            state, DIVERSIFY, IntermediateMemory(), obj, counter, np.random.default_rng(0), cfg
+            state, DIVERSIFY, IntermediateMemory(), obj, np.random.default_rng(0), cfg
         )
-        assert counter.count == before + 1
+        assert state.evals == before + 1
         assert 0.0 <= state.base.x[0] <= 1.0
 
     def test_relocations_offered_to_memory(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state, counter = seeded_state(obj, [0.7], cfg)
+        state = seeded_state(obj, [0.7], cfg)
         mem = IntermediateMemory()
         # Two entries so the centroid (0.25) is a genuinely new point.
-        mem.offer(evaluate(obj, EvalCounter(), np.array([0.2])))
-        mem.offer(evaluate(obj, EvalCounter(), np.array([0.3])))
-        apply_action(state, INTENSIFY, mem, obj, counter, np.random.default_rng(0), cfg)
+        mem.offer(evaluate(obj, np.array([0.2])))
+        mem.offer(evaluate(obj, np.array([0.3])))
+        apply_action(state, INTENSIFY, mem, obj, np.random.default_rng(0), cfg)
         assert len(mem) == 3
         assert any(e.x[0] == pytest.approx(0.25) for e in mem.snapshot())
 
     def test_unknown_action_rejected(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state, counter = seeded_state(obj, [0.7], cfg)
+        state = seeded_state(obj, [0.7], cfg)
         with pytest.raises(ValueError):
             apply_action(
-                state, "restart", IntermediateMemory(), obj, counter, np.random.default_rng(0), cfg
+                state, "restart", IntermediateMemory(), obj, np.random.default_rng(0), cfg
             )
 
 

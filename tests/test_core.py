@@ -8,7 +8,6 @@ from tabukit.core import (
     INFEASIBLE_VALUE,
     MAXIMIZE,
     MINIMIZE,
-    EvalCounter,
     Objective,
     ParameterSpace,
     clamp,
@@ -87,40 +86,40 @@ class TestCoordinateMaps:
 
 class TestEvaluate:
     def test_minimize_passthrough(self):
-        obj = Objective(unit_space(1), fn=lambda raw: (float(raw[0]) * 3.0, True))
-        counter = EvalCounter()
-        p = evaluate(obj, counter, np.array([0.5]))
+        calls = []
+        obj = Objective(unit_space(1), fn=lambda raw: (calls.append(raw) or float(raw[0]) * 3.0, True))
+        p = evaluate(obj, np.array([0.5]))
         assert p.value == 1.5
         assert p.feasible
-        assert counter.count == 1
+        assert len(calls) == 1
 
     def test_maximize_negates(self):
         obj = Objective(
             unit_space(1), fn=lambda raw: (float(raw[0]), True), sense=MAXIMIZE
         )
-        p = evaluate(obj, EvalCounter(), np.array([0.25]))
+        p = evaluate(obj, np.array([0.25]))
         assert p.value == -0.25
         assert obj.native_value(p.value) == 0.25
 
     def test_infeasible_marked_and_counted(self):
-        obj = Objective(unit_space(1), fn=lambda raw: (123.0, False))
-        counter = EvalCounter()
-        p = evaluate(obj, counter, np.array([0.5]))
+        calls = []
+        obj = Objective(unit_space(1), fn=lambda raw: (calls.append(raw) or 123.0, False))
+        p = evaluate(obj, np.array([0.5]))
         assert not p.feasible
         assert p.value == INFEASIBLE_VALUE
         assert math.isinf(p.value)
-        # Infeasible evaluations still consume budget.
-        assert counter.count == 1
+        # Infeasible evaluations still call the objective, so they consume budget.
+        assert len(calls) == 1
 
     def test_nonfinite_feasible_value_raises(self):
         obj = Objective(unit_space(1), fn=lambda raw: (math.nan, True))
         with pytest.raises(ValueError):
-            evaluate(obj, EvalCounter(), np.array([0.5]))
+            evaluate(obj, np.array([0.5]))
 
     def test_point_copies_input(self):
         obj = Objective(unit_space(1), fn=lambda raw: (0.0, True))
         x = np.array([0.5])
-        p = evaluate(obj, EvalCounter(), x)
+        p = evaluate(obj, x)
         x[0] = 0.9
         assert p.x[0] == 0.5
 
@@ -136,7 +135,7 @@ class TestObjectiveExamples:
     def test_schwefel_optimum_through_normalization(self):
         obj = make_schwefel10()
         x = normalize(obj.space, np.full(10, 420.9687))
-        p = evaluate(obj, EvalCounter(), x)
+        p = evaluate(obj, x)
         assert p.feasible
         assert p.value == pytest.approx(-4189.83, abs=0.01)
 
@@ -145,7 +144,7 @@ class TestObjectiveExamples:
         raw = np.full(20, 5.0)
         raw[3] = 0.0
         x = normalize(obj.space, raw)
-        p = evaluate(obj, EvalCounter(), x)
+        p = evaluate(obj, x)
         assert not p.feasible
         assert p.value == INFEASIBLE_VALUE
 
@@ -162,7 +161,7 @@ class TestDenormalizeBounds:
         space = ParameterSpace(np.array([-0.1]), np.array([0.2]), np.array([0.01]))
         seen = []
         obj = Objective(space, fn=lambda raw: (seen.append(raw[0]) or 0.0, True))
-        evaluate(obj, EvalCounter(), np.array([1.0]))
+        evaluate(obj, np.array([1.0]))
         assert seen == [0.2]
 
     def test_block_rows_match_single_vectors(self):
@@ -188,10 +187,3 @@ class TestDenormalizeBounds:
         for t in (x, 1.0, 0.0):
             raw = denormalize(space, np.array([t]))[0]
             assert space.lower[0] <= raw <= space.upper[0]
-
-
-def test_counter_increment_by_n():
-    counter = EvalCounter()
-    counter.increment(5)
-    counter.increment()
-    assert counter.count == 6

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tabukit.core import (
-    EvalCounter,
     Objective,
     ParameterSpace,
     SearchPoint,
@@ -89,7 +88,7 @@ class TestExplore:
     def test_picks_lowest_value(self):
         obj = make_objective(lambda raw: raw[0])
         base = eval_point(obj, [0.5], lambda x: x[0])
-        best, moves = explore(base, 0.25, obj, EvalCounter(), TabuList())
+        best, moves = explore(base, 0.25, obj, TabuList())
         assert best.x[0] == pytest.approx(0.25)
         assert len(moves.candidates) == 2
 
@@ -98,32 +97,32 @@ class TestExplore:
         base = eval_point(obj, [0.5], lambda x: x[0])
         tabu = TabuList()
         tabu.push(np.array([0.25]))
-        best, _ = explore(base, 0.25, obj, EvalCounter(), tabu)
+        best, _ = explore(base, 0.25, obj, tabu)
         # 0.75 is worse than the base but it is the only allowable move.
         assert best.x[0] == pytest.approx(0.75)
 
     def test_all_candidates_tabu_returns_none(self):
-        obj = make_objective(lambda raw: raw[0])
+        calls = []
+        obj = make_objective(lambda raw: raw[0], record=calls)
         base = eval_point(obj, [0.5], lambda x: x[0])
         tabu = TabuList()
         tabu.push(np.array([0.25]))
         tabu.push(np.array([0.75]))
-        counter = EvalCounter()
-        best, moves = explore(base, 0.25, obj, counter, tabu)
+        best, moves = explore(base, 0.25, obj, tabu)
         assert best is None
         assert moves.tabu_rejected == 2
-        assert counter.count == 0
+        assert calls == []
 
     def test_infeasible_candidates_evaluated_but_excluded(self):
         space = ParameterSpace.cube(0.0, 1.0, 1, min_step=1e-6)
-        obj = Objective(space, fn=lambda raw: (float(raw[0]), raw[0] > 0.4))
+        calls = []
+        obj = Objective(space, fn=lambda raw: (calls.append(raw) or float(raw[0]), raw[0] > 0.4))
         base = SearchPoint(x=np.array([0.5]), value=0.5, feasible=True)
-        counter = EvalCounter()
-        best, moves = explore(base, 0.25, obj, counter, TabuList())
+        best, moves = explore(base, 0.25, obj, TabuList())
         assert best.x[0] == pytest.approx(0.75)
         assert moves.infeasible_rejected == 1
         # The infeasible candidate still cost an evaluation.
-        assert counter.count == 2
+        assert len(calls) == 2
 
     def test_returns_minimum_of_evaluated_candidates(self):
         rng = np.random.default_rng(7)
@@ -136,16 +135,16 @@ class TestExplore:
                 record=record,
             )
             base_x = rng.random(3)
-            base = evaluate(obj, EvalCounter(), base_x)
+            base = evaluate(obj, base_x)
             record.clear()
-            best, _ = explore(base, 0.17, obj, EvalCounter(), TabuList())
+            best, _ = explore(base, 0.17, obj, TabuList())
             evaluated = [float(np.sum(coeffs * (r - 0.3) ** 2)) for r in record]
             assert best.value == min(evaluated)
 
     def test_tie_break_prefers_first_generated(self):
         obj = make_objective(lambda raw: 1.0, dim=2)  # flat: all ties
         base = eval_point(obj, [0.5, 0.5], lambda x: 1.0)
-        best, _ = explore(base, 0.1, obj, EvalCounter(), TabuList())
+        best, _ = explore(base, 0.1, obj, TabuList())
         # Increment of variable 0 wins every tie.
         assert np.allclose(best.x, [0.6, 0.5])
 
@@ -153,7 +152,7 @@ class TestExplore:
         obj = make_objective(lambda raw: raw[0])
         base = eval_point(obj, [0.5], lambda x: x[0])
         with pytest.raises(ValueError):
-            explore(base, 0.0, obj, EvalCounter(), TabuList())
+            explore(base, 0.0, obj, TabuList())
 
 
 class TestPatternMove:
@@ -191,21 +190,20 @@ class TestPatternMove:
 def quadratic_setup(base_x, fn=None, step=0.1):
     fn = fn or (lambda raw: (raw[0] - 0.3) ** 2)
     obj = make_objective(fn)
-    counter = EvalCounter()
-    base = evaluate(obj, counter, np.asarray(base_x, dtype=float))
+    base = evaluate(obj, np.asarray(base_x, dtype=float))
     state = fresh_state(base, SearchConfig(step_initial=step))
     state.tabu.push(base.x)
-    state.observe(base, counter.count)
-    return obj, counter, state
+    state.observe(base)
+    return obj, state
 
 
 class TestHjStep:
     def test_pattern_point_adopted_when_better(self):
         # f = (x-0.3)^2 from 0.5: explore picks 0.4, pattern reaches the
         # optimum at 0.3 and must become the new base.
-        obj, counter, state = quadratic_setup([0.5])
+        obj, state = quadratic_setup([0.5])
         shared = IntermediateMemory()
-        outcome = hj_step(state, obj, counter, shared)
+        outcome = hj_step(state, obj, shared)
         assert outcome == IMPROVED
         assert state.base.x[0] == pytest.approx(0.3)
         assert state.base.value == pytest.approx(0.0, abs=1e-12)
@@ -214,82 +212,81 @@ class TestHjStep:
         # f = (x-0.42)^2 from 0.3: explore picks 0.4; its pattern
         # extension 0.5 overshoots the optimum and is worse, so the
         # exploration point itself is adopted.
-        obj, counter, state = quadratic_setup(
+        obj, state = quadratic_setup(
             [0.3], fn=lambda raw: (raw[0] - 0.42) ** 2
         )
-        before = counter.count
-        outcome = hj_step(state, obj, counter, IntermediateMemory())
+        before = state.evals
+        outcome = hj_step(state, obj, IntermediateMemory())
         assert state.base.x[0] == pytest.approx(0.4)
         assert outcome == IMPROVED
-        assert counter.count - before == 3
+        assert state.evals - before == 3
 
     def test_uphill_move_adopted_when_base_is_optimal(self):
         # From the optimum every neighbor is worse; the least-bad one is
         # still adopted (the increment wins the exact tie at step 0.25)
         # but the thread's best did not improve.
-        obj, counter, state = quadratic_setup(
+        obj, state = quadratic_setup(
             [0.5], fn=lambda raw: (raw[0] - 0.5) ** 2, step=0.25
         )
-        outcome = hj_step(state, obj, counter, IntermediateMemory())
+        outcome = hj_step(state, obj, IntermediateMemory())
         assert outcome == NOT_IMPROVED
         assert state.base.x[0] == pytest.approx(0.75)
         assert state.best.value == 0.0
 
     def test_stalled_when_all_neighbors_tabu(self):
-        obj, counter, state = quadratic_setup([0.5])
+        obj, state = quadratic_setup([0.5])
         state.tabu.push(np.array([0.4]))
         state.tabu.push(np.array([0.6]))
-        before = counter.count
+        before = state.evals
         base_before = state.base
-        outcome = hj_step(state, obj, counter, IntermediateMemory())
+        outcome = hj_step(state, obj, IntermediateMemory())
         assert outcome == STALLED
-        assert counter.count == before
+        assert state.evals == before
         assert state.base is base_before
 
     def test_eval_economy(self):
         # Never more than 2N+1 evaluations per step (2N neighbors + pattern).
         rng = np.random.default_rng(11)
         dim = 4
-        obj = make_objective(lambda raw: float(np.sum((raw - 0.37) ** 2)), dim=dim)
-        counter = EvalCounter()
-        base = evaluate(obj, counter, rng.random(dim))
+        calls = []
+        obj = make_objective(lambda raw: float(np.sum((raw - 0.37) ** 2)), dim=dim, record=calls)
+        base = evaluate(obj, rng.random(dim))
         state = fresh_state(base, SearchConfig())
-        state.observe(base, counter.count)
+        state.observe(base)
         shared = IntermediateMemory()
         for _ in range(30):
-            before = counter.count
-            hj_step(state, obj, counter, shared)
-            assert counter.count - before <= 2 * dim + 1
+            before, calls_before = state.evals, len(calls)
+            hj_step(state, obj, shared)
+            assert state.evals - before == len(calls) - calls_before <= 2 * dim + 1
 
     def test_adopted_point_never_tabu_at_selection(self):
         rng = np.random.default_rng(13)
         obj = make_objective(lambda raw: float(np.sum(np.sin(7 * raw))), dim=3)
-        counter = EvalCounter()
-        base = evaluate(obj, counter, rng.random(3))
+        base = evaluate(obj, rng.random(3))
         state = fresh_state(base, SearchConfig())
         state.tabu.push(base.x)
-        state.observe(base, counter.count)
+        state.observe(base)
         shared = IntermediateMemory()
         for _ in range(40):
             snapshot = [e.copy() for e in state.tabu.entries]
             before_tol = state.tabu.match_tol
-            outcome = hj_step(state, obj, counter, shared)
+            outcome = hj_step(state, obj, shared)
             if outcome == STALLED:
                 break
             for entry in snapshot:
                 assert np.max(np.abs(entry - state.base.x)) > before_tol
 
     def test_adopted_point_recorded_in_tabu_and_elite(self):
-        obj, counter, state = quadratic_setup([0.5])
+        obj, state = quadratic_setup([0.5])
         shared = IntermediateMemory()
-        hj_step(state, obj, counter, shared)
+        hj_step(state, obj, shared)
         assert state.tabu.is_tabu(state.base.x)
         assert shared.best().value == state.base.value
 
     def test_improvement_tracks_thread_best(self):
-        obj, counter, state = quadratic_setup([0.5])
+        obj, state = quadratic_setup([0.5])
         shared = IntermediateMemory()
-        hj_step(state, obj, counter, shared)
+        hj_step(state, obj, shared)
         assert state.best.value == state.base.value
         history_values = [v for _, v in state.history]
         assert history_values == sorted(history_values, reverse=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tabukit.core import MINIMIZE, EvalCounter, evaluate, normalize
+from tabukit.core import MINIMIZE, evaluate, normalize
 from tabukit.hydraulic import (
     PRIORITY,
     PROPORTIONAL,
@@ -176,14 +176,14 @@ class TestCircuitFactory:
     def test_matches_direct_objective(self):
         obj = make_circuit()
         raw = np.array([60.0, 200.0, 500.0, 24.0, 30.0])
-        p = evaluate(obj, EvalCounter(), normalize(obj.space, raw))
+        p = evaluate(obj, normalize(obj.space, raw))
         assert p.feasible
         assert p.value == circuit_objective(CircuitParams(*raw))
 
     def test_policy_plumbed_through(self):
         obj = make_circuit(policy=PRIORITY)
         raw = np.array([10.0, 200.0, 500.0, 20.0, 10.0])
-        p = evaluate(obj, EvalCounter(), normalize(obj.space, raw))
+        p = evaluate(obj, normalize(obj.space, raw))
         state = simulate_steady(CircuitParams(*raw), policy=PRIORITY)
         e2 = state.omega2 - 60.0
         e1 = state.omega1 - 120.0

@@ -79,6 +79,14 @@ class TestTabuList:
 
 
 class TestIntermediateMemory:
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
+    def test_rejects_bad_tolerance_like_tabu_list(self, tol):
+        with pytest.raises(ValueError, match="match tolerance must be non-negative"):
+            TabuList(match_tol=tol)
+        with pytest.raises(ValueError, match="match tolerance must be non-negative"):
+            IntermediateMemory(match_tol=tol)
+        assert IntermediateMemory(match_tol=0.0).match_tol == 0.0
+
     def test_offer_keeps_best_first(self):
         mem = IntermediateMemory(capacity=3)
         for v in (2.0, 1.0, 3.0):

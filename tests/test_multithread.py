@@ -8,7 +8,7 @@ import tabukit
 from tabukit import control, multithread
 from tabukit.benchmarks import make_schwefel10
 from tabukit.control import CONTINUE, EVAL_BUDGET, STEP_FLOOR, RunResult, SearchConfig, fresh_state, run_single
-from tabukit.core import EvalCounter, Objective, ParameterSpace, denormalize, evaluate
+from tabukit.core import Objective, ParameterSpace, denormalize, evaluate
 from tabukit.hillclimb import axial_moves
 from tabukit.memory import TabuList
 from tabukit.multithread import (
@@ -27,10 +27,9 @@ def small_objective(dim=2, seed_fn=None):
 
 
 def states_at(xa, xb, objective):
-    counter = EvalCounter()
     cfg = SearchConfig()
-    sa = fresh_state(evaluate(objective, counter, np.asarray(xa, float)), cfg, thread_id=0)
-    sb = fresh_state(evaluate(objective, counter, np.asarray(xb, float)), cfg, thread_id=1)
+    sa = fresh_state(evaluate(objective, np.asarray(xa, float)), cfg, thread_id=0)
+    sb = fresh_state(evaluate(objective, np.asarray(xb, float)), cfg, thread_id=1)
     return sa, sb
 
 

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit.control import CONTINUE, SearchConfig, run_single
-from tabukit.core import MAXIMIZE, EvalCounter, Objective, ParameterSpace, SearchPoint, clamp, evaluate
+from tabukit.core import MAXIMIZE, Objective, ParameterSpace, SearchPoint, clamp, evaluate
 from tabukit.hillclimb import axial_moves, explore
 from tabukit.hydraulic import STARVATION_POLICIES, CircuitParams, CircuitTargets, make_circuit, simulate_steady
 from tabukit.memory import IntermediateMemory, TabuList
@@ -395,19 +395,19 @@ def test_explore_matches_per_candidate_reference(name):
         if trial % 3 == 0:
             base_x[rng.integers(n)] = 1.0
         step = float(rng.choice([0.3, 0.05, 0.001]))
-        base = evaluate(objective, EvalCounter(), base_x)
+        base = evaluate(objective, base_x)
         entries = [base.x]
         want_moves, _ = reference_axial(base.x, step, entries, 1e-6)
         best = None
         for x, _, _ in want_moves:
-            point = evaluate(objective, EvalCounter(), x)
+            point = evaluate(objective, x)
             if point.feasible and (best is None or point.value < best.value):
                 best = point
         tabu = TabuList()
         tabu.push(base.x)
-        counter = EvalCounter()
-        got, moves = explore(base, step, objective, counter, tabu)
-        assert counter.count == len(want_moves)
+        counted, calls = counting(objective)
+        got, moves = explore(base, step, counted, tabu)
+        assert calls["fn"] + calls["rows"] == len(want_moves)
         if best is None:
             assert got is None
         else:
@@ -417,11 +417,11 @@ def test_explore_matches_per_candidate_reference(name):
 
 def test_explore_infeasible_rows_counted_not_chosen():
     space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
-    objective = Objective(space, fn=lambda raw: (float(raw.sum()), bool(raw[0] > 0.45)))
+    calls = []
+    objective = Objective(space, fn=lambda raw: (calls.append(raw) or float(raw.sum()), bool(raw[0] > 0.45)))
     base = SearchPoint(x=np.array([0.5, 0.5]), value=1.0, feasible=True)
-    counter = EvalCounter()
-    best, moves = explore(base, 0.1, objective, counter, TabuList())
-    assert counter.count == 4
+    best, moves = explore(base, 0.1, objective, TabuList())
+    assert len(calls) == 4
     assert moves.infeasible_rejected == 1
     assert best.x.tolist() == [0.5, 0.4]
 
@@ -483,6 +483,12 @@ def test_evals_equal_scalar_calls_plus_batch_rows(name, seed, method, max_evals,
         result = run_multi(objective, MultiConfig(base=config))
         for stage in result.stages:
             assert sum(action != CONTINUE for action in stage) <= 1
+        # Each thread owns its count, and the run spends their sum.
+        assert result.evals == sum(t.evals for t in result.threads)
+        for t in result.threads:
+            counts = [n for n, _ in t.history]
+            assert counts == sorted(counts)
+            assert all(n <= t.evals for n in counts)
     assert calls["rows"] > 0
     assert result.evals == calls["fn"] + calls["rows"]
     # The reported best is the minimum feasible engine value evaluated.
@@ -511,7 +517,7 @@ def test_fn_batch_wrong_shape_is_reported():
     )
     base = SearchPoint(x=np.array([0.5, 0.5]), value=0.0, feasible=True)
     with pytest.raises(ValueError, match="'short': fn_batch returned shapes"):
-        explore(base, 0.1, objective, EvalCounter(), TabuList())
+        explore(base, 0.1, objective, TabuList())
 
 
 def test_non_finite_feasible_block_value_is_an_objective_error():
@@ -524,7 +530,7 @@ def test_non_finite_feasible_block_value_is_an_objective_error():
     )
     base = SearchPoint(x=np.array([0.5]), value=0.0, feasible=True)
     with pytest.raises(ValueError, match="'broken' returned non-finite value nan"):
-        explore(base, 0.1, objective, EvalCounter(), TabuList())
+        explore(base, 0.1, objective, TabuList())
 
 
 def test_tabu_push_rejects_a_vector_of_another_length():

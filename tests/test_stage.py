@@ -8,6 +8,8 @@ clamped and screened with ``TabuList.screen``; and the driver loop that
 stepped each live thread on its own, one ``hj_step`` after another. The
 new code must agree with them exactly.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,7 @@ from tabukit.control import (
     run_lockstep,
     start_point,
 )
-from tabukit.core import EvalCounter, SearchPoint, clamp, denormalize, evaluate, evaluate_block
+from tabukit.core import SearchPoint, clamp, denormalize, evaluate, evaluate_block
 from tabukit.hillclimb import IMPROVE_TOL, NOT_IMPROVED, STALLED, MoveSet, axial_moves, pattern_move
 from tabukit.hydraulic import make_circuit
 from tabukit.memory import IntermediateMemory, TabuList
@@ -61,14 +63,32 @@ def tile_axial_moves(base_x, step, tabu):
     return MoveSet(X[keep], axis[keep], sign[keep], tabu_rejected=int(np.count_nonzero(tabu_hit)))
 
 
-def reference_hj_step(state, objective, counter, shared, k_pattern):
+def counted(objective):
+    """The objective and a one-item list counting its evaluations: scalar
+    calls plus batch rows."""
+    calls = [0]
+
+    def fn(raw):
+        calls[0] += 1
+        return objective.fn(raw)
+
+    def fn_batch(raw):
+        calls[0] += len(raw)
+        return objective.fn_batch(raw)
+
+    batch = None if objective.fn_batch is None else fn_batch
+    return dataclasses.replace(objective, fn=fn, fn_batch=batch), calls
+
+
+def reference_hj_step(state, objective, shared, k_pattern):
     """One thread's step with the tile screen, its axial block and its
     pattern point each evaluated on their own."""
     best_before = state.best.value
     moves = tile_axial_moves(state.base.x, state.step, state.tabu)
     if len(moves.x) == 0:
         return STALLED
-    values, feasible = evaluate_block(objective, counter, moves.x)
+    values, feasible = evaluate_block(objective, moves.x)
+    state.evals += len(moves.x)
     if not feasible.any():
         return STALLED
     w = int(np.argmin(values))
@@ -76,10 +96,11 @@ def reference_hj_step(state, objective, counter, shared, k_pattern):
     adopted = move
     p_x = pattern_move(state.base.x, move.x, k_pattern)
     if not np.array_equal(p_x, move.x) and not state.tabu.is_tabu(p_x):
-        pattern_point = evaluate(objective, counter, p_x)
+        pattern_point = evaluate(objective, p_x)
+        state.evals += 1
         if pattern_point.feasible and pattern_point.value < move.value:
             adopted = pattern_point
-    state.adopt(adopted, shared, counter.count)
+    state.adopt(adopted, shared)
     return IMPROVED if adopted.value < best_before - IMPROVE_TOL else NOT_IMPROVED
 
 
@@ -87,21 +108,25 @@ def reference_lockstep(objective, config, starts, seed_rngs, step_ends=None):
     """The lockstep driver with one ``reference_hj_step`` per live thread.
 
     Appends the running total after every thread step to ``step_ends``.
+    The total and each thread's count are tallied from the objective's
+    calls, apart from ``ThreadState.evals``.
     """
+    objective, calls = counted(objective)
     space = objective.space
     step_floor = resolved_step_min(config, space)
     dim = space.dimension
     xs = [None if x is None else start_point(x, dim, name) for name, x in starts]
     rngs = seed_rngs(config.seed)
     memory = IntermediateMemory(config.m_elite, config.match_tol)
-    counters = [EvalCounter() for _ in xs]
+    evals = []
     states = []
     total = 0
     for i, x0 in enumerate(xs):
-        point = evaluate(objective, counters[i], rngs[i].random(dim) if x0 is None else x0)
-        total += counters[i].count
+        point = evaluate(objective, rngs[i].random(dim) if x0 is None else x0)
+        evals.append(calls[0] - total)
+        total = calls[0]
         state = fresh_state(point, config, thread_id=i)
-        state.adopt(point, memory, counters[i].count)
+        state.adopt(point, memory)
         states.append(state)
         if i == 0:
             best, history = state.best, list(state.history)
@@ -118,16 +143,16 @@ def reference_lockstep(objective, config, starts, seed_rngs, step_ends=None):
     while total < config.max_evals:
         desired = [CONTINUE] * k
         for i in range(k):
-            state, counter = states[i], counters[i]
+            state = states[i]
             if state.step < step_floor or total >= config.max_evals:
                 continue
-            before = counter.count
-            if reference_hj_step(state, objective, counter, memory, config.k_pattern) == IMPROVED:
+            if reference_hj_step(state, objective, memory, config.k_pattern) == IMPROVED:
                 state.fail_count = 0
                 pending[i] = None
             else:
                 state.fail_count += 1
-            total += counter.count - before
+            evals[i] += calls[0] - total
+            total = calls[0]
             if step_ends is not None:
                 step_ends.append(total)
             if state.best.value < best.value:
@@ -149,12 +174,12 @@ def reference_lockstep(objective, config, starts, seed_rngs, step_ends=None):
                 pending[i] = desired[i]
         actions = [CONTINUE] * k
         if performer >= 0:
-            state, counter = states[performer], counters[performer]
+            state = states[performer]
             action = actions[performer] = desired[performer]
             pending[performer] = None
-            before = counter.count
-            apply_action(state, action, memory, objective, counter, rngs[performer], config)
-            total += counter.count - before
+            apply_action(state, action, memory, objective, rngs[performer], config)
+            evals[performer] += calls[0] - total
+            total = calls[0]
             if state.best.value < best.value:
                 best = state.best
                 history.append((total, best.value))
@@ -174,11 +199,11 @@ def reference_lockstep(objective, config, starts, seed_rngs, step_ends=None):
             thread_id=state.thread_id,
             best=state.best,
             best_raw=denormalize(space, state.best.x),
-            evals=counter.count,
+            evals=count,
             step_final=state.step,
             history=list(state.history),
         )
-        for state, counter in zip(states, counters)
+        for state, count in zip(states, evals)
     ]
     return MultiRunResult(
         best=best,
