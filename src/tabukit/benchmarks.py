@@ -76,26 +76,49 @@ def keane_bump(x: np.ndarray) -> float:
     return _bump(x, _keane_ratio)
 
 
-def _bump_feasible_rows(x: np.ndarray) -> np.ndarray:
+def _positive_logs(x: np.ndarray) -> np.ndarray:
+    """Elementwise log of x, with 0 (the log of 1) for nonpositive entries,
+    so a block with such entries raises no floating-point warning."""
+    return np.log(np.where(x > 0.0, x, 1.0))
+
+
+def _bump_feasible_rows(x: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """Both bump constraints along the last axis of a vector or a row block.
 
-    The product test runs in log space so 50-component products neither
-    overflow nor underflow. Nonpositive components fail the positivity
-    test, and their logarithm is taken of 1 instead, so a block with
-    such rows raises no floating-point warning.
+    ``logs`` is ``_positive_logs(x)``. The product test runs in log space
+    so 50-component products neither overflow nor underflow, and
+    nonpositive components fail the positivity test instead.
     """
-    positive = np.all(x > 0.0, axis=-1)
-    logs = np.log(np.where(x > 0.0, x, 1.0))
     return (
         (np.sum(x, axis=-1) < 7.5 * x.shape[-1])
-        & positive
+        & np.all(x > 0.0, axis=-1)
         & (np.sum(logs, axis=-1) > math.log(BUMP_PRODUCT_FLOOR))
     )
 
 
 def bump_feasible(x: np.ndarray) -> bool:
     """Both bump constraints: prod(x_i) > 0.75 and sum(x_i) < 7.5 n."""
-    return bool(_bump_feasible_rows(np.asarray(x, dtype=float)))
+    x = np.asarray(x, dtype=float)
+    return bool(_bump_feasible_rows(x, _positive_logs(x)))
+
+
+def _column_runs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of equal values down the columns of a ``(k, N)`` block.
+
+    Returns ``distinct``, the entries that differ from the one above them
+    in their column (the first row included), in column-major order, and
+    a C-contiguous ``(k, N)`` index of the distinct value that each entry
+    repeats. ``0.0`` and ``-0.0`` count as equal, so
+    ``term(distinct)[index]`` equals ``term(block)`` for any elementwise
+    term that agrees on them.
+    """
+    k, n = block.shape
+    columns = block.T.copy()
+    new = np.empty((n, k), dtype=bool)
+    new[:, :1] = True
+    np.not_equal(columns[:, 1:], columns[:, :-1], out=new[:, 1:])
+    index = np.cumsum(new) - 1
+    return columns[new], np.ascontiguousarray(index.reshape(n, k).T)
 
 
 #: Bump formula per variant name, as a ratio of ``_bump_terms``.
@@ -134,10 +157,18 @@ def make_bump(n: int, variant: str = "keane") -> Objective:
         return _bump(raw, ratio), True
 
     def fn_batch(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        feasible = _bump_feasible_rows(raw)
+        # The rows of a stacked axial block repeat their base in all but
+        # one coordinate, so the elementwise terms (all equal at 0.0 and
+        # -0.0) are computed once per run of equal values down a column.
+        # The reductions still run over full rows, so each row matches fn
+        # bit for bit.
+        distinct, index = _column_runs(raw)
+        feasible = _bump_feasible_rows(raw, _positive_logs(distinct)[index])
+        c = np.cos(distinct)
+        num = np.sum((c**4)[index], axis=-1) - 2.0 * np.prod((c**2)[index], axis=-1)
+        den = np.sum(np.arange(1, n + 1) * raw**2, axis=-1)
         values = np.zeros(len(raw))
-        if feasible.any():
-            values[feasible] = ratio(*_bump_terms(raw[feasible]))
+        values[feasible] = ratio(num[feasible], den[feasible])
         return values, feasible
 
     space = ParameterSpace.cube(0.0, 10.0, n, min_step=BENCHMARK_MIN_STEP)

@@ -16,6 +16,7 @@ is the same as stepping them one after another.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -40,6 +41,10 @@ STEP_FLOOR = "step_floor"
 EVAL_BUDGET = "eval_budget"
 
 
+#: SearchConfig fields that count things: capacities and failure thresholds.
+_INTEGER_FIELDS = ("n_tabu", "m_elite", "intensify_after", "diversify_after", "reduce_after")
+
+
 @dataclass
 class SearchConfig:
     """Tuning knobs for one search run. Defaults work on all built-in problems."""
@@ -58,6 +63,11 @@ class SearchConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in _INTEGER_FIELDS:
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if not (0 < self.intensify_after < self.diversify_after < self.reduce_after):
             raise ValueError("thresholds must satisfy 0 < intensify < diversify < reduce")
         if not (0.0 < self.step_reduce_factor < 1.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,18 @@ class TestConfigValidation:
     def test_defaults_valid(self):
         SearchConfig().validate()
 
+    def test_numpy_integers_accepted(self):
+        plain = SearchConfig(n_tabu=7, m_elite=5, intensify_after=4, diversify_after=9, reduce_after=14)
+        numpy_ints = dataclasses.replace(
+            plain, n_tabu=np.int64(7), m_elite=np.int32(5), intensify_after=np.int64(4),
+            diversify_after=np.int16(9), reduce_after=np.uint8(14),
+        )
+        numpy_ints.validate()
+        obj = interval_objective(lambda raw: raw[0] ** 2)
+        expected = run_single(obj, plain, start=np.array([0.5]))
+        result = run_single(obj, numpy_ints, start=np.array([0.5]))
+        assert (result.evals, result.best.value, result.history) == (expected.evals, expected.best.value, expected.history)
+
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
             SearchConfig(intensify_after=10, diversify_after=5).validate()
@@ -83,6 +96,15 @@ class TestConfigValidation:
             ("match_tol", math.nan),
             ("max_evals", 0),
             ("max_evals", math.nan),
+            ("n_tabu", 2.5),
+            ("n_tabu", math.nan),
+            ("n_tabu", 7.0),
+            ("m_elite", 2.5),
+            ("m_elite", "5"),
+            ("intensify_after", 2.5),
+            ("diversify_after", 10.5),
+            ("reduce_after", 15.5),
+            ("reduce_after", math.inf),
         ],
     )
     def test_bad_value_rejected_before_any_evaluation(self, name, value):

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit.control import CONTINUE, SearchConfig, run_single
-from tabukit.core import MAXIMIZE, Objective, ParameterSpace, SearchPoint, clamp, evaluate
+from tabukit.core import MAXIMIZE, Objective, ParameterSpace, SearchPoint, clamp, denormalize, evaluate
 from tabukit.hillclimb import axial_moves, explore
 from tabukit.hydraulic import STARVATION_POLICIES, CircuitParams, CircuitTargets, make_circuit, simulate_steady
 from tabukit.memory import IntermediateMemory, TabuList
@@ -156,6 +156,54 @@ def bump_edge_rows(draw, n):
 
 
 @st.composite
+def axial_blocks(draw, objective, specials=()):
+    """Raw blocks built the way a lockstep stage builds them.
+
+    One or two bases each give their ``axial_moves`` against their own
+    tabu list (the base and some of its neighbours pushed), stacked and
+    denormalized, so the columns hold runs of equal values. Then some of:
+    a row repeated, an entry set equal to the one two rows up but not the
+    one directly above, a 0.0 over a -0.0 or the reverse, and one row
+    kept alone. Bases with a zero or a large coordinate mix feasible and
+    infeasible rows.
+    """
+    space = objective.space
+    n = space.dimension
+    unit_specials = [float(v) for v in (np.asarray(specials) - space.lower[0]) / space.span[0]]
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        base = np.full(n, draw(st.floats(0.05, 0.75)))
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            base[j] = draw(coordinate(0.0, 1.0, unit_specials))
+        step = draw(st.one_of(st.sampled_from([0.1, 0.05, 1e-4]), st.floats(1e-5, 1.0)))
+        tabu = TabuList(draw(st.integers(1, 7)))
+        tabu.push(base)
+        for j, sign in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1])), max_size=3)):
+            neighbour = base.copy()
+            neighbour[j] += sign * step
+            tabu.push(clamp(neighbour))
+        parts.append(axial_moves(base, step, tabu).x)
+    raw = denormalize(space, np.concatenate(parts))
+    assume(len(raw))
+    edits = draw(st.sets(st.sampled_from(["repeat", "two-up", "signed-zero", "one-row"])))
+    if "repeat" in edits:
+        r = draw(st.integers(0, len(raw) - 1))
+        raw = np.insert(raw, r, raw[r], axis=0)
+    if "two-up" in edits and len(raw) >= 3:
+        r, j = draw(st.integers(2, len(raw) - 1)), draw(st.integers(0, n - 1))
+        raw[r, j] = raw[r - 2, j]
+        if raw[r - 1, j] == raw[r, j]:
+            raw[r - 1, j] = space.upper[j] if raw[r, j] != space.upper[j] else space.lower[j]
+    if "signed-zero" in edits and len(raw) >= 2:
+        r, j = draw(st.integers(0, len(raw) - 2)), draw(st.integers(0, n - 1))
+        raw[r : r + 2, j] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+    if "one-row" in edits:
+        r = draw(st.integers(0, len(raw) - 1))
+        raw = raw[r : r + 1]
+    return raw
+
+
+@st.composite
 def circuit_edge_rows(draw, pump_speed):
     """Circuit rows whose pump is starved, exactly fitted (d1 + d2 == q_pump)
     or in surplus. No pump can be in surplus at 20 rpm."""
@@ -181,8 +229,16 @@ def circuit_edge_rows(draw, pump_speed):
     return [pump, motor1, motor2, d1, d2]
 
 
+#: The bump objectives again, on blocks built as the engine builds them.
+AXIAL_CASES = [f"{name}-axial" for name in BUILT_IN if name.startswith("bump")]
+
+
 def block_case(name):
-    """(objective, raw-block strategy) for a built-in name or a circuit variant."""
+    """(objective, raw-block strategy) for a built-in name, a circuit
+    variant or an axial case."""
+    if name in AXIAL_CASES:
+        objective = BUILT_IN[name.removesuffix("-axial")]()
+        return objective, axial_blocks(objective, BUMP_SPECIALS)
     if name in CIRCUITS:
         policy, pump_speed = CIRCUITS[name]
         objective = make_circuit(CircuitTargets(pump_speed=pump_speed), policy)
@@ -194,7 +250,7 @@ def block_case(name):
     return objective, raw_blocks(objective)
 
 
-@pytest.mark.parametrize("name", sorted(BUILT_IN.keys() - {"circuit"} | CIRCUITS.keys()))
+@pytest.mark.parametrize("name", sorted(BUILT_IN.keys() - {"circuit"} | CIRCUITS.keys()) + AXIAL_CASES)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fn_batch_matches_fn_bit_for_bit(name, data):
