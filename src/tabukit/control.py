@@ -41,8 +41,9 @@ STEP_FLOOR = "step_floor"
 EVAL_BUDGET = "eval_budget"
 
 
-#: SearchConfig fields that count things: capacities and failure thresholds.
-_INTEGER_FIELDS = ("n_tabu", "m_elite", "intensify_after", "diversify_after", "reduce_after")
+#: SearchConfig fields that count things: capacities, failure thresholds,
+#: the evaluation budget and the seed.
+_INTEGER_FIELDS = ("n_tabu", "m_elite", "intensify_after", "diversify_after", "reduce_after", "max_evals", "seed")
 
 
 @dataclass
@@ -82,8 +83,10 @@ class SearchConfig:
             raise ValueError("k_pattern must be positive and finite")
         if not (0.0 <= self.match_tol < math.inf):
             raise ValueError("match_tol must be non-negative and finite")
-        if not self.max_evals >= 1:  # also rejects NaN
+        if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -285,14 +288,17 @@ def run_lockstep(
     evaluated. The threads share the elite archive and the evaluation
     budget, and each has its own tabu list and evaluation count.
 
-    Each stage steps every live thread, with the result of stepping
-    them one by one in index order: a thread steps only while the total
-    spent before it is below the budget. The threads that step together
-    are evaluated as one block (see ``hj_stage``). Then the stage lets
-    at most one restructure: among the threads that ask, the one with the
-    worst current best (lowest index on ties) goes, and the others keep
-    their request pending for the next stage unless they improve first.
-    After the stage every pair of bases is checked for a collision.
+    Each stage steps every thread whose step is at or above the floor,
+    with the result of stepping them one by one in index order: a
+    thread steps only while the total spent before it is below the
+    budget. The threads that step together are evaluated as one block
+    (see ``hj_stage``). Then the stage lets at most one restructure:
+    among the threads that ask, the one with the worst current best
+    (lowest index on ties) goes, and the others keep their request
+    pending for the next stage unless they improve first. After the
+    stage every pair of bases is checked for a collision. The run ends
+    at the first stage that finds no thread at or above the floor, or
+    when the budget is spent.
 
     The global best starts as thread 0's, so a run that finds no
     feasible point reports thread 0's evaluated start and an empty
@@ -308,23 +314,23 @@ def run_lockstep(
     rngs = seed_rngs(config.seed)
     memory = IntermediateMemory(config.m_elite, config.match_tol)
     states: list[ThreadState] = []
+    history: list[tuple[int, float]] = []
     total = 0
     for i, x0 in enumerate(xs):
         point = evaluate(objective, rngs[i].random(dim) if x0 is None else x0)
         total += 1
         state = fresh_state(point, config, thread_id=i)
-        state.adopt(point, memory)
         states.append(state)
         if i == 0:
-            best, history = state.best, list(state.history)
-        elif state.best.value < best.value:
+            best = state.best  # thread 0's sentinel, at its start
+        state.adopt(point, memory)
+        if state.best.value < best.value:
             best = state.best
             history.append((total, best.value))
 
-    # Plain loops and no helper calls below: at K = 1 this is the whole
-    # per-step overhead of run_single.
+    # Plain loops below: at K = 1 this is the whole per-step overhead
+    # of run_single.
     k = len(states)
-    live = k
     pending: list[str | None] = [None] * k
     stages: list[tuple[str, ...]] = []
     collisions = CollisionLog()
@@ -335,6 +341,9 @@ def run_lockstep(
         # hj_stage call steps as many of them as the budget surely
         # admits; a thread it leaves waits for the actual total.
         stepping = [i for i in range(k) if states[i].step >= step_floor]
+        if not stepping:
+            terminated_by = STEP_FLOOR
+            break
         while stepping and total < config.max_evals:
             steps = hj_stage(
                 [states[i] for i in stepping],
@@ -359,19 +368,15 @@ def run_lockstep(
         if total >= config.max_evals:
             break
 
-        # Restructure token: at most one non-continue action per stage.
-        performer = -1
-        for i in range(k):
-            if desired[i] == CONTINUE:
-                continue
-            if performer < 0 or states[i].best.value > states[performer].best.value:
-                if performer >= 0:
-                    pending[performer] = desired[performer]
-                performer = i
-            else:
-                pending[i] = desired[i]
+        # Restructure token: among the threads that ask, the one with the
+        # worst best goes (max keeps the lowest index on ties) and the
+        # others keep their request pending.
+        asking = [i for i in range(k) if desired[i] != CONTINUE]
         actions = [CONTINUE] * k
-        if performer >= 0:
+        if asking:
+            for i in asking:
+                pending[i] = desired[i]
+            performer = max(asking, key=lambda i: states[i].best.value)
             state = states[performer]
             action = actions[performer] = desired[performer]
             pending[performer] = None
@@ -381,18 +386,11 @@ def run_lockstep(
             if state.best.value < best.value:
                 best = state.best
                 history.append((total, best.value))
-            if state.step < step_floor:
-                live -= 1
 
         stages.append(tuple(actions))
         for i in range(k):
             for j in range(i + 1, k):
                 detect_collision(states[i], states[j], config.match_tol, collisions, total)
-        # Only a restructure changes a step, so checking after the stage
-        # sees every thread that fell below the floor.
-        if live == 0:
-            terminated_by = STEP_FLOOR
-            break
 
     threads = [
         ThreadReport(

@@ -43,38 +43,12 @@ IMPROVE_TOL = 1e-12
 
 
 @dataclass
-class Candidate:
-    """One axial neighbor: base with ``axis`` moved by ``sign * step``."""
-
-    x: np.ndarray
-    axis: int
-    sign: int
-
-
-class _Candidates(Sequence):
-    """Read-only view of a MoveSet's rows as Candidate objects.
-
-    A view rather than a list, so that taking its length, as tracing
-    hooks do on every step, builds no per-candidate objects.
-    """
-
-    def __init__(self, moves: "MoveSet"):
-        self._moves = moves
-
-    def __len__(self) -> int:
-        return len(self._moves.x)
-
-    def __getitem__(self, r: int) -> Candidate:
-        m = self._moves
-        return Candidate(x=m.x[r], axis=int(m.axis[r]), sign=int(m.sign[r]))
-
-
-@dataclass
 class MoveSet:
     """Allowable axial candidates around a base point, plus rejection tallies.
 
-    Row r of the ``(k, N)`` block ``x`` is the base with variable
-    ``axis[r]`` moved by ``sign[r] * step``; rows keep generation order.
+    Each candidate is a row: row r of the ``(k, N)`` block ``x`` is the
+    base with variable ``axis[r]`` moved by ``sign[r] * step``, and rows
+    keep generation order.
     """
 
     x: np.ndarray
@@ -84,8 +58,10 @@ class MoveSet:
     infeasible_rejected: int = 0
 
     @property
-    def candidates(self) -> Sequence[Candidate]:
-        return _Candidates(self)
+    def candidates(self) -> np.ndarray:
+        """The candidate rows, ``x``, under the name that the tracing
+        hooks of ``perfbench/tracer.py`` count."""
+        return self.x
 
 
 @lru_cache(maxsize=None)

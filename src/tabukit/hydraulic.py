@@ -9,7 +9,7 @@ flow wasted over the relief valve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,15 +37,10 @@ class CircuitParams:
     pcfv2_flow: float
 
     def __post_init__(self) -> None:
-        for name, value, (lo, hi) in (
-            ("pump_disp", self.pump_disp, PUMP_DISP_BOUNDS),
-            ("motor1_disp", self.motor1_disp, MOTOR_DISP_BOUNDS),
-            ("motor2_disp", self.motor2_disp, MOTOR_DISP_BOUNDS),
-            ("pcfv1_flow", self.pcfv1_flow, VALVE_FLOW_BOUNDS),
-            ("pcfv2_flow", self.pcfv2_flow, VALVE_FLOW_BOUNDS),
-        ):
+        for f, (lo, hi) in zip(fields(self), _FIELD_BOUNDS):
+            value = getattr(self, f.name)
             if not lo <= value <= hi:
-                raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
+                raise ValueError(f"{f.name}={value} outside [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,21 @@ class TestSpecValidation:
 
 
 class TestBuildSpec:
+    #: Every search setting: (text, parsed value).
+    SEARCH_SETTINGS = {
+        "n_tabu": ("9", 9),
+        "m_elite": ("4", 4),
+        "k_pattern": ("1.5", 1.5),
+        "step_initial": ("0.2", 0.2),
+        "step_reduce_factor": ("0.25", 0.25),
+        "step_min": ("0.01", 0.01),
+        "intensify_after": ("3", 3),
+        "diversify_after": ("6", 6),
+        "reduce_after": ("9", 9),
+        "match_tol": ("1e-9", 1e-9),
+        "max_evals": ("500", 500),
+    }
+
     def test_routes_keys_to_layers(self):
         spec, out = build_spec(
             {
@@ -58,7 +73,7 @@ class TestBuildSpec:
                 "method": "multi",
                 "runs": "3",
                 "seed": "11",
-                "max_evals": "500",
+                **{key: text for key, (text, _) in self.SEARCH_SETTINGS.items()},
                 "bump_variant": "signed",
                 "out": "res.csv",
             }
@@ -67,7 +82,10 @@ class TestBuildSpec:
         assert spec.method == MULTI
         assert spec.runs == 3
         assert spec.base_seed == 11
-        assert spec.overrides == {"max_evals": 500}
+        assert list(spec.overrides) == list(self.SEARCH_SETTINGS)
+        for key, (_, value) in self.SEARCH_SETTINGS.items():
+            assert type(spec.overrides[key]) is type(value), key
+            assert spec.overrides[key] == value, key
         assert spec.options == {"bump_variant": "signed"}
         assert out == "res.csv"
 
@@ -123,11 +141,11 @@ class TestProblemRegistry:
         assert PROBLEMS["circuit"]({})[1] is None
 
     def test_bad_bump_variant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown bump variant: 'cubed'"):
             PROBLEMS["bump20"]({"bump_variant": "cubed"})
 
     def test_bad_starvation_policy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown starvation policy: 'lifo'"):
             PROBLEMS["circuit"]({"starvation": "lifo"})
 
 

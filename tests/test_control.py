@@ -96,6 +96,10 @@ class TestConfigValidation:
             ("match_tol", math.nan),
             ("max_evals", 0),
             ("max_evals", math.nan),
+            ("max_evals", 2.5),
+            ("seed", 2.5),
+            ("seed", -1),
+            ("seed", "3"),
             ("n_tabu", 2.5),
             ("n_tabu", math.nan),
             ("n_tabu", 7.0),

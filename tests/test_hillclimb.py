@@ -42,33 +42,33 @@ def eval_point(obj, x, value_fn):
 class TestAxialMoves:
     def test_generates_2n_candidates(self):
         moves = axial_moves(np.array([0.5, 0.5]), 0.1, TabuList())
-        assert len(moves.candidates) == 4
-        got = {tuple(np.round(c.x, 12)) for c in moves.candidates}
+        assert len(moves.x) == 4
+        got = {tuple(np.round(x, 12)) for x in moves.x}
         assert got == {(0.6, 0.5), (0.4, 0.5), (0.5, 0.6), (0.5, 0.4)}
 
     def test_order_is_axis_major_increment_first(self):
         moves = axial_moves(np.array([0.5, 0.5]), 0.1, TabuList())
-        provenance = [(c.axis, c.sign) for c in moves.candidates]
+        provenance = list(zip(moves.axis.tolist(), moves.sign.tolist()))
         assert provenance == [(0, 1), (0, -1), (1, 1), (1, -1)]
 
     def test_clamping(self):
         moves = axial_moves(np.array([0.5, 0.5]), 0.6, TabuList())
-        got = {tuple(c.x) for c in moves.candidates}
+        got = {tuple(x) for x in moves.x}
         assert got == {(1.0, 0.5), (0.0, 0.5), (0.5, 1.0), (0.5, 0.0)}
 
     def test_degenerate_clamped_candidates_dropped(self):
         # Base on the lower bound: the decrement clamps onto the base.
         moves = axial_moves(np.array([0.0]), 0.1, TabuList())
-        assert [(c.axis, c.sign) for c in moves.candidates] == [(0, 1)]
+        assert list(zip(moves.axis.tolist(), moves.sign.tolist())) == [(0, 1)]
 
     def test_tabu_candidates_filtered_and_counted(self):
         tabu = TabuList()
         tabu.push(np.array([0.4, 0.5]))
         moves = axial_moves(np.array([0.5, 0.5]), 0.1, tabu)
         assert moves.tabu_rejected == 1
-        assert len(moves.candidates) == 3
-        for c in moves.candidates:
-            assert not tabu.is_tabu(c.x)
+        assert len(moves.x) == 3
+        for x in moves.x:
+            assert not tabu.is_tabu(x)
 
     def test_candidates_subset_of_axial_neighbors(self):
         base = np.array([0.15, 0.8, 0.5])
@@ -80,8 +80,8 @@ class TestAxialMoves:
                 x = base.copy()
                 x[i] += sign * step
                 allowed.add(tuple(clamp(x)))
-        for c in moves.candidates:
-            assert tuple(c.x) in allowed
+        for x in moves.x:
+            assert tuple(x) in allowed
 
 
 class TestExplore:
@@ -90,7 +90,7 @@ class TestExplore:
         base = eval_point(obj, [0.5], lambda x: x[0])
         best, moves = explore(base, 0.25, obj, TabuList())
         assert best.x[0] == pytest.approx(0.25)
-        assert len(moves.candidates) == 2
+        assert len(moves.x) == 2
 
     def test_tabu_forces_uphill_move(self):
         obj = make_objective(lambda raw: raw[0])

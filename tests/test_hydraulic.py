@@ -27,14 +27,14 @@ params_strategy = st.builds(
 
 class TestCircuitParams:
     def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            CircuitParams(0.5, 200.0, 500.0, 24.0, 30.0)
-        with pytest.raises(ValueError):
-            CircuitParams(60.0, 200.0, 500.0, 9.0, 30.0)
-        with pytest.raises(ValueError):
-            CircuitParams(60.0, 200.0, 500.0, 24.0, 101.0)
-        with pytest.raises(ValueError):
-            CircuitParams(60.0, 1001.0, 500.0, 24.0, 30.0)
+        valid = [60.0, 200.0, 500.0, 24.0, 30.0]
+        for index, (name, value) in enumerate(
+            [("pump_disp", 0.5), ("motor1_disp", 1001.0), ("motor2_disp", 0.5), ("pcfv1_flow", 9.0), ("pcfv2_flow", 101.0)]
+        ):
+            args = list(valid)
+            args[index] = value
+            with pytest.raises(ValueError, match=f"^{name}="):
+                CircuitParams(*args)
 
     def test_valid_construction(self):
         p = CircuitParams(60.0, 200.0, 500.0, 24.0, 30.0)

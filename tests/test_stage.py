@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tabukit import control
 from tabukit.benchmarks import make_bump, make_schwefel10
@@ -238,11 +238,12 @@ def result_key(r):
     )
 
 
-def lockstep_setup(threads):
-    """(starts, seed_rngs) of run_single for one thread, of run_multi for two."""
+def lockstep_setup(threads, start=None):
+    """(starts, seed_rngs) of run_single for one thread, of run_multi for
+    two. ``start`` is every thread's start; None draws them at random."""
     if threads == 1:
-        return [("start", None)], lambda seed: [np.random.default_rng(seed)]
-    return [("start_a (thread 0)", None), ("start_b (thread 1)", None)], thread_rngs
+        return [("start", start)], lambda seed: [np.random.default_rng(seed)]
+    return [("start_a (thread 0)", start), ("start_b (thread 1)", start)], thread_rngs
 
 
 # --- axial_moves against the tile + screen construction -------------------
@@ -325,16 +326,26 @@ def test_axial_screen_cases_at_the_tolerance():
         st.tuples(st.just("edge"), st.integers(0, 10_000), st.integers(-1, 2)),
         st.tuples(st.just("any"), st.integers(1, 3000), st.just(0)),
     ),
+    equal_starts=st.booleans(),
+    step_min=st.sampled_from([None, 0.05]),
 )
-def test_stacked_stage_matches_serial_threads(problem, threads, seed, schedule, budget):
+# Two threads from one start tie on their best values, so the token's
+# tie-break decides: at seed 0 the tied threads both ask in some stage on
+# every problem but bump50. With schedule (5, 10, 15) the schwefel10 and
+# circuit runs end on the step_min 0.05 floor.
+@example(threads=2, seed=0, schedule=(5, 10, 15), budget=("any", 3000, 0), equal_starts=True, step_min=0.05)
+@example(threads=2, seed=0, schedule=(1, 2, 3), budget=("any", 3000, 0), equal_starts=True, step_min=0.05)
+def test_stacked_stage_matches_serial_threads(problem, threads, seed, schedule, budget, equal_starts, step_min):
     objective = PROBLEMS[problem]()
     intensify, diversify, reduce = schedule
-    starts, seed_rngs = lockstep_setup(threads)
+    start = np.random.default_rng(seed).random(objective.space.dimension) if equal_starts else None
+    starts, seed_rngs = lockstep_setup(threads, start)
 
     def config(max_evals):
         return SearchConfig(
             seed=seed,
             max_evals=max_evals,
+            step_min=step_min,
             intensify_after=intensify,
             diversify_after=diversify,
             reduce_after=reduce,

@@ -3,14 +3,19 @@
 The tracer reports a missing boundary as absent instead of failing, so
 a renamed or deleted function would only show up as ``trace.absent`` in
 a traced benchmark pass. This test loads ``perfbench/tracer.py`` by path
-and checks every boundary, and the hook arguments read by position.
+and checks every boundary, the hook arguments read by position and the
+row count that the axial hook reads.
 """
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from tabukit.hillclimb import axial_moves
+from tabukit.memory import TabuList
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,3 +44,14 @@ def test_every_boundary_resolves(tracer):
 def test_hook_arguments_keep_their_positions(module, name, position, parameter):
     fn = getattr(importlib.import_module(f"tabukit.{module}"), name)
     assert list(inspect.signature(fn).parameters)[position] == parameter
+
+
+def test_axial_moves_counts_one_candidate_per_row():
+    # The tracer counts len(result.candidates) of each axial_moves call.
+    tabu = TabuList()
+    tabu.push(np.array([0.5, 0.0, 0.6]))
+    moves = axial_moves(np.array([0.5, 0.0, 0.5]), 0.1, tabu)
+    # Of six probes, the decrement of x1 clamps onto the base and the
+    # increment of x2 is tabu.
+    assert moves.tabu_rejected == 1
+    assert len(moves.candidates) == len(moves.x) == 4
