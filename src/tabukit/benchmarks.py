@@ -21,7 +21,7 @@ BUMP_PRODUCT_FLOOR = 0.75
 
 def _schwefel_rows(x: np.ndarray) -> np.ndarray:
     """Schwefel values along the last axis of a vector or a row block."""
-    return -np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
+    return -(x * np.sin(np.sqrt(np.abs(x)))).sum(axis=-1)
 
 
 def schwefel(x: np.ndarray) -> float:

@@ -250,12 +250,14 @@ def build_spec(settings: dict[str, str]) -> tuple[ExperimentSpec, str | None]:
     overrides: dict[str, object] = {}
     options: dict[str, object] = {}
     for key, text in settings.items():
-        if key in EXPERIMENT_FIELDS:
-            known[key] = EXPERIMENT_FIELDS[key](text)
-        elif key in SEARCH_FIELDS:
-            overrides[key] = SEARCH_FIELDS[key](text)
-        elif key in OPTION_FIELDS:
-            options[key] = OPTION_FIELDS[key](text)
+        for parsers, target in ((EXPERIMENT_FIELDS, known), (SEARCH_FIELDS, overrides), (OPTION_FIELDS, options)):
+            if key in parsers:
+                parse = parsers[key]
+                try:
+                    target[key] = parse(text)
+                except ValueError:
+                    raise ValueError(f"setting {key!r} expects {parse.__name__}, got {text!r}") from None
+                break
         else:
             raise ValueError(f"unknown setting: {key!r}")
     if "problem" not in known:

@@ -10,8 +10,9 @@ One lockstep driver, ``run_lockstep``, runs K threads over a shared
 elite archive and returns a ``MultiRunResult``; ``run_single`` is its
 K = 1 case and returns the plain ``RunResult`` part. Each stage steps
 the live threads through one ``hillclimb.hj_stage`` call, which
-evaluates all their candidates in two objective calls, and the result
-is the same as stepping them one after another.
+evaluates all their axial candidates in one objective call and each
+pattern point alone, and the result is the same as stepping them one
+after another.
 """
 from __future__ import annotations
 
@@ -230,7 +231,7 @@ def detect_collision(
     eval_count: int = 0,
 ) -> bool:
     """True when the two bases agree within ``tol`` in every coordinate."""
-    dist = float(np.max(np.abs(state_a.base.x - state_b.base.x)))
+    dist = float(np.abs(state_a.base.x - state_b.base.x).max())
     hit = dist <= tol
     if hit and log is not None:
         log.events.append((eval_count, dist))

@@ -9,7 +9,7 @@ evaluation boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,10 +30,14 @@ class ParameterSpace:
     lower: np.ndarray
     upper: np.ndarray
     min_step: np.ndarray
+    #: ``upper - lower``, computed once.
+    span: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
+        # Adding 0.0 turns a -0.0 bound into 0.0, so no clamp in
+        # denormalize has to choose between two zeros of opposite sign.
+        lower = np.asarray(self.lower, dtype=float) + 0.0
+        upper = np.asarray(self.upper, dtype=float) + 0.0
         min_step = np.asarray(self.min_step, dtype=float)
         if lower.shape != upper.shape or lower.shape != min_step.shape:
             raise ValueError("lower, upper and min_step must have equal length")
@@ -46,14 +50,11 @@ class ParameterSpace:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "min_step", min_step)
+        object.__setattr__(self, "span", upper - lower)
 
     @property
     def dimension(self) -> int:
         return self.lower.size
-
-    @property
-    def span(self) -> np.ndarray:
-        return self.upper - self.lower
 
     @classmethod
     def cube(cls, lower: float, upper: float, dimension: int, min_step: float) -> "ParameterSpace":
@@ -88,6 +89,9 @@ class Objective:
     agree with ``fn`` row by row, bit for bit; values on infeasible rows
     are ignored. Without it, blocks are evaluated by calling ``fn`` on
     each row in order.
+
+    One point always goes to ``fn`` (``evaluate``), a block to
+    ``fn_batch`` when there is one (``evaluate_block``).
     """
 
     space: ParameterSpace
@@ -125,12 +129,26 @@ def denormalize(space: ParameterSpace, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != space.dimension:
         raise ValueError(f"expected {space.dimension} components, got {x.shape}")
-    return np.clip(space.lower + x * space.span, space.lower, space.upper)
+    # np.clip's result without its wrapper calls: no bound is -0.0, so
+    # no tie between zeros of opposite sign can arise.
+    return np.minimum(np.maximum(space.lower + x * space.span, space.lower), space.upper)
 
 
 def clamp(x: np.ndarray) -> np.ndarray:
-    """Clip a normalized vector into [0, 1] componentwise."""
-    return np.clip(x, 0.0, 1.0)
+    """Clip a normalized vector into [0, 1] componentwise.
+
+    Equal to ``np.clip(x, 0.0, 1.0)`` byte for byte, -0.0 and NaN
+    included: ``x`` goes second, so a tie keeps it.
+    """
+    return np.minimum(1.0, np.maximum(0.0, x))
+
+
+def _checked(objective: Objective, value: float) -> float:
+    """The engine value of a feasible raw ``value``; a non-finite one is
+    an objective bug, not a search condition, and raises ValueError."""
+    if not math.isfinite(value):
+        raise ValueError(f"objective {objective.name!r} returned non-finite value {value!r} for a feasible point")
+    return -value if objective.sense == MAXIMIZE else value
 
 
 def evaluate_block(objective: Objective, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,44 +156,44 @@ def evaluate_block(objective: Objective, X: np.ndarray) -> tuple[np.ndarray, np.
 
     Returns engine values (infeasible rows carry ``INFEASIBLE_VALUE``)
     and the feasibility mask. Uses ``objective.fn_batch`` when present,
-    else calls ``fn`` on each row in order. Raises ValueError if the
-    objective reports a non-finite value for a feasible row; that is an
-    objective bug, not a search condition.
+    else ``evaluate`` on each row in order. Raises ValueError if the
+    objective reports a non-finite value for a feasible row.
     """
+    if objective.fn_batch is None:
+        points = [evaluate(objective, x) for x in np.asarray(X, dtype=float)]
+        return np.array([p.value for p in points]), np.array([p.feasible for p in points], dtype=bool)
     raw = denormalize(objective.space, X)
     k = len(raw)
-    if objective.fn_batch is not None:
-        values, feasible = objective.fn_batch(raw)
-        values = np.asarray(values, dtype=float)
-        feasible = np.asarray(feasible, dtype=bool)
-        if values.shape != (k,) or feasible.shape != (k,):
-            raise ValueError(
-                f"objective {objective.name!r}: fn_batch returned shapes "
-                f"{values.shape} and {feasible.shape} for {k} rows"
-            )
-    else:
-        values = np.full(k, INFEASIBLE_VALUE)
-        feasible = np.zeros(k, dtype=bool)
-        for r, row in enumerate(raw):
-            value, ok = objective.fn(row)
-            if ok:
-                feasible[r] = True
-                values[r] = value
-    bad = feasible & ~np.isfinite(values)
-    if bad.any():
-        value = float(values[np.argmax(bad)])
-        raise ValueError(f"objective {objective.name!r} returned non-finite value {value!r} for a feasible point")
+    values, feasible = objective.fn_batch(raw)
+    values = np.asarray(values, dtype=float)
+    feasible = np.asarray(feasible, dtype=bool)
+    if values.shape != (k,) or feasible.shape != (k,):
+        raise ValueError(
+            f"objective {objective.name!r}: fn_batch returned shapes {values.shape} and {feasible.shape} for {k} rows"
+        )
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = feasible & ~finite
+        if bad.any():
+            _checked(objective, float(values[bad.argmax()]))  # raises
     if objective.sense == MAXIMIZE:
         values = -values
+    if feasible.all():
+        return values, feasible
     return np.where(feasible, values, INFEASIBLE_VALUE), feasible
 
 
 def evaluate(objective: Objective, x: np.ndarray) -> SearchPoint:
     """Evaluate one normalized point: exactly one evaluation.
 
-    A one-row call to ``evaluate_block``, with the same error for a
+    Calls ``objective.fn`` on the denormalized point, never ``fn_batch``,
+    and raises the same ValueError as ``evaluate_block`` for a
     non-finite feasible value.
     """
     x = np.array(x, dtype=float, copy=True)
-    values, feasible = evaluate_block(objective, x[np.newaxis])
-    return SearchPoint(x=x, value=float(values[0]), feasible=bool(feasible[0]))
+    if x.ndim != 1:  # denormalize would take a block
+        raise ValueError(f"expected {objective.space.dimension} components, got {x.shape}")
+    value, ok = objective.fn(denormalize(objective.space, x))
+    if not ok:
+        return SearchPoint(x=x, value=INFEASIBLE_VALUE, feasible=False)
+    return SearchPoint(x=x, value=_checked(objective, float(value)), feasible=True)

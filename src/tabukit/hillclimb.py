@@ -11,11 +11,11 @@ entry of the tabu list can match a neighbor only when no other
 coordinate of the base lies farther from it than the tolerance.
 
 ``hj_stage`` steps several threads as one batched operation: the
-axial blocks of all of them are evaluated in one objective call and
-their pattern points in a second, and the moves are then adopted in
-thread order. Objective values do not depend on the other rows of a
-block, so the result is the same as stepping the threads one by one;
-``hj_step`` is the one-thread call.
+axial blocks of all of them are evaluated in one objective call, then
+each thread in order evaluates its pattern point alone and adopts its
+move. Objective values do not depend on the other rows of a block, so
+the result is the same as stepping the threads one by one; ``hj_step``
+is the one-thread call.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Objective, SearchPoint, clamp, evaluate_block
+from .core import Objective, SearchPoint, clamp, evaluate, evaluate_block
 from .memory import IntermediateMemory, TabuList
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,7 +89,7 @@ def axial_moves(base_x: np.ndarray, step: float, tabu: TabuList) -> MoveSet:
     axis, sign = _probe_order(n)
     base_moved = base_x[axis]
     moved = base_moved + sign * step
-    np.clip(moved, 0.0, 1.0, out=moved)
+    np.minimum(1.0, np.maximum(0.0, moved, out=moved), out=moved)  # clamp, in place
     keep = moved != base_moved
     tabu_hit = tabu.screen_axial(base_x, axis, moved)
     tabu_hit &= keep
@@ -103,16 +103,16 @@ def axial_moves(base_x: np.ndarray, step: float, tabu: TabuList) -> MoveSet:
     return MoveSet(X, axis, sign[keep], tabu_rejected=tabu_rejected)
 
 
-def _select(moves: MoveSet, values: np.ndarray, feasible: np.ndarray) -> SearchPoint | None:
-    """The best evaluated row of ``moves``: lowest value, first on ties.
+def _select(moves: MoveSet, values: np.ndarray, feasible: np.ndarray) -> int | None:
+    """Row index of the best evaluated row of ``moves``: lowest value,
+    first on ties.
 
     Records the infeasible tally; None when no row is feasible.
     """
     moves.infeasible_rejected = len(feasible) - int(np.count_nonzero(feasible))
     if moves.infeasible_rejected == len(feasible):
         return None
-    w = int(np.argmin(values))
-    return SearchPoint(x=moves.x[w].copy(), value=float(values[w]), feasible=True)
+    return int(values.argmin())
 
 
 def explore(
@@ -132,7 +132,10 @@ def explore(
     if len(moves.x) == 0:
         return None, moves
     values, feasible = evaluate_block(objective, moves.x)
-    return _select(moves, values, feasible), moves
+    w = _select(moves, values, feasible)
+    if w is None:
+        return None, moves
+    return SearchPoint(x=moves.x[w].copy(), value=float(values[w]), feasible=True), moves
 
 
 def pattern_move(old_base: np.ndarray, new_base: np.ndarray, k: float) -> np.ndarray:
@@ -142,9 +145,22 @@ def pattern_move(old_base: np.ndarray, new_base: np.ndarray, k: float) -> np.nda
     return clamp(new_base + k * (new_base - old_base))
 
 
-def _stack(blocks: list[np.ndarray]) -> np.ndarray:
-    """Rows of the given blocks as one block, in order."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+def _pattern_point(base_x: np.ndarray, move_x: np.ndarray, axis: int, k: float) -> np.ndarray | None:
+    """``pattern_move(base_x, move_x, k)`` for a move that changed only
+    coordinate ``axis``, or None when clamping collapses it onto ``move_x``.
+
+    Only that coordinate is computed, in Python floats with the same
+    rounding and clamp as numpy's. Every other one is ``x + 0.0``, as in
+    ``pattern_move``, which turns -0.0 into 0.0.
+    """
+    m = float(move_x[axis])
+    p = m + k * (m - float(base_x[axis]))
+    p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+    if p == m:
+        return None
+    x = move_x + 0.0
+    x[axis] = p
+    return x
 
 
 def hj_stage(
@@ -164,16 +180,18 @@ def hj_stage(
     spent to its ``evals``. Returns ``(outcome, evaluations)`` for each
     thread that stepped, in order.
 
-    All axial blocks are evaluated in one call, then the pattern points
-    that are new and not tabu in a second; without ``fn_batch`` the
-    scalar objective therefore sees each thread's axial rows in turn,
-    then the pattern points. For each thread, the adopted point (the
+    All axial blocks are evaluated in one ``evaluate_block`` call. Then,
+    thread by thread, the pattern point, when it is new and not tabu,
+    is evaluated alone through ``evaluate``, and the adopted point (the
     pattern point if strictly better than the exploration point, else
     the exploration point) becomes the new base, goes on the tabu list
-    and is offered to the shared elite archive, in thread order. The
-    outcome is IMPROVED when the adopted point beats the thread's best
-    from before the step, STALLED when no allowable move existed.
+    and is offered to the shared elite archive. The outcome is IMPROVED
+    when the adopted point beats the thread's best from before the
+    step, STALLED when no allowable move existed.
     """
+    if k_pattern <= 0:
+        raise ValueError("pattern factor must be positive")
+    k = float(k_pattern)
     moves: list[MoveSet] = []
     bound = 0
     for state in states:
@@ -182,45 +200,33 @@ def hj_stage(
         m = axial_moves(state.base.x, state.step, state.tabu)
         moves.append(m)
         bound += len(m.x) + 1
-    X = _stack([m.x for m in moves])
+    X = moves[0].x if len(moves) == 1 else np.concatenate([m.x for m in moves])
     if len(X):
         values, feasible = evaluate_block(objective, X)
     else:
         values = feasible = np.empty(0)
 
-    winners: list[SearchPoint | None] = []
-    probes: list[tuple[int, np.ndarray]] = []
-    start = 0
-    for i, m in enumerate(moves):
-        stop = start + len(m.x)
-        move = _select(m, values[start:stop], feasible[start:stop])
-        start = stop
-        winners.append(move)
-        if move is None:
-            continue
-        p_x = pattern_move(states[i].base.x, move.x, k_pattern)
-        # Skip the pattern evaluation when clamping collapsed it onto the
-        # exploration point, and never adopt a tabu pattern point.
-        if not np.array_equal(p_x, move.x) and not states[i].tabu.is_tabu(p_x):
-            probes.append((i, p_x))
-    patterns: list[SearchPoint | None] = [None] * len(moves)
-    if probes:
-        p_values, p_feasible = evaluate_block(objective, _stack([p[np.newaxis] for _, p in probes]))
-        for r, (i, p_x) in enumerate(probes):
-            patterns[i] = SearchPoint(x=p_x, value=float(p_values[r]), feasible=bool(p_feasible[r]))
-
     steps: list[tuple[str, int]] = []
-    for i, move in enumerate(winners):
-        state, pattern = states[i], patterns[i]
-        spent = len(moves[i].x) + (pattern is not None)
-        state.evals += spent
-        if move is None:
+    stop = 0
+    for state, m in zip(states, moves):
+        start, stop = stop, stop + len(m.x)
+        spent = len(m.x)
+        w = _select(m, values[start:stop], feasible[start:stop])
+        if w is None:
+            state.evals += spent
             steps.append((STALLED, spent))
             continue
+        adopted = move = SearchPoint(x=m.x[w].copy(), value=float(values[start + w]), feasible=True)
+        # No pattern evaluation when clamping collapsed the pattern point
+        # onto the exploration point, and never adopt a tabu one.
+        p_x = _pattern_point(state.base.x, move.x, int(m.axis[w]), k)
+        if p_x is not None and not state.tabu.is_tabu(p_x):
+            pattern = evaluate(objective, p_x)
+            spent += 1
+            if pattern.feasible and pattern.value < move.value:
+                adopted = pattern
+        state.evals += spent
         best_before = state.best.value
-        adopted = move
-        if pattern is not None and pattern.feasible and pattern.value < move.value:
-            adopted = pattern
         state.adopt(adopted, shared)
         steps.append((IMPROVED if adopted.value < best_before - IMPROVE_TOL else NOT_IMPROVED, spent))
     return steps

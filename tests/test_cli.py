@@ -109,6 +109,14 @@ class TestBuildSpec:
         with pytest.raises(ValueError):
             build_spec({"problem": "schwefel10", "step_reduce_factor": "1.5"})
 
+    @pytest.mark.parametrize(
+        "key, text, kind",
+        [("max_evals", "1e5", "int"), ("step_min", "abc", "float"), ("runs", "two", "int"), ("pump_speed", "fast", "float")],
+    )
+    def test_unparsable_value_names_its_key(self, key, text, kind):
+        with pytest.raises(ValueError, match=f"setting '{key}' expects {kind}, got '{text}'"):
+            build_spec({"problem": "circuit", key: text})
+
 
 class TestConfigFile:
     def test_parses_comments_and_spacing(self, tmp_path):
@@ -315,6 +323,11 @@ class TestMain:
         code = main(["--problem", "schwefel10", "--method", "multi", "--set", "lockstep=false"])
         assert code == 2
         assert "unknown setting: 'lockstep'" in capsys.readouterr().err
+
+    def test_unparsable_set_value_exits_two_naming_the_key(self, capsys):
+        code = main(["--problem", "schwefel10", "--set", "max_evals=1e5"])
+        assert code == 2
+        assert "error: setting 'max_evals' expects int, got '1e5'" in capsys.readouterr().err
 
     def test_malformed_set_exits_two(self, capsys):
         code = main(["--problem", "schwefel10", "--set", "max_evals"])

@@ -176,6 +176,23 @@ class TestDenormalizeBounds:
         with pytest.raises(ValueError):
             denormalize(unit_space(2), np.ones((3, 3)))
 
+    def test_negative_zero_bounds_are_stored_as_zero(self):
+        # np.clip picks either zero on a tie of opposite signs, depending
+        # on the array layout; with no -0.0 bound no such tie arises, and
+        # a row maps the same alone and in a block.
+        space = ParameterSpace(np.array([-0.0, -1.0]), np.array([1.0, -0.0]), np.array([0.01, 0.01]))
+        assert not np.signbit(space.lower[0]) and not np.signbit(space.upper[1])
+        X = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, 0.0]])
+        block = denormalize(space, X)
+        assert not np.signbit(block[:2]).any()
+        for r in range(len(X)):
+            assert denormalize(space, X[r]).tobytes() == block[r].tobytes()
+
+    def test_evaluate_rejects_a_block(self):
+        obj = Objective(unit_space(2), fn=lambda raw: (0.0, True))
+        with pytest.raises(ValueError, match="expected 2 components"):
+            evaluate(obj, np.ones((1, 2)))
+
     @given(
         st.floats(-1e3, 1e3),
         st.floats(1e-6, 1e3),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from tabukit.core import (
     ParameterSpace,
     SearchPoint,
     clamp,
+    denormalize,
     evaluate,
 )
 from tabukit.control import SearchConfig, fresh_state
@@ -16,6 +19,7 @@ from tabukit.hillclimb import (
     STALLED,
     axial_moves,
     explore,
+    _pattern_point,
     hj_step,
     pattern_move,
 )
@@ -185,6 +189,68 @@ class TestPatternMove:
         out = pattern_move(old, new, k)
         assert np.array_equal(out, new + k * (new - old))
         assert np.max(np.abs((out - new) - k * (new - old))) <= 1e-12
+
+
+#: Normalized coordinates, with -0.0, the bounds and their neighbours among them.
+UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0 - 2**-53, 1.0]))
+#: Any float, with signed zeros, the unit bounds, NaN and infinities among them.
+EDGY = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 2**-52, -5e-324, math.nan, -math.nan, math.inf, -math.inf]),
+)
+
+
+class TestOneCoordinatePatternPoint:
+    @given(data=st.data(), n=st.integers(1, 6), k=st.floats(0.0, 4.0, exclude_min=True))
+    def test_matches_pattern_move(self, data, n, k):
+        # The exploration move changes one coordinate of the base; the
+        # pattern point built from that coordinate alone is pattern_move's,
+        # clamping at 0 and 1 included, and None exactly when
+        # np.array_equal finds it collapsed onto the move.
+        base = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
+        axis = data.draw(st.integers(0, n - 1))
+        move = base.copy()
+        move[axis] = data.draw(UNIT)
+        full = pattern_move(base, move, k)
+        point = _pattern_point(base, move, axis, k)
+        assert (point is None) == np.array_equal(full, move)
+        if point is not None:
+            assert point.tobytes() == full.tobytes()
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.5, 4.0))
+    def test_clamps_at_both_bounds(self, b, m, k):
+        base, move = np.array([0.5, b]), np.array([0.5, m])
+        point = _pattern_point(base, move, 1, k)
+        if point is not None:
+            assert 0.0 <= point[1] <= 1.0
+            assert point.tobytes() == pattern_move(base, move, k).tobytes()
+
+
+class TestUfuncClamps:
+    @given(data=st.data(), shape=st.sampled_from([(1,), (7,), (40,), (1, 3), (5, 4), (33, 2)]))
+    def test_clamp_equals_np_clip_bytewise(self, data, shape):
+        x = np.array(data.draw(st.lists(EDGY, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+        assert clamp(x).tobytes() == np.clip(x, 0.0, 1.0).tobytes()
+        assert clamp(x.T).tobytes() == np.clip(x.T, 0.0, 1.0).tobytes()
+
+    @given(
+        data=st.data(),
+        lower=st.sampled_from([0.0, -0.0, -500.0, -0.1, 1.0, 10.0]),
+        width=st.sampled_from([1.0, 1000.0, 0.30000000000000004, 0.1, 990.0]),
+        n=st.integers(1, 4),
+        rows=st.integers(1, 9),
+    )
+    def test_denormalize_equals_np_clip_bytewise(self, data, lower, width, n, rows):
+        # x = 0 and x = 1 land exactly on the bounds (lower + 1.0 * span
+        # may round past upper and be clamped back); -0.0 and NaN pass.
+        upper = lower + width
+        space = ParameterSpace(np.full(n, lower), np.full(n, upper), np.full(n, min(width, 1e-3)))
+        x = np.array(data.draw(st.lists(EDGY | UNIT, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge and infinite x
+            ref = np.clip(space.lower + x * space.span, space.lower, space.upper)
+            assert denormalize(space, x).tobytes() == ref.tobytes()
+            for r in range(rows):
+                assert denormalize(space, x[r]).tobytes() == ref[r].tobytes()
 
 
 def quadratic_setup(base_x, fn=None, step=0.1):

@@ -18,8 +18,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tabukit.benchmarks import make_bump, make_schwefel10
+from tabukit import control, hillclimb
 from tabukit.control import CONTINUE, SearchConfig, run_single
-from tabukit.core import MAXIMIZE, Objective, ParameterSpace, SearchPoint, clamp, denormalize, evaluate
+from tabukit.core import (
+    MAXIMIZE,
+    MINIMIZE,
+    Objective,
+    ParameterSpace,
+    SearchPoint,
+    clamp,
+    denormalize,
+    evaluate,
+    evaluate_block,
+)
 from tabukit.hillclimb import axial_moves, explore
 from tabukit.hydraulic import STARVATION_POLICIES, CircuitParams, CircuitTargets, make_circuit, simulate_steady
 from tabukit.memory import IntermediateMemory, TabuList
@@ -587,6 +598,117 @@ def test_non_finite_feasible_block_value_is_an_objective_error():
     base = SearchPoint(x=np.array([0.5]), value=0.0, feasible=True)
     with pytest.raises(ValueError, match="'broken' returned non-finite value nan"):
         explore(base, 0.1, objective, TabuList())
+
+
+# --- one point goes to fn, a block to fn_batch ---------------------------------
+
+
+def spied(objective):
+    """``objective`` with its ``fn`` and ``fn_batch`` calls counted."""
+    calls = {"fn": 0, "fn_batch": 0}
+
+    def fn(raw):
+        calls["fn"] += 1
+        return objective.fn(raw)
+
+    def fn_batch(raw):
+        calls["fn_batch"] += 1
+        return objective.fn_batch(raw)
+
+    return dataclasses.replace(objective, fn=fn, fn_batch=fn_batch), calls
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN))
+def test_evaluate_calls_fn_once_and_never_fn_batch(name):
+    objective, calls = spied(BUILT_IN[name]())
+    rng = np.random.default_rng(0)
+    for i in range(1, 21):
+        x = rng.random(objective.space.dimension)
+        point = evaluate(objective, x)
+        assert calls == {"fn": i, "fn_batch": i - 1}
+        values, feasible = evaluate_block(objective, x[np.newaxis])
+        assert calls == {"fn": i, "fn_batch": i}
+        # The one point's result is the one-row block's, bit for bit.
+        assert point.feasible == bool(feasible[0])
+        assert np.float64(point.value).tobytes() == values[:1].tobytes()
+
+
+class ObjectiveBug(Exception):
+    pass
+
+
+def test_objective_exception_propagates_unchanged_from_both_paths():
+    bug = ObjectiveBug("boom")
+
+    def fail(raw):
+        raise bug
+
+    space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
+    x = np.array([0.25, 0.5])
+    for objective in (Objective(space, fn=fail), Objective(space, fn=fail, fn_batch=fail)):
+        with pytest.raises(ObjectiveBug) as raised:
+            evaluate(objective, x)
+        assert raised.value is bug
+        with pytest.raises(ObjectiveBug) as raised:
+            evaluate_block(objective, np.array([x, x]))
+        assert raised.value is bug
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sense", [MINIMIZE, MAXIMIZE])
+def test_non_finite_feasible_value_same_error_from_both_paths(bad, sense):
+    space = ParameterSpace.cube(0.0, 1.0, 1, min_step=1e-6)
+    fn = lambda raw: (bad, True)  # noqa: E731
+    fn_batch = lambda raw: (np.full(len(raw), bad), np.ones(len(raw), dtype=bool))  # noqa: E731
+    messages = set()
+    for objective in (Objective(space, fn, sense, "broken"), Objective(space, fn, sense, "broken", fn_batch)):
+        for call in (lambda: evaluate(objective, np.array([0.5])), lambda: evaluate_block(objective, np.array([[0.5]]))):
+            with pytest.raises(ValueError) as raised:
+                call()
+            messages.add(str(raised.value))
+    assert messages == {f"objective 'broken' returned non-finite value {bad!r} for a feasible point"}
+
+
+@pytest.mark.parametrize("name, method", [("schwefel10", "single"), ("circuit", "multi")])
+def test_objective_calls_per_stage(name, method, monkeypatch):
+    # Each hj_stage call with axial rows makes one fn_batch call, and
+    # every other evaluation (pattern points, starts and relocations)
+    # one fn call, so no one-row block reaches fn_batch.
+    objective, calls = spied(BUILT_IN[name]())
+    tally = {"stages": 0, "rows": 0, "patterns": 0, "relocations": 0}
+    rows: list[int] = []
+
+    def axial_moves(*args):
+        moves = real_axial_moves(*args)
+        rows.append(len(moves.x))
+        return moves
+
+    def hj_stage(*args):
+        rows.clear()
+        steps = real_hj_stage(*args)
+        tally["stages"] += sum(rows) > 0
+        tally["rows"] += sum(rows)
+        tally["patterns"] += sum(spent for _, spent in steps) - sum(rows)
+        return steps
+
+    def apply_action(state, *args):
+        before = state.evals
+        real_apply_action(state, *args)
+        tally["relocations"] += state.evals - before
+
+    real_axial_moves, real_hj_stage, real_apply_action = hillclimb.axial_moves, control.hj_stage, control.apply_action
+    monkeypatch.setattr(hillclimb, "axial_moves", axial_moves)
+    monkeypatch.setattr(control, "hj_stage", hj_stage)
+    monkeypatch.setattr(control, "apply_action", apply_action)
+    config = SearchConfig(seed=0)
+    if method == "single":
+        result, starts = run_single(objective, config), 1
+    else:
+        result, starts = run_multi(objective, MultiConfig(base=config)), 2
+    assert min(tally.values()) > 0
+    assert calls["fn_batch"] == tally["stages"]
+    assert calls["fn"] == tally["patterns"] + starts + tally["relocations"]
+    assert result.evals == calls["fn"] + tally["rows"]
 
 
 def test_tabu_push_rejects_a_vector_of_another_length():
