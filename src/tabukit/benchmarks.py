@@ -91,7 +91,7 @@ def _bump_feasible_rows(x: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """
     return (
         (np.sum(x, axis=-1) < 7.5 * x.shape[-1])
-        & np.all(x > 0.0, axis=-1)
+        & np.logical_and.reduce(x > 0.0, axis=-1)
         & (np.sum(logs, axis=-1) > math.log(BUMP_PRODUCT_FLOOR))
     )
 

@@ -90,8 +90,9 @@ class Objective:
     are ignored. Without it, blocks are evaluated by calling ``fn`` on
     each row in order.
 
-    One point always goes to ``fn`` (``evaluate``), a block to
-    ``fn_batch`` when there is one (``evaluate_block``).
+    One point always goes to ``fn`` (``evaluate``, ``evaluate_raw``), a
+    block to ``fn_batch`` when there is one (``evaluate_block``,
+    ``evaluate_raw_block``).
     """
 
     space: ParameterSpace
@@ -143,6 +144,14 @@ def clamp(x: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.maximum(0.0, x))
 
 
+def denormalize_coordinate(space: ParameterSpace, axis: int, x: float) -> float:
+    """Coordinate ``axis`` of ``denormalize`` at normalized value ``x``,
+    in Python floats with the same bits: no bound is -0.0, so Python's
+    ``max`` and ``min`` meet no tie that numpy's would break otherwise."""
+    lower = space.lower.item(axis)
+    return min(max(lower + x * space.span.item(axis), lower), space.upper.item(axis))
+
+
 def _checked(objective: Objective, value: float) -> float:
     """The engine value of a feasible raw ``value``; a non-finite one is
     an objective bug, not a search condition, and raises ValueError."""
@@ -151,19 +160,26 @@ def _checked(objective: Objective, value: float) -> float:
     return -value if objective.sense == MAXIMIZE else value
 
 
-def evaluate_block(objective: Objective, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a ``(k, N)`` block of normalized rows: k evaluations.
+def _evaluate_fn(objective: Objective, raw: np.ndarray) -> tuple[float, bool]:
+    """(engine value, feasible) of ``objective.fn`` at one raw point."""
+    value, ok = objective.fn(raw)
+    if not ok:
+        return INFEASIBLE_VALUE, False
+    return _checked(objective, float(value)), True
+
+
+def evaluate_raw_block(objective: Objective, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a ``(k, N)`` block of denormalized rows: k evaluations.
 
     Returns engine values (infeasible rows carry ``INFEASIBLE_VALUE``)
     and the feasibility mask. Uses ``objective.fn_batch`` when present,
-    else ``evaluate`` on each row in order. Raises ValueError if the
+    else ``objective.fn`` on each row in order. Raises ValueError if the
     objective reports a non-finite value for a feasible row.
     """
-    if objective.fn_batch is None:
-        points = [evaluate(objective, x) for x in np.asarray(X, dtype=float)]
-        return np.array([p.value for p in points]), np.array([p.feasible for p in points], dtype=bool)
-    raw = denormalize(objective.space, X)
     k = len(raw)
+    if objective.fn_batch is None:
+        points = [_evaluate_fn(objective, row) for row in raw]
+        return np.array([v for v, _ in points], dtype=float), np.array([ok for _, ok in points], dtype=bool)
     values, feasible = objective.fn_batch(raw)
     values = np.asarray(values, dtype=float)
     feasible = np.asarray(feasible, dtype=bool)
@@ -172,28 +188,42 @@ def evaluate_block(objective: Objective, X: np.ndarray) -> tuple[np.ndarray, np.
             f"objective {objective.name!r}: fn_batch returned shapes {values.shape} and {feasible.shape} for {k} rows"
         )
     finite = np.isfinite(values)
-    if not finite.all():
+    if np.count_nonzero(finite) != k:
         bad = feasible & ~finite
-        if bad.any():
+        if np.count_nonzero(bad):
             _checked(objective, float(values[bad.argmax()]))  # raises
     if objective.sense == MAXIMIZE:
         values = -values
-    if feasible.all():
+    if np.count_nonzero(feasible) == k:
         return values, feasible
     return np.where(feasible, values, INFEASIBLE_VALUE), feasible
 
 
-def evaluate(objective: Objective, x: np.ndarray) -> SearchPoint:
-    """Evaluate one normalized point: exactly one evaluation.
+def evaluate_block(objective: Objective, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a ``(k, N)`` block of normalized rows: ``evaluate_raw_block``
+    of the denormalized block."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:  # denormalize would take one vector
+        raise ValueError(f"expected a block of {objective.space.dimension}-component rows, got {X.shape}")
+    return evaluate_raw_block(objective, denormalize(objective.space, X))
 
-    Calls ``objective.fn`` on the denormalized point, never ``fn_batch``,
-    and raises the same ValueError as ``evaluate_block`` for a
-    non-finite feasible value.
+
+def evaluate_raw(objective: Objective, x: np.ndarray, raw: np.ndarray) -> SearchPoint:
+    """Evaluate the normalized point ``x``, whose denormalized form is
+    ``raw``: exactly one evaluation.
+
+    Calls ``objective.fn`` on ``raw``, never ``fn_batch``, and raises the
+    same ValueError as ``evaluate_raw_block`` for a non-finite feasible
+    value. The returned point holds ``x`` itself.
     """
+    value, ok = _evaluate_fn(objective, raw)
+    return SearchPoint(x=x, value=value, feasible=ok)
+
+
+def evaluate(objective: Objective, x: np.ndarray) -> SearchPoint:
+    """Evaluate one normalized point: ``evaluate_raw`` of a copy of ``x``
+    and its denormalized form."""
     x = np.array(x, dtype=float, copy=True)
     if x.ndim != 1:  # denormalize would take a block
         raise ValueError(f"expected {objective.space.dimension} components, got {x.shape}")
-    value, ok = objective.fn(denormalize(objective.space, x))
-    if not ok:
-        return SearchPoint(x=x, value=INFEASIBLE_VALUE, feasible=False)
-    return SearchPoint(x=x, value=_checked(objective, float(value)), feasible=True)
+    return evaluate_raw(objective, x, denormalize(objective.space, x))

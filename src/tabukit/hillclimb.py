@@ -11,11 +11,14 @@ entry of the tabu list can match a neighbor only when no other
 coordinate of the base lies farther from it than the tolerance.
 
 ``hj_stage`` steps several threads as one batched operation: the
-axial blocks of all of them are evaluated in one objective call, then
-each thread in order evaluates its pattern point alone and adopts its
-move. Objective values do not depend on the other rows of a block, so
-the result is the same as stepping the threads one by one; ``hj_step``
-is the one-thread call.
+axial blocks of all of them are denormalized and evaluated in one
+objective call, then each thread in order evaluates its pattern point
+alone and adopts its move. Objective values do not depend on the other
+rows of a block, so the result is the same as stepping the threads one
+by one; ``hj_step`` is the one-thread call. A pattern point, too,
+differs from the base in the winner's coordinate only, so it is screened
+with the mask of its thread's axial screen (``TabuList.axial_is_tabu``)
+and its raw row is the winner's with that coordinate denormalized.
 """
 from __future__ import annotations
 
@@ -27,7 +30,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Objective, SearchPoint, clamp, evaluate, evaluate_block
+from .core import (
+    Objective,
+    SearchPoint,
+    clamp,
+    denormalize,
+    denormalize_coordinate,
+    evaluate_block,
+    evaluate_raw,
+    evaluate_raw_block,
+)
 from .memory import IntermediateMemory, TabuList
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,6 +68,9 @@ class MoveSet:
     sign: np.ndarray
     tabu_rejected: int = 0
     infeasible_rejected: int = 0
+    #: ``TabuList.screen_axial``'s leave-one-out mask around the base, for
+    #: screening the pattern point with ``TabuList.axial_is_tabu``.
+    rest_near: np.ndarray | None = None
 
     @property
     def candidates(self) -> np.ndarray:
@@ -91,7 +106,7 @@ def axial_moves(base_x: np.ndarray, step: float, tabu: TabuList) -> MoveSet:
     moved = base_moved + sign * step
     np.minimum(1.0, np.maximum(0.0, moved, out=moved), out=moved)  # clamp, in place
     keep = moved != base_moved
-    tabu_hit = tabu.screen_axial(base_x, axis, moved)
+    tabu_hit, rest_near = tabu.screen_axial(base_x, axis, moved)
     tabu_hit &= keep
     tabu_rejected = int(np.count_nonzero(tabu_hit))
     if tabu_rejected:
@@ -100,7 +115,7 @@ def axial_moves(base_x: np.ndarray, step: float, tabu: TabuList) -> MoveSet:
     X = np.empty((axis.size, n))
     X[:] = base_x
     X[np.arange(axis.size), axis] = moved[keep]
-    return MoveSet(X, axis, sign[keep], tabu_rejected=tabu_rejected)
+    return MoveSet(X, axis, sign[keep], tabu_rejected=tabu_rejected, rest_near=rest_near)
 
 
 def _select(moves: MoveSet, values: np.ndarray, feasible: np.ndarray) -> int | None:
@@ -178,16 +193,20 @@ def hj_stage(
     spend, at most their rows plus one pattern point each, stay below
     ``budget``; the first always does. Each stepping thread adds what it
     spent to its ``evals``. Returns ``(outcome, evaluations)`` for each
-    thread that stepped, in order.
+    thread that stepped, in order; no states step none.
 
-    All axial blocks are evaluated in one ``evaluate_block`` call. Then,
-    thread by thread, the pattern point, when it is new and not tabu,
-    is evaluated alone through ``evaluate``, and the adopted point (the
-    pattern point if strictly better than the exploration point, else
-    the exploration point) becomes the new base, goes on the tabu list
-    and is offered to the shared elite archive. The outcome is IMPROVED
-    when the adopted point beats the thread's best from before the
-    step, STALLED when no allowable move existed.
+    All axial blocks are denormalized once and evaluated in one
+    ``evaluate_raw_block`` call. Then, thread by thread, the pattern
+    point, when it is new and not tabu, is evaluated alone through
+    ``evaluate_raw``, and the adopted point (the pattern point if
+    strictly better than the exploration point, else the exploration
+    point) becomes the new base, goes on the tabu list and is offered to
+    the shared elite archive. The pattern point differs from the base in
+    the winner's coordinate only, as the winner does, so it is screened
+    against the thread's tabu list with the mask of its axial screen and
+    its raw row is the winner's with that one coordinate denormalized.
+    The outcome is IMPROVED when the adopted point beats the thread's
+    best from before the step, STALLED when no allowable move existed.
     """
     if k_pattern <= 0:
         raise ValueError("pattern factor must be positive")
@@ -195,14 +214,18 @@ def hj_stage(
     moves: list[MoveSet] = []
     bound = 0
     for state in states:
-        if bound >= budget:
-            break
         m = axial_moves(state.base.x, state.step, state.tabu)
         moves.append(m)
         bound += len(m.x) + 1
+        if bound >= budget:
+            break
+    if not moves:
+        return []
     X = moves[0].x if len(moves) == 1 else np.concatenate([m.x for m in moves])
+    space = objective.space
     if len(X):
-        values, feasible = evaluate_block(objective, X)
+        raw = denormalize(space, X)
+        values, feasible = evaluate_raw_block(objective, raw)
     else:
         values = feasible = np.empty(0)
 
@@ -219,12 +242,17 @@ def hj_stage(
         adopted = move = SearchPoint(x=m.x[w].copy(), value=float(values[start + w]), feasible=True)
         # No pattern evaluation when clamping collapsed the pattern point
         # onto the exploration point, and never adopt a tabu one.
-        p_x = _pattern_point(state.base.x, move.x, int(m.axis[w]), k)
-        if p_x is not None and not state.tabu.is_tabu(p_x):
-            pattern = evaluate(objective, p_x)
-            spent += 1
-            if pattern.feasible and pattern.value < move.value:
-                adopted = pattern
+        a = int(m.axis[w])
+        p_x = _pattern_point(state.base.x, move.x, a, k)
+        if p_x is not None:
+            p = p_x.item(a)
+            if not state.tabu.axial_is_tabu(m.rest_near, a, p):
+                p_raw = raw[start + w].copy()
+                p_raw[a] = denormalize_coordinate(space, a, p)
+                pattern = evaluate_raw(objective, p_x, p_raw)
+                spent += 1
+                if pattern.feasible and pattern.value < move.value:
+                    adopted = pattern
         state.evals += spent
         best_before = state.best.value
         state.adopt(adopted, shared)

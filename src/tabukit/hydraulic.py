@@ -9,7 +9,7 @@ flow wasted over the relief valve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,17 @@ STARVATION_POLICIES = (PROPORTIONAL, PRIORITY)
 PUMP_DISP_BOUNDS = (1.0, 1000.0)
 MOTOR_DISP_BOUNDS = (1.0, 1000.0)
 VALVE_FLOW_BOUNDS = (10.0, 100.0)
-#: Bounds of the CircuitParams fields, in field order.
+#: Names and bounds of the CircuitParams fields, in field order.
+_FIELD_NAMES = ("pump_disp", "motor1_disp", "motor2_disp", "pcfv1_flow", "pcfv2_flow")
 _FIELD_BOUNDS = (PUMP_DISP_BOUNDS, MOTOR_DISP_BOUNDS, MOTOR_DISP_BOUNDS, VALVE_FLOW_BOUNDS, VALVE_FLOW_BOUNDS)
+
+
+def _check_bounds(values) -> None:
+    """Raise ValueError naming the first CircuitParams field, in field
+    order, whose value in ``values`` lies outside its bounds (NaN does)."""
+    for name, value, (lo, hi) in zip(_FIELD_NAMES, values, _FIELD_BOUNDS):
+        if not lo <= value <= hi:
+            raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -37,10 +46,7 @@ class CircuitParams:
     pcfv2_flow: float
 
     def __post_init__(self) -> None:
-        for f, (lo, hi) in zip(fields(self), _FIELD_BOUNDS):
-            value = getattr(self, f.name)
-            if not lo <= value <= hi:
-                raise ValueError(f"{f.name}={value} outside [{lo}, {hi}]")
+        _check_bounds((self.pump_disp, self.motor1_disp, self.motor2_disp, self.pcfv1_flow, self.pcfv2_flow))
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,26 @@ def _priority_share_rows(d1, total, q_pump):
 _STARVED_SHARE_ROWS = {PROPORTIONAL: _proportional_share_rows, PRIORITY: _priority_share_rows}
 
 
+def _steady(pump_disp, motor1_disp, motor2_disp, d1, d2, pump_speed, policy):
+    """``simulate_steady`` on plain numbers: (omega1, omega2, q_pump, q1, q2, q_rv)."""
+    q_pump = pump_disp * pump_speed / 1000.0
+    if d1 + d2 <= q_pump:
+        share1 = d1
+    elif policy == PRIORITY:
+        share1 = min(d1, q_pump)
+    else:
+        share1 = d1 * q_pump / (d1 + d2)
+    q1, q2, q_rv = _split_supply(q_pump, share1, d2)
+    return q1 * 1000.0 / motor1_disp, q2 * 1000.0 / motor2_disp, q_pump, q1, q2, q_rv
+
+
+def _sizing_error(omega1, omega2, q_pump, q_rv, omega1_target, omega2_target):
+    """The circuit objective from a steady state's speeds and flows."""
+    e1 = omega1 - omega1_target
+    e2 = omega2 - omega2_target
+    return (e1 * e1 + e2 * e2) * (1.0 + q_rv / q_pump)
+
+
 def simulate_steady(
     params: CircuitParams,
     targets: CircuitTargets | None = None,
@@ -119,26 +145,9 @@ def simulate_steady(
     targets = targets or CircuitTargets()
     if policy not in STARVATION_POLICIES:
         raise ValueError(f"unknown starvation policy: {policy!r}")
-
-    q_pump = params.pump_disp * targets.pump_speed / 1000.0
-    d1 = params.pcfv1_flow
-    d2 = params.pcfv2_flow
-
-    if d1 + d2 <= q_pump:
-        share1 = d1
-    elif policy == PRIORITY:
-        share1 = min(d1, q_pump)
-    else:
-        share1 = d1 * q_pump / (d1 + d2)
-    q1, q2, q_rv = _split_supply(q_pump, share1, d2)
-
+    p = params
     return CircuitState(
-        omega1=q1 * 1000.0 / params.motor1_disp,
-        omega2=q2 * 1000.0 / params.motor2_disp,
-        q_pump=q_pump,
-        q1=q1,
-        q2=q2,
-        q_rv=q_rv,
+        *_steady(p.pump_disp, p.motor1_disp, p.motor2_disp, p.pcfv1_flow, p.pcfv2_flow, targets.pump_speed, policy)
     )
 
 
@@ -153,10 +162,8 @@ def circuit_objective(
     run on target, regardless of spill.
     """
     targets = targets or CircuitTargets()
-    state = simulate_steady(params, targets, policy)
-    e1 = state.omega1 - targets.omega1_target
-    e2 = state.omega2 - targets.omega2_target
-    return (e1 * e1 + e2 * e2) * (1.0 + state.q_rv / state.q_pump)
+    s = simulate_steady(params, targets, policy)
+    return _sizing_error(s.omega1, s.omega2, s.q_pump, s.q_rv, targets.omega1_target, targets.omega2_target)
 
 
 def make_circuit(
@@ -175,8 +182,13 @@ def make_circuit(
     starved_share = _STARVED_SHARE_ROWS[policy]
 
     def fn(raw: np.ndarray) -> tuple[float, bool]:
-        params = CircuitParams(*raw)
-        return circuit_objective(params, targets, policy), True
+        # circuit_objective(CircuitParams(*raw)) in plain floats, without
+        # building the params or the state.
+        values = raw.tolist()
+        pump_disp, motor1_disp, motor2_disp, d1, d2 = values
+        _check_bounds(values)
+        omega1, omega2, q_pump, _, _, q_rv = _steady(pump_disp, motor1_disp, motor2_disp, d1, d2, pump_speed, policy)
+        return _sizing_error(omega1, omega2, q_pump, q_rv, omega1_target, omega2_target), True
 
     def fn_batch(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # simulate_steady and circuit_objective over rows, in the same

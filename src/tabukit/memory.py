@@ -58,19 +58,22 @@ class TabuList:
             return np.zeros(len(X), dtype=bool)
         diff = X[:, np.newaxis, :] - self._ring[: self._size]
         np.abs(diff, out=diff)
-        return (diff.max(axis=2) <= self.match_tol).any(axis=1)
+        return np.logical_or.reduce(diff.max(axis=2) <= self.match_tol, axis=1)
 
-    def screen_axial(self, base: np.ndarray, axis: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    def screen_axial(self, base: np.ndarray, axis: np.ndarray, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``screen`` of the probes that copy ``base`` and set coordinate
         ``axis[r]`` to ``moved[r]``, without building them.
 
         A probe matches an entry when both lie within the tolerance in the
         moved coordinate and in every other one, which the probe shares
         with the base: the entry may lie farther than the tolerance from
-        the base in the moved coordinate only.
+        the base in the moved coordinate only. Returns the probes' mask
+        and ``rest_near``, the ``(len(self), N)`` mask of the entries that
+        lie within the tolerance of the base in every coordinate but the
+        column's, for ``axial_is_tabu``.
         """
         if self._size == 0:
-            return np.zeros(len(axis), dtype=bool)
+            return np.zeros(len(axis), dtype=bool), np.zeros((0, base.size), dtype=bool)
         entries = self._ring[: self._size]
         diff = base - entries
         far = np.abs(diff, out=diff) > self.match_tol
@@ -81,7 +84,21 @@ class TabuList:
         np.subtract(moved, own, out=own)
         hit = np.abs(own, out=own) <= self.match_tol
         hit &= rest_near.take(axis, axis=1)
-        return hit.any(axis=0)
+        return np.logical_or.reduce(hit, axis=0), rest_near
+
+    def axial_is_tabu(self, rest_near: np.ndarray, axis: int, value: float) -> bool:
+        """``is_tabu`` of the point that copies the base of ``rest_near``
+        (from ``screen_axial``, with no push since) and sets coordinate
+        ``axis`` to ``value``: only the entries near the base in every
+        other coordinate are tested, on that coordinate alone."""
+        if not len(rest_near):
+            return False
+        tol = self.match_tol
+        own = self._ring[: len(rest_near), axis].tolist()
+        for near, entry in zip(rest_near[:, axis].tolist(), own):
+            if near and abs(value - entry) <= tol:
+                return True
+        return False
 
     def is_tabu(self, x: np.ndarray) -> bool:
         """True when some entry matches ``x`` within the tolerance (max norm)."""
@@ -140,7 +157,7 @@ class IntermediateMemory:
             raise ValueError(f"archived vectors have shape {self._rows.shape[1:]}, got {x.shape}")
         if n >= self.capacity and p.value >= self._values[-1]:
             return False
-        if n and (np.abs(self._rows[:n] - x).max(axis=1) <= self.match_tol).any():
+        if n and np.count_nonzero(np.abs(self._rows[:n] - x).max(axis=1) <= self.match_tol):
             return False
         if self._rows is None:
             self._rows = np.empty((self.capacity, x.size))

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit.core import (
     Objective,
     ParameterSpace,
     SearchPoint,
     clamp,
     denormalize,
+    denormalize_coordinate,
     evaluate,
 )
 from tabukit.control import SearchConfig, fresh_state
+from tabukit.hydraulic import make_circuit
 from tabukit.hillclimb import (
     IMPROVED,
     NOT_IMPROVED,
@@ -224,6 +227,50 @@ class TestOneCoordinatePatternPoint:
         if point is not None:
             assert 0.0 <= point[1] <= 1.0
             assert point.tobytes() == pattern_move(base, move, k).tobytes()
+
+
+#: Spaces with a negative, a zero and mixed lower bounds, and one whose
+#: ``lower + 1.0 * span`` rounds past every upper bound.
+SPACES = {
+    "schwefel10": make_schwefel10().space,
+    "bump4": make_bump(4).space,
+    "circuit": make_circuit().space,
+    "rounding": ParameterSpace(np.array([-0.1, 0.3, -1.7]), np.array([0.2, 0.9, 0.9]), np.full(3, 1e-3)),
+}
+
+
+class TestPatternRawRow:
+    @given(
+        data=st.data(),
+        name=st.sampled_from(sorted(SPACES)),
+        k=st.floats(0.0, 4.0, exclude_min=True),
+    )
+    def test_matches_denormalize(self, data, name, k):
+        # The pattern point's raw row is the winner's raw row (a row of
+        # the denormalized block) with the one moved coordinate
+        # denormalized in Python floats: denormalize of the pattern point,
+        # byte for byte, at both bounds and from -0.0 coordinates.
+        space = SPACES[name]
+        n = space.dimension
+        base = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
+        axis = data.draw(st.integers(0, n - 1))
+        move = base.copy()
+        move[axis] = data.draw(UNIT)
+        point = _pattern_point(base, move, axis, k)
+        if point is None:
+            return
+        block = denormalize(space, np.stack([base, move]))
+        raw = block[1].copy()
+        raw[axis] = denormalize_coordinate(space, axis, point.item(axis))
+        assert raw.tobytes() == denormalize(space, point).tobytes()
+
+    @given(data=st.data(), name=st.sampled_from(sorted(SPACES)))
+    def test_coordinate_matches_denormalize(self, data, name):
+        space = SPACES[name]
+        x = np.array(data.draw(st.lists(UNIT, min_size=space.dimension, max_size=space.dimension)))
+        raw = denormalize(space, x)
+        for j in range(space.dimension):
+            assert np.float64(denormalize_coordinate(space, j, x.item(j))).tobytes() == raw[j : j + 1].tobytes()
 
 
 class TestUfuncClamps:

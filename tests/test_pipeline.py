@@ -32,7 +32,14 @@ from tabukit.core import (
     evaluate_block,
 )
 from tabukit.hillclimb import axial_moves, explore
-from tabukit.hydraulic import STARVATION_POLICIES, CircuitParams, CircuitTargets, make_circuit, simulate_steady
+from tabukit.hydraulic import (
+    STARVATION_POLICIES,
+    CircuitParams,
+    CircuitTargets,
+    circuit_objective,
+    make_circuit,
+    simulate_steady,
+)
 from tabukit.memory import IntermediateMemory, TabuList
 from tabukit.multithread import MultiConfig, run_multi
 
@@ -334,6 +341,49 @@ def test_circuit_fn_batch_rejects_out_of_bounds_row_like_fn(bad):
     assert "outside" in str(scalar.value)
     with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
         circuit.fn_batch(raw)
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_circuit_fn_matches_circuit_objective_bit_for_bit(name, data):
+    # fn computes circuit_objective(CircuitParams(*raw)) in plain floats,
+    # without building either object.
+    policy, pump_speed = CIRCUITS[name]
+    targets = CircuitTargets(pump_speed=pump_speed)
+    objective, blocks = block_case(name)
+    for row in data.draw(blocks):
+        value, ok = objective.fn(row)
+        assert ok
+        assert type(value) is float
+        assert value.hex() == float(circuit_objective(CircuitParams(*row), targets, policy)).hex(), row
+
+
+#: Circuit field values outside the bounds of some field, NaN among them.
+OUTSIDE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 0.5, 9.999999999999998, 100.5, 1e9])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), policy=st.sampled_from(STARVATION_POLICIES))
+def test_circuit_out_of_bounds_rows_raise_one_error(data, policy):
+    # fn, fn_batch and CircuitParams name the same first bad field of the
+    # first bad row, NaN included.
+    circuit = make_circuit(policy=policy)
+    lower, upper = circuit.space.lower, circuit.space.upper
+    rows = data.draw(st.integers(1, 4))
+    raw = np.array([[data.draw(coordinate(lo, hi)) for lo, hi in zip(lower, upper)] for _ in range(rows)])
+    for _ in range(data.draw(st.integers(1, 3))):
+        raw[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, 4))] = data.draw(OUTSIDE)
+    bad = (raw < lower) | (raw > upper) | np.isnan(raw)
+    assume(bad.any())
+    first = raw[int(np.argmax(bad.any(axis=1)))]
+    messages = set()
+    for call in (lambda: CircuitParams(*first), lambda: circuit.fn(first.copy()), lambda: circuit.fn_batch(raw)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        messages.add(str(raised.value))
+    assert len(messages) == 1, messages
+    assert "outside" in messages.pop()
 
 
 # --- TabuList.screen is is_tabu over a block --------------------------------

@@ -2,11 +2,14 @@
 
 The driver steps all live threads of a stage as one batched operation
 (``hj_stage``), and ``axial_moves`` screens its probes from the base and
-the moved coordinates alone. The constructions they replaced are kept
-here as references: every probe built as a full row with ``np.tile``,
-clamped and screened with ``TabuList.screen``; and the driver loop that
-stepped each live thread on its own, one ``hj_step`` after another. The
-new code must agree with them exactly.
+the moved coordinates alone. ``hj_stage`` screens each pattern point with
+the mask of its thread's axial screen and builds its raw row from the
+winner's. The constructions they replaced are kept here as references:
+every probe built as a full row with ``np.tile``, clamped and screened
+with ``TabuList.screen``; each pattern point screened with
+``TabuList.is_tabu`` and evaluated through ``evaluate``; and the driver
+loop that stepped each live thread on its own, one step after another.
+The new code must agree with them exactly.
 """
 import dataclasses
 
@@ -34,7 +37,16 @@ from tabukit.control import (
     start_point,
 )
 from tabukit.core import SearchPoint, clamp, denormalize, evaluate, evaluate_block
-from tabukit.hillclimb import IMPROVE_TOL, NOT_IMPROVED, STALLED, MoveSet, axial_moves, pattern_move
+from tabukit.hillclimb import (
+    IMPROVE_TOL,
+    NOT_IMPROVED,
+    STALLED,
+    MoveSet,
+    _probe_order,
+    axial_moves,
+    hj_stage,
+    pattern_move,
+)
 from tabukit.hydraulic import make_circuit
 from tabukit.memory import IntermediateMemory, TabuList
 from tabukit.multithread import thread_rngs
@@ -82,7 +94,8 @@ def counted(objective):
 
 def reference_hj_step(state, objective, shared, k_pattern):
     """One thread's step with the tile screen, its axial block and its
-    pattern point each evaluated on their own."""
+    pattern point each evaluated on their own, the pattern point screened
+    with ``is_tabu`` and evaluated through ``evaluate``."""
     best_before = state.best.value
     moves = tile_axial_moves(state.base.x, state.step, state.tabu)
     if len(moves.x) == 0:
@@ -313,6 +326,40 @@ def test_axial_screen_cases_at_the_tolerance():
     assert got.x.tobytes() == want.x.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.lists(st.one_of(GRID, st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=6).map(
+        np.array
+    ),
+    tol=st.sampled_from(TOLS),
+    capacity=st.integers(1, 4),
+    data=st.data(),
+)
+def test_pattern_screen_from_the_axial_mask_matches_is_tabu(base, tol, capacity, data):
+    # The pattern point copies the base but for one coordinate, like a
+    # probe; entries sit on it, a tolerance off it in its own coordinate
+    # or in others, or near the base and its probes.
+    n = base.size
+    a = data.draw(st.integers(0, n - 1))
+    p = data.draw(st.one_of(GRID, st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)))
+    point = base.copy()
+    point[a] = p
+    tabu = TabuList(capacity, tol)
+    # From an empty list up to three times the capacity, so the ring wraps.
+    for _ in range(data.draw(st.integers(0, 3 * capacity))):
+        if data.draw(st.booleans()):
+            entry = point.copy()
+            for _ in range(data.draw(st.integers(0, 2))):
+                j = data.draw(st.integers(0, n - 1))
+                entry[j] += data.draw(st.sampled_from([tol, -tol, 2 * tol, 1 / 32]))
+            tabu.push(clamp(entry))
+        else:
+            tabu.push(data.draw(tabu_entry(base, 1 / 16, tol)))
+    axis, sign = _probe_order(n)
+    _, rest_near = tabu.screen_axial(base, axis, clamp(base[axis] + sign / 16))
+    assert tabu.axial_is_tabu(rest_near, a, p) == tabu.is_tabu(point) == tabu.is_tabu(point + 0.0)
+
+
 # --- the stacked driver against the per-thread reference -----------------
 
 
@@ -391,3 +438,79 @@ def test_budget_edge_splits_a_stage(monkeypatch):
             assert result_key(got) == result_key(want)
             split += groups[-2:] == [(2, 1), (1, 1)]
     assert split
+
+
+def recorded(objective):
+    """The objective and a log of what reaches it: the bytes of each
+    ``fn`` input, and each ``fn_batch`` block's row count and bytes."""
+    log = {"fn": [], "fn_batch": [], "batch_bytes": []}
+
+    def fn(raw):
+        log["fn"].append(raw.tobytes())
+        return objective.fn(raw)
+
+    def fn_batch(raw):
+        log["fn_batch"].append(len(raw))
+        log["batch_bytes"].append(raw.tobytes())
+        return objective.fn_batch(raw)
+
+    batch = None if objective.fn_batch is None else fn_batch
+    return dataclasses.replace(objective, fn=fn, fn_batch=batch), log
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["fn_batch", "fn-only"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_stage_sends_the_reference_points_to_the_objective(problem, threads, batch):
+    # Seeded runs against the per-thread reference, which screens each
+    # pattern point with is_tabu and evaluates it through evaluate: the
+    # results agree bit for bit, fn receives the same points (pattern
+    # points, starts and relocations, plus the axial rows without
+    # fn_batch), and fn_batch the same rows, one block per stage. Without
+    # fn_batch two threads' axial rows come before their pattern points,
+    # so only there the order of the fn calls differs.
+    objective = PROBLEMS[problem]()
+    if not batch:
+        objective = dataclasses.replace(objective, fn_batch=None)
+    starts, seed_rngs = lockstep_setup(threads)
+    for seed in (0, 1):
+        config = SearchConfig(seed=seed, max_evals=3000, intensify_after=1, diversify_after=2, reduce_after=3)
+        got_objective, got = recorded(objective)
+        want_objective, want = recorded(objective)
+        result = run_lockstep(got_objective, config, starts, seed_rngs)
+        assert result_key(result) == result_key(reference_lockstep(want_objective, config, starts, seed_rngs))
+        if batch or threads == 1:
+            assert got["fn"] == want["fn"]
+        else:
+            assert sorted(got["fn"]) == sorted(want["fn"])
+        assert len(got["fn"]) == result.evals - sum(got["fn_batch"])
+        assert sum(got["fn_batch"]) == sum(want["fn_batch"])
+        assert b"".join(got["batch_bytes"]) == b"".join(want["batch_bytes"])
+        assert len(got["fn_batch"]) <= len(want["fn_batch"])
+        assert (len(got["fn_batch"]) > 0) == batch
+
+
+def test_stage_of_no_states_steps_none():
+    objective = make_schwefel10()
+    assert hj_stage([], objective, IntermediateMemory()) == []
+    assert hj_stage([], objective, IntermediateMemory(), budget=0) == []
+
+
+@pytest.mark.parametrize("budget", [0, -5, 0.0, 1])
+def test_first_state_steps_whatever_the_budget(budget):
+    # A budget at or below zero still steps the first thread, as the
+    # driver's serial rule does: a thread steps while the total spent
+    # before it is below the budget.
+    objective = make_schwefel10()
+    memory = IntermediateMemory()
+    config = SearchConfig()
+    states = []
+    for i, x in enumerate((np.full(10, 0.25), np.full(10, 0.75))):
+        point = evaluate(objective, x)
+        state = fresh_state(point, config, thread_id=i)
+        state.adopt(point, memory)
+        states.append(state)
+    steps = hj_stage(states, objective, memory, budget=budget)
+    assert len(steps) == 1
+    assert steps[0][1] == states[0].evals - 1 > 0
+    assert states[1].evals == 1
