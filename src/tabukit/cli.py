@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"--set expects KEY=VALUE, got {assignment!r}")
             key, value = assignment.split("=", 1)
             settings[key.strip()] = value.strip()
-        for flag in ("problem", "method", "runs", "seed", "start", "out"):
+        for flag in EXPERIMENT_FIELDS:
             value = getattr(args, flag)
             if value is not None:
                 settings[flag] = str(value)

@@ -71,7 +71,7 @@ class CircuitState:
     q_rv: float
 
 
-def _split_supply(supply: float, first_share: float, second_demand: float):
+def _split_supply(supply, first_share, second_demand, minimum):
     """Split ``supply`` into three parts that sum back exactly.
 
     Returns (q1, q2, q_rv) with q1 + q2 + q_rv == supply as an exact
@@ -79,33 +79,14 @@ def _split_supply(supply: float, first_share: float, second_demand: float):
     re-deriving the counterpart from the rounded result (the difference
     of a float and a nearby rounded difference is itself exact), so the
     rounding error lands inside the parts instead of breaking the sum.
+    ``minimum`` is ``min`` on plain numbers and ``np.minimum`` on
+    columns, so one statement serves ``fn`` and ``fn_batch``.
     """
-    rest = supply - min(first_share, supply)
+    rest = supply - minimum(first_share, supply)
     q1 = supply - rest
-    q_rv = rest - min(second_demand, rest)
+    q_rv = rest - minimum(second_demand, rest)
     q2 = rest - q_rv
     return q1, q2, q_rv
-
-
-def _split_supply_rows(supply: np.ndarray, first_share: np.ndarray, second_demand: np.ndarray):
-    """``_split_supply`` over arrays, operation by operation."""
-    rest = supply - np.minimum(first_share, supply)
-    q1 = supply - rest
-    q_rv = rest - np.minimum(second_demand, rest)
-    q2 = rest - q_rv
-    return q1, q2, q_rv
-
-
-def _proportional_share_rows(d1, total, q_pump):
-    return d1 * q_pump / total
-
-
-def _priority_share_rows(d1, total, q_pump):
-    return np.minimum(d1, q_pump)
-
-
-#: Branch 1's share of a starved pump, per policy, over arrays.
-_STARVED_SHARE_ROWS = {PROPORTIONAL: _proportional_share_rows, PRIORITY: _priority_share_rows}
 
 
 def _steady(pump_disp, motor1_disp, motor2_disp, d1, d2, pump_speed, policy):
@@ -117,7 +98,7 @@ def _steady(pump_disp, motor1_disp, motor2_disp, d1, d2, pump_speed, policy):
         share1 = min(d1, q_pump)
     else:
         share1 = d1 * q_pump / (d1 + d2)
-    q1, q2, q_rv = _split_supply(q_pump, share1, d2)
+    q1, q2, q_rv = _split_supply(q_pump, share1, d2, min)
     return q1 * 1000.0 / motor1_disp, q2 * 1000.0 / motor2_disp, q_pump, q1, q2, q_rv
 
 
@@ -179,7 +160,6 @@ def make_circuit(
     space = ParameterSpace(lower=lower, upper=upper, min_step=np.full(5, 1e-4))
     pump_speed = targets.pump_speed
     omega1_target, omega2_target = targets.omega1_target, targets.omega2_target
-    starved_share = _STARVED_SHARE_ROWS[policy]
 
     def fn(raw: np.ndarray) -> tuple[float, bool]:
         # circuit_objective(CircuitParams(*raw)) in plain floats, without
@@ -191,18 +171,20 @@ def make_circuit(
         return _sizing_error(omega1, omega2, q_pump, q_rv, omega1_target, omega2_target), True
 
     def fn_batch(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # simulate_steady and circuit_objective over rows, in the same
-        # float operations and order, so every row matches fn bit for bit.
+        # _steady's share rule, _split_supply and _sizing_error applied to
+        # columns, so every row matches fn bit for bit.
         in_bounds = (lower <= raw) & (raw <= upper)
         if np.count_nonzero(in_bounds) != in_bounds.size:
             CircuitParams(*raw[np.argmin(in_bounds.all(axis=1))])  # raises fn's error for that row
         pump_disp, motor1_disp, motor2_disp, d1, d2 = raw.T
         q_pump = pump_disp * pump_speed / 1000.0
         total = d1 + d2
-        share1 = np.where(total <= q_pump, d1, starved_share(d1, total, q_pump))
-        q1, q2, q_rv = _split_supply_rows(q_pump, share1, d2)
-        e1 = q1 * 1000.0 / motor1_disp - omega1_target
-        e2 = q2 * 1000.0 / motor2_disp - omega2_target
-        return (e1 * e1 + e2 * e2) * (1.0 + q_rv / q_pump), np.ones(len(raw), dtype=bool)
+        starved = np.minimum(d1, q_pump) if policy == PRIORITY else d1 * q_pump / total
+        share1 = np.where(total <= q_pump, d1, starved)
+        q1, q2, q_rv = _split_supply(q_pump, share1, d2, np.minimum)
+        error = _sizing_error(
+            q1 * 1000.0 / motor1_disp, q2 * 1000.0 / motor2_disp, q_pump, q_rv, omega1_target, omega2_target
+        )
+        return error, np.ones(len(raw), dtype=bool)
 
     return Objective(space=space, fn=fn, sense=MINIMIZE, name="circuit", fn_batch=fn_batch)

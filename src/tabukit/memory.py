@@ -120,10 +120,11 @@ class TabuList:
 class IntermediateMemory:
     """Capacity-bounded elite archive ordered best (lowest value) first.
 
-    The archived vectors are also held as the rows of a best-first
-    ``(capacity, N)`` array, allocated at the first insert once N is
-    known, so an offer screens against every entry in one broadcast and
-    the restart generators read the same rows.
+    An entry is a value and a vector, kept in step best first: the values
+    in a list and the vectors as the rows of a ``(capacity, N)`` array,
+    allocated at the first insert once N is known, so an offer screens
+    against every entry in one broadcast and the restart generators read
+    the same rows. The offered ``SearchPoint`` itself is not kept.
 
     Shared by the search threads of a run, which the lockstep driver
     steps in one OS thread; it is not safe to share across OS threads.
@@ -136,9 +137,8 @@ class IntermediateMemory:
             raise ValueError(f"match tolerance must be non-negative, got {match_tol!r}")
         self.capacity = capacity
         self.match_tol = match_tol
-        self._entries: list[SearchPoint] = []
-        self._values: list[float] = []  # parallel list, keeps bisect cheap
-        self._rows: np.ndarray | None = None  # entries' vectors, best first
+        self._values: list[float] = []  # best first, keeps bisect cheap
+        self._rows: np.ndarray | None = None  # the vectors, in the same order
 
     def offer(self, p: SearchPoint) -> bool:
         """Insert a feasible point if it qualifies; returns True when inserted.
@@ -162,19 +162,17 @@ class IntermediateMemory:
         if self._rows is None:
             self._rows = np.empty((self.capacity, x.size))
         idx = bisect.bisect_right(self._values, p.value)
-        self._entries.insert(idx, p)
         self._values.insert(idx, p.value)
         if n == self.capacity:  # the worst entry drops out
-            self._entries.pop()
             self._values.pop()
             n -= 1
         self._rows[idx + 1 : n + 1] = self._rows[idx:n]
         self._rows[idx] = x
         return True
 
-    def snapshot(self) -> list[SearchPoint]:
-        """Copy of the entries, best first."""
-        return list(self._entries)
+    def values(self) -> list[float]:
+        """Copy of the archived values, best first."""
+        return list(self._values)
 
     def rows(self) -> np.ndarray:
         """Copy of the archived vectors as rows, best first."""
@@ -182,11 +180,8 @@ class IntermediateMemory:
             return np.empty((0, 0))
         return self._rows[: len(self._values)].copy()
 
-    def best(self) -> SearchPoint | None:
-        return self._entries[0] if self._entries else None
-
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._values)
 
     def diversify(self, rng: np.random.Generator) -> np.ndarray:
         """Build a point by sampling every coordinate independently.

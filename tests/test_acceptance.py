@@ -197,8 +197,8 @@ def test_criterion_6():
         p = SearchPoint(x=rng.random(4), value=float(rng.random()), feasible=True)
         memory.offer(p)
         offered.append(p.value)
-    snap = [e.value for e in memory.snapshot()]
-    duplicate = SearchPoint(x=memory.snapshot()[0].x.copy(), value=-1.0, feasible=True)
+    snap = memory.values()
+    duplicate = SearchPoint(x=memory.rows()[0], value=-1.0, feasible=True)
     checks["elite"] = (
         snap == sorted(offered)[:10] and not memory.offer(duplicate)
     )

@@ -241,7 +241,7 @@ class TestApplyAction:
         mem.offer(evaluate(obj, np.array([0.3])))
         apply_action(state, INTENSIFY, mem, obj, np.random.default_rng(0), cfg)
         assert len(mem) == 3
-        assert any(e.x[0] == pytest.approx(0.25) for e in mem.snapshot())
+        assert any(x[0] == pytest.approx(0.25) for x in mem.rows())
 
     def test_unknown_action_rejected(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)

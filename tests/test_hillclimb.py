@@ -394,7 +394,7 @@ class TestHjStep:
         shared = IntermediateMemory()
         hj_step(state, obj, shared)
         assert state.tabu.is_tabu(state.base.x)
-        assert shared.best().value == state.base.value
+        assert shared.values()[0] == state.base.value
 
     def test_improvement_tracks_thread_best(self):
         obj, state = quadratic_setup([0.5])

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tabukit.control import SearchConfig
 from tabukit.core import MINIMIZE, evaluate, normalize
 from tabukit.hydraulic import (
     PRIORITY,
@@ -14,6 +16,7 @@ from tabukit.hydraulic import (
     make_circuit,
     simulate_steady,
 )
+from tabukit.multithread import MultiConfig, run_multi
 
 params_strategy = st.builds(
     CircuitParams,
@@ -192,3 +195,42 @@ class TestCircuitFactory:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             make_circuit(policy="roundrobin")
+
+
+#: (policy, pump_speed, seed) -> (evals, best value as float.hex, best_raw bytes as hex)
+#: of a default-config ``run_multi`` on ``make_circuit``. At 1500 rev/min about
+#: a third of the priority runs' block rows starve the pump; at 100 nearly all.
+SEEDED_RUNS = {
+    ("proportional", 1500.0, 0): (6447, "0x1.d868f6a32cdaap-33", "78e1b757e21b51406a61fc160aa577405319a1ee18d28d4054bcfb40f55f4b401c3ef6cd38435140"),
+    ("proportional", 1500.0, 1): (7895, "0x1.db2ccc5ae0d35p-30", "b1a74d90c1764a40a09c7693088377406acd82d386d68140a2306780549246403eeb864ce81f4140"),
+    ("proportional", 1500.0, 2): (7542, "0x1.c5d876434d6fcp-30", "b56cd605e9385540aea514b6f3f48240b02870cac5678c40b3e5c5d2d5325240ab3a4330e6444b40"),
+    ("proportional", 100.0, 0): (5924, "0x1.3c25b3b22e868p-31", "7ce59df41e388640fc4de3948f5f6d404d9ffa406c5886407859f12cd05e4e40b48d2b679a1a5740"),
+    ("proportional", 100.0, 1): (6436, "0x1.9c7cf810f08b6p-34", "a1579e9b88f18540d5930afca7267740302c8d5cccd77a40a8df9c0eac965340ae4cc5bf60b64640"),
+    ("proportional", 100.0, 2): (6421, "0x1.6720b0b6fa303p-32", "a840662bd6158840a2cb0d9c8b4b76401a0b6bc0d9d88140f8b45795eab75440bced4e6ebf955040"),
+    ("priority", 1500.0, 0): (6638, "0x1.ddea3b4b662b0p-29", "15a750a403695640616824c551ec8840231211f4852f84404e6c2ca61bed5740d0cd08db34ee4b40"),
+    ("priority", 1500.0, 1): (6424, "0x1.1a7916d69ce4ep-30", "51094518c47e4a4022b7c53cd487774001c7846b3dde81408f9ecf64e09646409694343c79044340"),
+    ("priority", 1500.0, 2): (8000, "0x1.3410c1891d0a7p-38", "3076442f603755407c72e182d4f18240844dc9fccb688c40b7e75d45d62f5240a8ad2490e2454b40"),
+    ("priority", 100.0, 0): (5956, "0x1.9d7a88cefb708p-34", "016faba1b6e88e40a63e6f62c7e081402d3114a498847f402be58519b5295140be983c905be65840"),
+    ("priority", 100.0, 1): (6087, "0x1.9c15936580f91p-27", "eea65c55e99d8a4053d223352a768040f5078e6960e07640fb245690339b4f40d3f20784c1fa5540"),
+    ("priority", 100.0, 2): (5791, "0x1.0cc4c88bd028cp-26", "03c9e93896c98d40498a269115db804015e9c5dd4dde7f401425d9ff792e50405c3b09a168f45740"),
+}
+
+
+@pytest.mark.parametrize("policy", [PROPORTIONAL, PRIORITY])
+@pytest.mark.parametrize("pump_speed", [1500.0, 100.0])
+def test_seeded_runs_pinned_per_policy_and_pump_speed(policy, pump_speed):
+    objective = make_circuit(CircuitTargets(pump_speed=pump_speed), policy)
+    rows = [0, 0]  # starved, all: block rows whose valve demand exceeds the pump
+
+    def counting_batch(raw, fn_batch=objective.fn_batch):
+        rows[0] += int(np.count_nonzero(raw[:, 3] + raw[:, 4] > raw[:, 0] * pump_speed / 1000.0))
+        rows[1] += len(raw)
+        return fn_batch(raw)
+
+    counted = dataclasses.replace(objective, fn_batch=counting_batch)
+    for seed in range(3):
+        result = run_multi(counted, MultiConfig(base=SearchConfig(seed=seed)))
+        got = (result.evals, result.best.value.hex(), result.best_raw.tobytes().hex())
+        assert got == SEEDED_RUNS[policy, pump_speed, seed]
+    # The starved branch is exercised, not just the surplus one.
+    assert rows[0] > (0.2 if pump_speed == 1500.0 else 0.9) * rows[1]

@@ -91,17 +91,15 @@ class TestIntermediateMemory:
         mem = IntermediateMemory(capacity=3)
         for v in (2.0, 1.0, 3.0):
             assert mem.offer(point([v / 10, 0.0], v))
-        values = [e.value for e in mem.snapshot()]
-        assert values == [1.0, 2.0, 3.0]
-        assert mem.best().value == 1.0
+        assert mem.values() == [1.0, 2.0, 3.0]
+        assert mem.rows().tolist() == [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]
 
     def test_full_memory_displaces_worst(self):
         mem = IntermediateMemory(capacity=3)
         for v in (1.0, 2.0, 3.0):
             mem.offer(point([v / 10, 0.0], v))
         assert mem.offer(point([0.25, 0.0], 2.5))
-        values = [e.value for e in mem.snapshot()]
-        assert values == [1.0, 2.0, 2.5]
+        assert mem.values() == [1.0, 2.0, 2.5]
 
     def test_full_memory_rejects_worse(self):
         mem = IntermediateMemory(capacity=3)
@@ -128,13 +126,30 @@ class TestIntermediateMemory:
         assert not mem.offer(bad)
         assert len(mem) == 0
 
+    def test_values_is_a_copy_in_step_with_rows(self):
+        mem = IntermediateMemory(capacity=3)
+        assert mem.values() == [] and len(mem) == 0
+        for v in (3.0, 1.0, 2.0, 0.5, 2.5):  # the last two each displace the worst entry
+            mem.offer(point([v / 10, v / 10], v))
+            values = mem.values()
+            assert values == sorted(values)
+            assert len(values) == len(mem) == len(mem.rows())
+            assert mem.rows()[:, 0].tolist() == [value / 10 for value in values]
+        assert values == [0.5, 1.0, 2.0]
+        values.append(-1.0)
+        values[0] = 9.0
+        assert mem.values() == [0.5, 1.0, 2.0]
+        assert len(mem) == 3
+        assert mem.offer(point([0.15, 0.15], 1.5))  # still judged against the archived 2.0
+        assert mem.values() == [0.5, 1.0, 1.5]
+
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40))
     def test_ordering_invariant(self, values):
         mem = IntermediateMemory(capacity=10)
         for i, v in enumerate(values):
             # Distinct vectors so the duplicate rule stays out of the way.
             mem.offer(point([i / 100.0, 0.0], float(v)))
-        snap = [e.value for e in mem.snapshot()]
+        snap = mem.values()
         assert len(snap) <= 10
         assert snap == sorted(snap)
         # Best offered value is never evicted.

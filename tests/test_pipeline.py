@@ -455,8 +455,7 @@ def test_offer_matches_per_entry_reference(dim, capacity, tol, seed, data):
             x = data.draw(vec)
         p = SearchPoint(x=x, value=data.draw(value), feasible=data.draw(st.sampled_from([True, True, True, False])))
         assert memory.offer(p) == reference.offer(p)
-        assert [e is q for e, q in zip(memory.snapshot(), reference.entries)] == [True] * len(reference.entries)
-        assert memory._values == reference.values
+        assert memory.values() == reference.values
         if reference.entries:
             assert memory.rows().tobytes() == np.array([e.x for e in reference.entries]).tobytes()
             assert memory.intensify().tobytes() == reference.intensify().tobytes()
