@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .benchmarks import make_bump, make_schwefel10
-from .control import RunResult, SearchConfig, run_single
+from .control import RunResult, SearchConfig, check_integer_fields, run_single
 from .core import Objective, normalize
 from .hydraulic import CircuitTargets, make_circuit
 from .multithread import MultiConfig, run_multi
@@ -43,6 +43,14 @@ OPTION_FIELDS: dict[str, Callable[[str], object]] = {
     "starvation": str,
 }
 
+#: The options each problem's builder reads; any other option is an error.
+PROBLEM_OPTIONS: dict[str, tuple[str, ...]] = {
+    "schwefel10": (),
+    "bump20": ("bump_variant",),
+    "bump50": ("bump_variant",),
+    "circuit": ("pump_speed", "starvation"),
+}
+
 
 @dataclass
 class ExperimentSpec:
@@ -63,14 +71,15 @@ class ExperimentSpec:
             raise ValueError(f"method must be {SINGLE!r} or {MULTI!r}")
         if self.start not in (START_FIXED, START_RANDOM):
             raise ValueError(f"start must be {START_FIXED!r} or {START_RANDOM!r}")
+        check_integer_fields(self)
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         for key in self.overrides:
             if key not in SEARCH_FIELDS:
                 raise ValueError(f"unknown search setting: {key!r}")
         for key in self.options:
-            if key not in OPTION_FIELDS:
-                raise ValueError(f"unknown option: {key!r}")
+            if key not in PROBLEM_OPTIONS[self.problem]:
+                raise ValueError(f"option {key!r} does not apply to problem {self.problem!r}")
 
 
 @dataclass
@@ -113,7 +122,7 @@ def _schwefel_problem(options: dict) -> tuple[Objective, np.ndarray | None]:
 
 
 def _circuit_problem(options: dict) -> tuple[Objective, np.ndarray | None]:
-    targets = CircuitTargets(pump_speed=float(options.get("pump_speed", 1500.0)))
+    targets = CircuitTargets(pump_speed=float(options.get("pump_speed", CircuitTargets.pump_speed)))
     return make_circuit(targets, str(options.get("starvation", "proportional"))), None
 
 
@@ -262,19 +271,13 @@ def build_spec(settings: dict[str, str]) -> tuple[ExperimentSpec, str | None]:
             raise ValueError(f"unknown setting: {key!r}")
     if "problem" not in known:
         raise ValueError("no problem selected (use --problem or a config file)")
-    spec = ExperimentSpec(
-        problem=str(known["problem"]),
-        method=str(known.get("method", SINGLE)),
-        start=str(known.get("start", START_FIXED)),
-        runs=int(known.get("runs", 5)),
-        base_seed=int(known.get("seed", 0)),
-        overrides=overrides,
-        options=options,
-    )
+    out = known.pop("out", None)
+    if "seed" in known:
+        known["base_seed"] = known.pop("seed")
+    spec = ExperimentSpec(**known, overrides=overrides, options=options)
     spec.validate()
     SearchConfig(**spec.overrides).validate()
-    out = known.get("out")
-    return spec, None if out is None else str(out)
+    return spec, out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -314,18 +317,13 @@ def main(argv: list[str] | None = None) -> int:
                 settings[flag] = str(value)
         spec, out_path = build_spec(settings)
         rows, summary = run_experiment(spec)
+        print(emit_table(rows, summary))
+        if out_path:
+            emit_csv(rows, summary, out_path)
+            print(f"wrote {out_path}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    print(emit_table(rows, summary))
-    if out_path:
-        try:
-            emit_csv(rows, summary, out_path)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {out_path}")
     return 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,9 +42,14 @@ STEP_FLOOR = "step_floor"
 EVAL_BUDGET = "eval_budget"
 
 
-#: SearchConfig fields that count things: capacities, failure thresholds,
-#: the evaluation budget and the seed.
-_INTEGER_FIELDS = ("n_tabu", "m_elite", "intensify_after", "diversify_after", "reduce_after", "max_evals", "seed")
+def check_integer_fields(settings) -> None:
+    """Raise ValueError naming the first int-default field of ``settings`` holding a non-integer."""
+    for f in fields(settings):
+        if type(f.default) is int:
+            try:
+                operator.index(getattr(settings, f.name))
+            except TypeError:
+                raise ValueError(f"{f.name} must be an integer, got {getattr(settings, f.name)!r}") from None
 
 
 @dataclass
@@ -65,11 +70,7 @@ class SearchConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in _INTEGER_FIELDS:
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        check_integer_fields(self)
         if not (0 < self.intensify_after < self.diversify_after < self.reduce_after):
             raise ValueError("thresholds must satisfy 0 < intensify < diversify < reduce")
         if not (0.0 < self.step_reduce_factor < 1.0):
@@ -332,12 +333,12 @@ def run_lockstep(
     # Plain loops below: at K = 1 this is the whole per-step overhead
     # of run_single.
     k = len(states)
+    # Each thread's restructure request, None while it continues.
     pending: list[str | None] = [None] * k
     stages: list[tuple[str, ...]] = []
     collisions = CollisionLog()
     terminated_by = EVAL_BUDGET
     while total < config.max_evals:
-        desired = [CONTINUE] * k
         # Every thread above the floor steps while the budget lasts. One
         # hj_stage call steps as many of them as the budget surely
         # admits; a thread it leaves waits for the actual total.
@@ -364,7 +365,8 @@ def run_lockstep(
                 if state.best.value < best.value:
                     best = state.best
                     history.append((total, best.value))
-                desired[i] = pending[i] or control_decision(state.fail_count, config)
+                request = pending[i] or control_decision(state.fail_count, config)
+                pending[i] = None if request == CONTINUE else request
             stepping = stepping[len(steps) :]
         if total >= config.max_evals:
             break
@@ -372,14 +374,12 @@ def run_lockstep(
         # Restructure token: among the threads that ask, the one with the
         # worst best goes (max keeps the lowest index on ties) and the
         # others keep their request pending.
-        asking = [i for i in range(k) if desired[i] != CONTINUE]
+        asking = [i for i in range(k) if pending[i] is not None]
         actions = [CONTINUE] * k
         if asking:
-            for i in asking:
-                pending[i] = desired[i]
             performer = max(asking, key=lambda i: states[i].best.value)
             state = states[performer]
-            action = actions[performer] = desired[performer]
+            action = actions[performer] = pending[performer]
             pending[performer] = None
             before = state.evals
             apply_action(state, action, memory, objective, rngs[performer], config)

@@ -9,7 +9,8 @@ flow wasted over the relief valve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class CircuitParams:
     pcfv2_flow: float
 
     def __post_init__(self) -> None:
-        _check_bounds((self.pump_disp, self.motor1_disp, self.motor2_disp, self.pcfv1_flow, self.pcfv2_flow))
+        _check_bounds(astuple(self))
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,13 @@ class CircuitTargets:
     omega2_target: float = 60.0
     # Standard 50 Hz industrial drive speed; the model treats it as constant.
     pump_speed: float = 1500.0
+
+    def __post_init__(self) -> None:
+        for name in ("omega1_target", "omega2_target"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not 0.0 < self.pump_speed < math.inf:
+            raise ValueError(f"pump_speed must be positive and finite, got {self.pump_speed!r}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,7 @@ def _split_supply(supply, first_share, second_demand, minimum):
     of a float and a nearby rounded difference is itself exact), so the
     rounding error lands inside the parts instead of breaking the sum.
     ``minimum`` is ``min`` on plain numbers and ``np.minimum`` on
-    columns, so one statement serves ``fn`` and ``fn_batch``.
+    columns, as ``_steady`` passes it.
     """
     rest = supply - minimum(first_share, supply)
     q1 = supply - rest
@@ -89,16 +97,24 @@ def _split_supply(supply, first_share, second_demand, minimum):
     return q1, q2, q_rv
 
 
-def _steady(pump_disp, motor1_disp, motor2_disp, d1, d2, pump_speed, policy):
-    """``simulate_steady`` on plain numbers: (omega1, omega2, q_pump, q1, q2, q_rv)."""
+def _pick(condition, if_true, if_false):
+    """``np.where`` on plain numbers."""
+    return if_true if condition else if_false
+
+
+def _steady(pump_disp, motor1_disp, motor2_disp, d1, d2, pump_speed, policy, minimum, where):
+    """(omega1, omega2, q_pump, q1, q2, q_rv) for valve settings ``d1``, ``d2``.
+
+    ``fn`` and ``simulate_steady`` pass ``min`` and ``_pick`` on plain
+    numbers, ``fn_batch`` ``np.minimum`` and ``np.where`` on columns, so
+    all three agree bit for bit. The starved share is always computed;
+    the valve bounds keep ``d1 + d2 >= 20``, so it never divides by zero.
+    """
     q_pump = pump_disp * pump_speed / 1000.0
-    if d1 + d2 <= q_pump:
-        share1 = d1
-    elif policy == PRIORITY:
-        share1 = min(d1, q_pump)
-    else:
-        share1 = d1 * q_pump / (d1 + d2)
-    q1, q2, q_rv = _split_supply(q_pump, share1, d2, min)
+    total = d1 + d2
+    starved = minimum(d1, q_pump) if policy == PRIORITY else d1 * q_pump / total
+    share1 = where(total <= q_pump, d1, starved)
+    q1, q2, q_rv = _split_supply(q_pump, share1, d2, minimum)
     return q1 * 1000.0 / motor1_disp, q2 * 1000.0 / motor2_disp, q_pump, q1, q2, q_rv
 
 
@@ -126,10 +142,7 @@ def simulate_steady(
     targets = targets or CircuitTargets()
     if policy not in STARVATION_POLICIES:
         raise ValueError(f"unknown starvation policy: {policy!r}")
-    p = params
-    return CircuitState(
-        *_steady(p.pump_disp, p.motor1_disp, p.motor2_disp, p.pcfv1_flow, p.pcfv2_flow, targets.pump_speed, policy)
-    )
+    return CircuitState(*_steady(*astuple(params), targets.pump_speed, policy, min, _pick))
 
 
 def circuit_objective(
@@ -158,33 +171,21 @@ def make_circuit(
     lower = np.array([lo for lo, _ in _FIELD_BOUNDS])
     upper = np.array([hi for _, hi in _FIELD_BOUNDS])
     space = ParameterSpace(lower=lower, upper=upper, min_step=np.full(5, 1e-4))
-    pump_speed = targets.pump_speed
-    omega1_target, omega2_target = targets.omega1_target, targets.omega2_target
+    omega1_target, omega2_target, pump_speed = astuple(targets)
 
     def fn(raw: np.ndarray) -> tuple[float, bool]:
         # circuit_objective(CircuitParams(*raw)) in plain floats, without
         # building the params or the state.
         values = raw.tolist()
-        pump_disp, motor1_disp, motor2_disp, d1, d2 = values
         _check_bounds(values)
-        omega1, omega2, q_pump, _, _, q_rv = _steady(pump_disp, motor1_disp, motor2_disp, d1, d2, pump_speed, policy)
+        omega1, omega2, q_pump, _, _, q_rv = _steady(*values, pump_speed, policy, min, _pick)
         return _sizing_error(omega1, omega2, q_pump, q_rv, omega1_target, omega2_target), True
 
     def fn_batch(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # _steady's share rule, _split_supply and _sizing_error applied to
-        # columns, so every row matches fn bit for bit.
         in_bounds = (lower <= raw) & (raw <= upper)
         if np.count_nonzero(in_bounds) != in_bounds.size:
-            CircuitParams(*raw[np.argmin(in_bounds.all(axis=1))])  # raises fn's error for that row
-        pump_disp, motor1_disp, motor2_disp, d1, d2 = raw.T
-        q_pump = pump_disp * pump_speed / 1000.0
-        total = d1 + d2
-        starved = np.minimum(d1, q_pump) if policy == PRIORITY else d1 * q_pump / total
-        share1 = np.where(total <= q_pump, d1, starved)
-        q1, q2, q_rv = _split_supply(q_pump, share1, d2, np.minimum)
-        error = _sizing_error(
-            q1 * 1000.0 / motor1_disp, q2 * 1000.0 / motor2_disp, q_pump, q_rv, omega1_target, omega2_target
-        )
-        return error, np.ones(len(raw), dtype=bool)
+            _check_bounds(raw[np.argmin(in_bounds.all(axis=1))].tolist())  # raises fn's error for that row
+        omega1, omega2, q_pump, _, _, q_rv = _steady(*raw.T, pump_speed, policy, np.minimum, np.where)
+        return _sizing_error(omega1, omega2, q_pump, q_rv, omega1_target, omega2_target), np.ones(len(raw), dtype=bool)
 
     return Objective(space=space, fn=fn, sense=MINIMIZE, name="circuit", fn_batch=fn_batch)

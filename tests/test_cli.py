@@ -3,6 +3,8 @@ import pytest
 
 from tabukit.cli import (
     MULTI,
+    OPTION_FIELDS,
+    PROBLEM_OPTIONS,
     PROBLEMS,
     SINGLE,
     ExperimentSpec,
@@ -48,6 +50,31 @@ class TestSpecValidation:
             ExperimentSpec(problem="schwefel10", overrides={"stepsize": 0.1}).validate()
         with pytest.raises(ValueError):
             ExperimentSpec(problem="schwefel10", options={"verbose": True}).validate()
+
+    @pytest.mark.parametrize(
+        "problem, key, value",
+        [
+            ("schwefel10", "pump_speed", 100.0),
+            ("bump20", "starvation", "priority"),
+            ("bump50", "pump_speed", 100.0),
+            ("circuit", "bump_variant", "signed"),
+        ],
+    )
+    def test_option_of_another_problem_rejected(self, problem, key, value):
+        with pytest.raises(ValueError, match=f"option '{key}' does not apply to problem '{problem}'"):
+            ExperimentSpec(problem=problem, options={key: value}).validate()
+
+    @pytest.mark.parametrize(
+        "problem, options",
+        [("bump20", {"bump_variant": "signed"}), ("circuit", {"pump_speed": 100.0, "starvation": "priority"})],
+    )
+    def test_options_of_the_problem_accepted(self, problem, options):
+        ExperimentSpec(problem=problem, options=options).validate()
+
+    @pytest.mark.parametrize("name, value", [("runs", 2.5), ("runs", "3"), ("base_seed", 1.5), ("base_seed", None)])
+    def test_non_integer_runs_or_seed_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            ExperimentSpec(problem="schwefel10", **{name: value}).validate()
 
 
 class TestBuildSpec:
@@ -151,6 +178,10 @@ class TestProblemRegistry:
     def test_bad_bump_variant(self):
         with pytest.raises(ValueError, match="unknown bump variant: 'cubed'"):
             PROBLEMS["bump20"]({"bump_variant": "cubed"})
+
+    def test_every_problem_lists_the_options_it_reads(self):
+        assert PROBLEM_OPTIONS.keys() == PROBLEMS.keys()
+        assert {key for keys in PROBLEM_OPTIONS.values() for key in keys} == OPTION_FIELDS.keys()
 
     def test_bad_starvation_policy(self):
         with pytest.raises(ValueError, match="unknown starvation policy: 'lifo'"):
@@ -323,6 +354,17 @@ class TestMain:
         code = main(["--problem", "schwefel10", "--method", "multi", "--set", "lockstep=false"])
         assert code == 2
         assert "unknown setting: 'lockstep'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("speed", ["0", "-5", "nan", "inf"])
+    def test_bad_pump_speed_exits_two_naming_the_field(self, capsys, speed):
+        code = main(["--problem", "circuit", "--runs", "1", "--set", "max_evals=50", "--set", f"pump_speed={speed}"])
+        assert code == 2
+        assert "error: pump_speed must be positive and finite" in capsys.readouterr().err
+
+    def test_option_of_another_problem_exits_two(self, capsys):
+        code = main(["--problem", "schwefel10", "--set", "pump_speed=100"])
+        assert code == 2
+        assert "error: option 'pump_speed' does not apply to problem 'schwefel10'" in capsys.readouterr().err
 
     def test_unparsable_set_value_exits_two_naming_the_key(self, capsys):
         code = main(["--problem", "schwefel10", "--set", "max_evals=1e5"])

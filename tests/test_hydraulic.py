@@ -44,6 +44,23 @@ class TestCircuitParams:
         assert p.pump_disp == 60.0
 
 
+class TestCircuitTargets:
+    @pytest.mark.parametrize("speed", [0.0, -5.0, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_pump_speed(self, speed):
+        with pytest.raises(ValueError, match="^pump_speed must be positive and finite"):
+            CircuitTargets(pump_speed=speed)
+
+    @pytest.mark.parametrize("name", ["omega1_target", "omega2_target"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_speed_target(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            CircuitTargets(**{name: value})
+
+    def test_accepts_small_positive_pump_speed_and_zero_targets(self):
+        targets = CircuitTargets(omega1_target=0.0, omega2_target=0.0, pump_speed=1e-3)
+        assert targets.pump_speed == 1e-3
+
+
 class TestSimulateSteady:
     def test_surplus_hand_oracle(self):
         # Pump 60 cc/rev at 1500 rev/min delivers 90 L/min; valves pass
