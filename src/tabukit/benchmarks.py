@@ -148,7 +148,7 @@ def make_bump(n: int, variant: str = "keane") -> Objective:
         raise ValueError("bump needs at least 2 dimensions")
     try:
         ratio = BUMP_VARIANTS[variant]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable variant
         raise ValueError(f"unknown bump variant: {variant!r}") from None
 
     def fn(raw: np.ndarray) -> tuple[float, bool]:

@@ -108,9 +108,15 @@ class Summary:
     max_evals: int
 
 
+def _present(options: dict, **params: str) -> dict:
+    """``{param: options[option]}`` for each ``param=option`` whose option
+    is set: an unset option takes the default of the factory it feeds."""
+    return {param: options[option] for param, option in params.items() if option in options}
+
+
 def _bump_problem(n: int):
     def build(options: dict) -> tuple[Objective, np.ndarray | None]:
-        objective = make_bump(n, str(options.get("bump_variant", "keane")))
+        objective = make_bump(n, **_present(options, variant="bump_variant"))
         start = normalize(objective.space, np.full(n, 5.0))
         return objective, start
 
@@ -122,8 +128,8 @@ def _schwefel_problem(options: dict) -> tuple[Objective, np.ndarray | None]:
 
 
 def _circuit_problem(options: dict) -> tuple[Objective, np.ndarray | None]:
-    targets = CircuitTargets(pump_speed=float(options.get("pump_speed", CircuitTargets.pump_speed)))
-    return make_circuit(targets, str(options.get("starvation", "proportional"))), None
+    targets = CircuitTargets(**_present(options, pump_speed="pump_speed"))
+    return make_circuit(targets, **_present(options, policy="starvation")), None
 
 
 #: name -> builder(options) -> (objective, fixed normalized start or None)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Objective, ParameterSpace, SearchPoint, clamp, denormalize, evaluate
+from .core import Objective, ParameterSpace, SearchPoint, clamp, evaluate
 from .hillclimb import IMPROVED, hj_stage
 from .memory import (
     DEFAULT_ELITE_CAPACITY,
@@ -124,8 +124,9 @@ class ThreadState:
 
 def fresh_state(base: SearchPoint, config: SearchConfig, thread_id: int = 0) -> ThreadState:
     """Build a ThreadState around an already-evaluated starting point,
-    whose evaluation is the thread's first."""
-    sentinel = SearchPoint(x=base.x, value=math.inf, feasible=False)
+    whose evaluation is the thread's first. Until a feasible point takes
+    over, the best is a sentinel at the start, with its ``x`` and ``raw``."""
+    sentinel = SearchPoint(x=base.x, value=math.inf, feasible=False, raw=base.raw)
     return ThreadState(
         base=base,
         best=sentinel,
@@ -397,7 +398,7 @@ def run_lockstep(
         ThreadReport(
             thread_id=state.thread_id,
             best=state.best,
-            best_raw=denormalize(space, state.best.x),
+            best_raw=state.best.raw.copy(),
             evals=state.evals,
             step_final=state.step,
             history=list(state.history),
@@ -406,7 +407,7 @@ def run_lockstep(
     ]
     return MultiRunResult(
         best=best,
-        best_raw=denormalize(space, best.x),
+        best_raw=best.raw.copy(),
         evals=total,
         terminated_by=terminated_by,
         history=history,

@@ -68,12 +68,15 @@ class SearchPoint:
     """A normalized parameter vector with its engine objective value.
 
     ``value`` is in engine sense (lower is better); infeasible points
-    carry ``INFEASIBLE_VALUE``.
+    carry ``INFEASIBLE_VALUE``. ``raw`` is the denormalized row that the
+    objective saw, ``denormalize`` of ``x`` bit for bit; every point
+    that comes out of an evaluation carries it.
     """
 
     x: np.ndarray
     value: float
     feasible: bool
+    raw: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,16 @@ def denormalize_coordinate(space: ParameterSpace, axis: int, x: float) -> float:
     return min(max(lower + x * space.span.item(axis), lower), space.upper.item(axis))
 
 
+def denormalize_coordinates(space: ParameterSpace, axis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Entry ``axis[r]`` of ``denormalize`` at normalized value ``x[r]``,
+    for each r: the same operations on the same operands, so the same
+    bits."""
+    lower = space.lower[axis]
+    raw = lower + x * space.span[axis]
+    np.maximum(raw, lower, out=raw)
+    return np.minimum(raw, space.upper[axis], out=raw)
+
+
 def _checked(objective: Objective, value: float) -> float:
     """The engine value of a feasible raw ``value``; a non-finite one is
     an objective bug, not a search condition, and raises ValueError."""
@@ -214,10 +227,10 @@ def evaluate_raw(objective: Objective, x: np.ndarray, raw: np.ndarray) -> Search
 
     Calls ``objective.fn`` on ``raw``, never ``fn_batch``, and raises the
     same ValueError as ``evaluate_raw_block`` for a non-finite feasible
-    value. The returned point holds ``x`` itself.
+    value. The returned point holds ``x`` and ``raw`` themselves.
     """
     value, ok = _evaluate_fn(objective, raw)
-    return SearchPoint(x=x, value=value, feasible=ok)
+    return SearchPoint(x=x, value=value, feasible=ok, raw=raw)
 
 
 def evaluate(objective: Objective, x: np.ndarray) -> SearchPoint:

@@ -11,11 +11,13 @@ entry of the tabu list can match a neighbor only when no other
 coordinate of the base lies farther from it than the tolerance.
 
 ``hj_stage`` steps several threads as one batched operation: the
-axial blocks of all of them are denormalized and evaluated in one
-objective call, then each thread in order evaluates its pattern point
-alone and adopts its move. Objective values do not depend on the other
-rows of a block, so the result is the same as stepping the threads one
-by one; ``hj_step`` is the one-thread call. A pattern point, too,
+axial rows of all of them are evaluated in one objective call, then each
+thread in order evaluates its pattern point alone and adopts its move.
+Objective values do not depend on the other rows of a block, so the
+result is the same as stepping the threads one by one; ``hj_step`` is
+the one-thread call. No normalized block is built: ``denormalize`` is
+elementwise, so a neighbor's raw row is its base's raw row with the one
+moved coordinate denormalized (``axial_block``). A pattern point, too,
 differs from the base in the winner's coordinate only, so it is screened
 with the mask of its thread's axial screen (``TabuList.axial_is_tabu``)
 and its raw row is the winner's with that coordinate denormalized.
@@ -32,11 +34,12 @@ import numpy as np
 
 from .core import (
     Objective,
+    ParameterSpace,
     SearchPoint,
     clamp,
     denormalize,
     denormalize_coordinate,
-    evaluate_block,
+    denormalize_coordinates,
     evaluate_raw,
     evaluate_raw_block,
 )
@@ -58,14 +61,15 @@ IMPROVE_TOL = 1e-12
 class MoveSet:
     """Allowable axial candidates around a base point, plus rejection tallies.
 
-    Each candidate is a row: row r of the ``(k, N)`` block ``x`` is the
-    base with variable ``axis[r]`` moved by ``sign[r] * step``, and rows
-    keep generation order.
+    Candidate r is the base with variable ``axis[r]`` moved by
+    ``sign[r] * step`` and clamped to ``moved[r]``; candidates keep
+    generation order. Only the moved coordinates are kept, not the rows.
     """
 
-    x: np.ndarray
+    base_x: np.ndarray
     axis: np.ndarray
     sign: np.ndarray
+    moved: np.ndarray
     tabu_rejected: int = 0
     infeasible_rejected: int = 0
     #: ``TabuList.screen_axial``'s leave-one-out mask around the base, for
@@ -74,9 +78,23 @@ class MoveSet:
 
     @property
     def candidates(self) -> np.ndarray:
-        """The candidate rows, ``x``, under the name that the tracing
-        hooks of ``perfbench/tracer.py`` count."""
-        return self.x
+        """One entry per candidate, ``moved``, under the name that the
+        tracing hooks of ``perfbench/tracer.py`` count."""
+        return self.moved
+
+    @property
+    def x(self) -> np.ndarray:
+        """The candidates' normalized rows as a new ``(k, N)`` block."""
+        X = np.empty((self.axis.size, self.base_x.size))
+        X[:] = self.base_x
+        X[np.arange(self.axis.size), self.axis] = self.moved
+        return X
+
+    def point(self, r: int) -> np.ndarray:
+        """Candidate ``r``'s normalized row, row r of ``x`` alone."""
+        x = self.base_x.copy()
+        x[self.axis[r]] = self.moved[r]
+        return x
 
 
 @lru_cache(maxsize=None)
@@ -96,12 +114,11 @@ def axial_moves(base_x: np.ndarray, step: float, tabu: TabuList) -> MoveSet:
     Only the moved coordinate of a probe is computed and clamped; probes
     that clamp back onto the base (base already at a bound) are dropped
     as degenerate; the rest are screened against the tabu list from the
-    base and the moved coordinates. Only the kept rows are built.
+    base and the moved coordinates. No row is built.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    n = base_x.size
-    axis, sign = _probe_order(n)
+    axis, sign = _probe_order(base_x.size)
     base_moved = base_x[axis]
     moved = base_moved + sign * step
     np.minimum(1.0, np.maximum(0.0, moved, out=moved), out=moved)  # clamp, in place
@@ -111,11 +128,29 @@ def axial_moves(base_x: np.ndarray, step: float, tabu: TabuList) -> MoveSet:
     tabu_rejected = int(np.count_nonzero(tabu_hit))
     if tabu_rejected:
         keep &= ~tabu_hit
-    axis = axis[keep]
-    X = np.empty((axis.size, n))
-    X[:] = base_x
-    X[np.arange(axis.size), axis] = moved[keep]
-    return MoveSet(X, axis, sign[keep], tabu_rejected=tabu_rejected, rest_near=rest_near)
+    return MoveSet(base_x, axis[keep], sign[keep], moved[keep], tabu_rejected=tabu_rejected, rest_near=rest_near)
+
+
+def axial_block(space: ParameterSpace, raws: Sequence[np.ndarray], moves: Sequence[MoveSet]) -> np.ndarray:
+    """The raw rows of several move sets, stacked in order: ``raws[i]``
+    is the raw row of ``moves[i]``'s base.
+
+    Each row is its base's raw row with the moved coordinate
+    denormalized, which is ``denormalize`` of the normalized row bit
+    for bit when the base's raw row is ``denormalize`` of its ``x``.
+    """
+    if len(moves) == 1:
+        axis, moved = moves[0].axis, moves[0].moved
+    else:
+        axis = np.concatenate([m.axis for m in moves])
+        moved = np.concatenate([m.moved for m in moves])
+    block = np.empty((axis.size, space.dimension))
+    stop = 0
+    for raw, m in zip(raws, moves):
+        start, stop = stop, stop + m.axis.size
+        block[start:stop] = raw
+    block[np.arange(stop), axis] = denormalize_coordinates(space, axis, moved)
+    return block
 
 
 def _select(moves: MoveSet, values: np.ndarray, feasible: np.ndarray) -> int | None:
@@ -141,16 +176,18 @@ def explore(
     The best move is returned even when it is worse than the base: when
     nothing improves, the smallest increase wins, and ties go to the
     first generated candidate. Returns None only when every neighbor was
-    degenerate, tabu or infeasible.
+    degenerate, tabu or infeasible. Only ``base.x`` is read, so the base
+    need not carry its raw row.
     """
     moves = axial_moves(base.x, step, tabu)
-    if len(moves.x) == 0:
+    if moves.axis.size == 0:
         return None, moves
-    values, feasible = evaluate_block(objective, moves.x)
+    raw = denormalize(objective.space, moves.x)
+    values, feasible = evaluate_raw_block(objective, raw)
     w = _select(moves, values, feasible)
     if w is None:
         return None, moves
-    return SearchPoint(x=moves.x[w].copy(), value=float(values[w]), feasible=True), moves
+    return SearchPoint(x=moves.point(w), value=float(values[w]), feasible=True, raw=raw[w].copy()), moves
 
 
 def pattern_move(old_base: np.ndarray, new_base: np.ndarray, k: float) -> np.ndarray:
@@ -195,8 +232,12 @@ def hj_stage(
     spent to its ``evals``. Returns ``(outcome, evaluations)`` for each
     thread that stepped, in order; no states step none.
 
-    All axial blocks are denormalized once and evaluated in one
-    ``evaluate_raw_block`` call. Then, thread by thread, the pattern
+    The axial rows of all stepping threads are built in raw units from
+    each base's ``raw`` row (``axial_block``) and evaluated in one
+    ``evaluate_raw_block`` call; no normalized block is built, so every
+    base must carry its raw row, as every evaluated point does (else
+    ValueError, before anything is evaluated). The
+    winner takes a copy of its block row. Then, thread by thread, the pattern
     point, when it is new and not tabu, is evaluated alone through
     ``evaluate_raw``, and the adopted point (the pattern point if
     strictly better than the exploration point, else the exploration
@@ -212,19 +253,22 @@ def hj_stage(
         raise ValueError("pattern factor must be positive")
     k = float(k_pattern)
     moves: list[MoveSet] = []
+    raws: list[np.ndarray] = []
     bound = 0
     for state in states:
         m = axial_moves(state.base.x, state.step, state.tabu)
         moves.append(m)
-        bound += len(m.x) + 1
+        if state.base.raw is None:
+            raise ValueError(f"thread {state.thread_id}'s base has no raw row; evaluate it with core.evaluate")
+        raws.append(state.base.raw)
+        bound += m.axis.size + 1
         if bound >= budget:
             break
     if not moves:
         return []
-    X = moves[0].x if len(moves) == 1 else np.concatenate([m.x for m in moves])
     space = objective.space
-    if len(X):
-        raw = denormalize(space, X)
+    raw = axial_block(space, raws, moves)
+    if len(raw):
         values, feasible = evaluate_raw_block(objective, raw)
     else:
         values = feasible = np.empty(0)
@@ -232,14 +276,16 @@ def hj_stage(
     steps: list[tuple[str, int]] = []
     stop = 0
     for state, m in zip(states, moves):
-        start, stop = stop, stop + len(m.x)
-        spent = len(m.x)
+        start, stop = stop, stop + m.axis.size
+        spent = m.axis.size
         w = _select(m, values[start:stop], feasible[start:stop])
         if w is None:
             state.evals += spent
             steps.append((STALLED, spent))
             continue
-        adopted = move = SearchPoint(x=m.x[w].copy(), value=float(values[start + w]), feasible=True)
+        adopted = move = SearchPoint(
+            x=m.point(w), value=float(values[start + w]), feasible=True, raw=raw[start + w].copy()
+        )
         # No pattern evaluation when clamping collapsed the pattern point
         # onto the exploration point, and never adopt a tabu one.
         a = int(m.axis[w])
@@ -247,7 +293,7 @@ def hj_stage(
         if p_x is not None:
             p = p_x.item(a)
             if not state.tabu.axial_is_tabu(m.rest_near, a, p):
-                p_raw = raw[start + w].copy()
+                p_raw = move.raw.copy()
                 p_raw[a] = denormalize_coordinate(space, a, p)
                 pattern = evaluate_raw(objective, p_x, p_raw)
                 spent += 1

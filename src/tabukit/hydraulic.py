@@ -10,7 +10,8 @@ flow wasted over the relief valve.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+import numbers
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -60,6 +61,13 @@ class CircuitTargets:
     pump_speed: float = 1500.0
 
     def __post_init__(self) -> None:
+        # Each field is stored as a float; a value of another type is
+        # named here rather than failing later inside a comparison.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            object.__setattr__(self, f.name, float(value))
         for name in ("omega1_target", "omega2_target"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from tabukit import cli
 from tabukit.cli import (
     MULTI,
     OPTION_FIELDS,
@@ -186,6 +189,43 @@ class TestProblemRegistry:
     def test_bad_starvation_policy(self):
         with pytest.raises(ValueError, match="unknown starvation policy: 'lifo'"):
             PROBLEMS["circuit"]({"starvation": "lifo"})
+
+    @pytest.mark.parametrize(
+        "problem, options, message",
+        [
+            ("circuit", {"pump_speed": "fast"}, "pump_speed must be a real number, got 'fast'"),
+            ("circuit", {"pump_speed": None}, "pump_speed must be a real number, got None"),
+            ("circuit", {"starvation": 3}, "unknown starvation policy: 3"),
+            ("bump20", {"bump_variant": ["keane"]}, "unknown bump variant: ['keane']"),
+        ],
+    )
+    def test_option_of_the_wrong_type_is_named(self, problem, options, message):
+        # Options set through the Python API skip the command line's parsing.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(ExperimentSpec(problem=problem, runs=1, overrides=dict(FAST), options=options))
+
+    def test_unset_options_take_the_factory_defaults(self, monkeypatch):
+        # The builders pass only the options that are set, so the defaults
+        # are stated once, on the factories and on CircuitTargets.
+        seen = []
+
+        def record(name):
+            real = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                seen.append((name, kwargs))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, call)
+
+        for name in ("make_bump", "make_circuit", "CircuitTargets"):
+            record(name)
+        PROBLEMS["bump20"]({})
+        PROBLEMS["circuit"]({})
+        assert seen == [("make_bump", {}), ("CircuitTargets", {}), ("make_circuit", {})]
+        seen.clear()
+        PROBLEMS["circuit"]({"pump_speed": 100.0, "starvation": "priority"})
+        assert seen == [("CircuitTargets", {"pump_speed": 100.0}), ("make_circuit", {"policy": "priority"})]
 
 
 class TestRunExperiment:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit.core import (
@@ -12,6 +12,7 @@ from tabukit.core import (
     clamp,
     denormalize,
     denormalize_coordinate,
+    denormalize_coordinates,
     evaluate,
 )
 from tabukit.control import SearchConfig, fresh_state
@@ -20,6 +21,7 @@ from tabukit.hillclimb import (
     IMPROVED,
     NOT_IMPROVED,
     STALLED,
+    axial_block,
     axial_moves,
     explore,
     _pattern_point,
@@ -271,6 +273,47 @@ class TestPatternRawRow:
         raw = denormalize(space, x)
         for j in range(space.dimension):
             assert np.float64(denormalize_coordinate(space, j, x.item(j))).tobytes() == raw[j : j + 1].tobytes()
+
+
+class TestAxialRawBlock:
+    @given(data=st.data(), name=st.sampled_from(sorted(SPACES)), rows=st.integers(0, 9))
+    def test_coordinates_match_denormalize(self, data, name, rows):
+        space = SPACES[name]
+        n = space.dimension
+        X = np.array(data.draw(st.lists(UNIT, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+        axis = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows)), dtype=int)
+        r = np.arange(rows)
+        assert denormalize_coordinates(space, axis, X[r, axis]).tobytes() == denormalize(space, X)[r, axis].tobytes()
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(sorted(SPACES)),
+        step=st.sampled_from([0.1, 0.25, 0.6, 1.0, 2**-53]),
+        threads=st.integers(1, 3),
+    )
+    def test_matches_denormalize_of_the_normalized_block(self, data, name, step, threads):
+        # Each row is its base's raw row with the one moved coordinate
+        # denormalized: denormalize of the stacked normalized rows, byte
+        # for byte, from bases with -0.0 and bound coordinates, with
+        # probes clamped onto both bounds, some probes tabu, and in the
+        # "rounding" space, where lower + 1.0 * span rounds past upper.
+        space = SPACES[name]
+        n = space.dimension
+        raws, moves = [], []
+        for _ in range(threads):
+            base = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
+            tabu = TabuList(4, 0.0)
+            for _ in range(data.draw(st.integers(0, 2))):
+                probe = base.copy()
+                probe[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([step, -step]))
+                tabu.push(clamp(probe))
+            raws.append(denormalize(space, base))
+            moves.append(axial_moves(base, step, tabu))
+        block = axial_block(space, raws, moves)
+        want = denormalize(space, np.concatenate([m.x for m in moves]))
+        assert block.shape == want.shape == (sum(m.axis.size for m in moves), n)
+        assert block.tobytes() == want.tobytes()
 
 
 class TestUfuncClamps:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +57,17 @@ class TestCircuitTargets:
     def test_rejects_non_finite_speed_target(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             CircuitTargets(**{name: value})
+
+    @pytest.mark.parametrize("name", ["omega1_target", "omega2_target", "pump_speed"])
+    @pytest.mark.parametrize("value", ["100", None, True, [1500.0], 1j])
+    def test_rejects_a_value_that_is_not_a_real_number(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+            CircuitTargets(**{name: value})
+
+    def test_stores_every_field_as_a_float(self):
+        targets = CircuitTargets(omega1_target=np.float64(120), omega2_target=60, pump_speed=Fraction(3000, 2))
+        assert [type(v) for v in dataclasses.astuple(targets)] == [float, float, float]
+        assert targets == CircuitTargets()
 
     def test_accepts_small_positive_pump_speed_and_zero_targets(self):
         targets = CircuitTargets(omega1_target=0.0, omega2_target=0.0, pump_speed=1e-3)

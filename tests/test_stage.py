@@ -61,7 +61,9 @@ PROBLEMS = {
 
 def tile_axial_moves(base_x, step, tabu):
     """Every probe built as a full row, the whole block clamped, then
-    screened with ``TabuList.screen`` in one broadcast."""
+    screened with ``TabuList.screen`` in one broadcast. Returns the kept
+    rows and their ``MoveSet``, whose moved coordinates are read off
+    the rows."""
     n = base_x.size
     rows = np.arange(2 * n)
     axis = rows // 2
@@ -72,7 +74,9 @@ def tile_axial_moves(base_x, step, tabu):
     moved = X[rows, axis] != base_x[axis]
     tabu_hit = moved & tabu.screen(X)
     keep = moved & ~tabu_hit
-    return MoveSet(X[keep], axis[keep], sign[keep], tabu_rejected=int(np.count_nonzero(tabu_hit)))
+    X, axis = X[keep], axis[keep]
+    moves = MoveSet(base_x, axis, sign[keep], X[np.arange(len(X)), axis], tabu_rejected=int(np.count_nonzero(tabu_hit)))
+    return X, moves
 
 
 def counted(objective):
@@ -97,15 +101,15 @@ def reference_hj_step(state, objective, shared, k_pattern):
     pattern point each evaluated on their own, the pattern point screened
     with ``is_tabu`` and evaluated through ``evaluate``."""
     best_before = state.best.value
-    moves = tile_axial_moves(state.base.x, state.step, state.tabu)
-    if len(moves.x) == 0:
+    X, _ = tile_axial_moves(state.base.x, state.step, state.tabu)
+    if len(X) == 0:
         return STALLED
-    values, feasible = evaluate_block(objective, moves.x)
-    state.evals += len(moves.x)
+    values, feasible = evaluate_block(objective, X)
+    state.evals += len(X)
     if not feasible.any():
         return STALLED
     w = int(np.argmin(values))
-    move = SearchPoint(x=moves.x[w].copy(), value=float(values[w]), feasible=True)
+    move = SearchPoint(x=X[w].copy(), value=float(values[w]), feasible=True)
     adopted = move
     p_x = pattern_move(state.base.x, move.x, k_pattern)
     if not np.array_equal(p_x, move.x) and not state.tabu.is_tabu(p_x):
@@ -301,9 +305,10 @@ def test_axial_moves_match_tile_screen(base, step, tol, capacity, data):
     for _ in range(data.draw(st.integers(0, 3 * capacity))):
         tabu.push(data.draw(tabu_entry(base, step, tol)))
     got = axial_moves(base, step, tabu)
-    want = tile_axial_moves(base, step, tabu)
-    assert got.x.tobytes() == want.x.tobytes()
-    assert got.x.shape == want.x.shape
+    want_x, want = tile_axial_moves(base, step, tabu)
+    assert got.x.tobytes() == want_x.tobytes()
+    assert got.x.shape == want_x.shape
+    assert got.moved.tobytes() == want.moved.tobytes()
     assert got.axis.tolist() == want.axis.tolist()
     assert got.sign.tolist() == want.sign.tolist()
     assert got.tabu_rejected == want.tabu_rejected
@@ -318,12 +323,12 @@ def test_axial_screen_cases_at_the_tolerance():
     tabu.push(np.array([0.5, 0.125 + 2 * tol, 1.0 - tol]))  # probe +x1 is 2 tol off: allowed
     tabu.push(np.array([0.5 + tol, 0.0, 0.875 - tol]))  # probe -x2 is tol off on two axes: tabu
     got = axial_moves(base, 0.125, tabu)
-    want = tile_axial_moves(base, 0.125, tabu)
+    want_x, want = tile_axial_moves(base, 0.125, tabu)
     # x1 and x2 sit on a bound, so one probe of each is degenerate.
     assert got.axis.tolist() == want.axis.tolist() == [1]
     assert got.sign.tolist() == [1]
     assert got.tabu_rejected == want.tabu_rejected == 3
-    assert got.x.tobytes() == want.x.tobytes()
+    assert got.x.tobytes() == want_x.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,6 +493,62 @@ def test_stage_sends_the_reference_points_to_the_objective(problem, threads, bat
         assert b"".join(got["batch_bytes"]) == b"".join(want["batch_bytes"])
         assert len(got["fn_batch"]) <= len(want["fn_batch"])
         assert (len(got["fn_batch"]) > 0) == batch
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_every_adopted_point_carries_its_raw_row(problem, threads, monkeypatch):
+    # Starts, exploration and pattern points and relocations all reach
+    # ThreadState.adopt; each carries denormalize of its x, as do the
+    # thread bests and the global best, and the reported best_raw is a
+    # copy of the best's raw row.
+    objective = PROBLEMS[problem]()
+    space = objective.space
+    adopted = []
+    real_adopt = control.ThreadState.adopt
+
+    def adopt(state, point, memory):
+        adopted.append(point)
+        real_adopt(state, point, memory)
+
+    monkeypatch.setattr(control.ThreadState, "adopt", adopt)
+    starts, seed_rngs = lockstep_setup(threads)
+    config = SearchConfig(seed=0, max_evals=3000, intensify_after=1, diversify_after=2, reduce_after=3)
+    result = run_lockstep(objective, config, starts, seed_rngs)
+    assert len(adopted) > 20
+    for point in adopted + [result.best] + [t.best for t in result.threads]:
+        assert point.raw.tobytes() == denormalize(space, point.x).tobytes()
+    for best_raw, best in [(result.best_raw, result.best)] + [(t.best_raw, t.best) for t in result.threads]:
+        assert best_raw.tobytes() == best.raw.tobytes()
+        assert not np.shares_memory(best_raw, best.raw)
+
+
+def test_run_single_best_raw_is_a_copy():
+    objective = make_schwefel10()
+    result = control.run_single(objective, SearchConfig(max_evals=500))
+    assert result.best_raw.tobytes() == result.best.raw.tobytes()
+    assert not np.shares_memory(result.best_raw, result.best.raw)
+
+
+def test_sentinel_best_carries_the_start_raw_row():
+    # A thread's best before any feasible point is a sentinel at its
+    # start; a step reduction restarts from it, so it needs the raw row.
+    objective = make_schwefel10()
+    point = evaluate(objective, np.full(10, 0.25))
+    state = fresh_state(point, SearchConfig())
+    assert state.best.raw is point.raw and state.best.x is point.x
+    assert not state.best.feasible
+
+
+def test_base_without_a_raw_row_is_named():
+    # A hand-built base has no raw row; the stage says so instead of
+    # sending NaN rows to the objective.
+    objective, calls = counted(make_schwefel10())
+    base = SearchPoint(x=np.full(10, 0.5), value=1.0, feasible=True)
+    state = fresh_state(base, SearchConfig(), thread_id=1)
+    with pytest.raises(ValueError, match="^thread 1's base has no raw row"):
+        hj_stage([state], objective, IntermediateMemory())
+    assert calls == [0]
 
 
 def test_stage_of_no_states_steps_none():
