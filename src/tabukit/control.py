@@ -9,15 +9,14 @@ the resolution floor or the evaluation budget is spent.
 One lockstep driver, ``run_lockstep``, runs K threads over a shared
 elite archive and returns a ``MultiRunResult``; ``run_single`` is its
 K = 1 case and returns the plain ``RunResult`` part. Each stage steps
-the live threads through one ``hillclimb.hj_stage`` call, which
-evaluates all their axial candidates in one objective call and each
-pattern point alone, and the result is the same as stepping them one
-after another.
+the live threads through one ``hillclimb.hj_stage`` call, which screens
+all their probes at once (their state is stacked, ``Stack``), evaluates
+all their axial candidates in one objective call and each pattern point
+alone, and the result is the same as stepping them one after another.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -43,13 +42,12 @@ EVAL_BUDGET = "eval_budget"
 
 
 def check_integer_fields(settings) -> None:
-    """Raise ValueError naming the first int-default field of ``settings`` holding a non-integer."""
+    """Raise ValueError naming the first int-default field of ``settings``
+    holding a non-integer; a bool is not taken for one."""
     for f in fields(settings):
-        if type(f.default) is int:
-            try:
-                operator.index(getattr(settings, f.name))
-            except TypeError:
-                raise ValueError(f"{f.name} must be an integer, got {getattr(settings, f.name)!r}") from None
+        value = getattr(settings, f.name)
+        if type(f.default) is int and (isinstance(value, bool) or not hasattr(value, "__index__")):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -91,20 +89,49 @@ class SearchConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass
+@dataclass(eq=False)
+class Stack:
+    """A run's per-thread state with one row per thread, which a stage reads
+    for all its threads at once: bases ``x`` ``(K, 1, N)`` and ``raw``
+    ``(K, N)``, steps ``(K, 1, 1)`` and tabu rings ``(K, capacity, N)``;
+    ``threads[i]`` owns row i."""
+
+    x: np.ndarray
+    raw: np.ndarray
+    step: np.ndarray
+    tabu: np.ndarray
+    threads: list[ThreadState] = field(default_factory=list)
+
+
+@dataclass(eq=False)
 class ThreadState:
-    """Mutable per-thread search state."""
+    """Mutable per-thread search state. The step, the tabu ring (``tabu``
+    is a view) and copies of the base live in row ``row`` of ``stack``;
+    move the base with ``rebase`` or ``adopt``, which keep them in step."""
 
     base: SearchPoint
     best: SearchPoint
-    step: float
     tabu: TabuList
+    stack: Stack
+    row: int
     fail_count: int = 0
     thread_id: int = 0
     #: Objective evaluations this thread has spent.
     evals: int = 0
     #: (evaluation count, best value) at each improvement, oldest first.
     history: list[tuple[int, float]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self._x, self._raw = self.stack.x[self.row, 0], self.stack.raw[self.row]
+        self.rebase(self.base)
+
+    @property
+    def step(self) -> float:
+        return self.stack.step.item(self.row)
+
+    @step.setter
+    def step(self, value: float) -> None:
+        self.stack.step[self.row] = value
 
     def observe(self, point: SearchPoint) -> bool:
         """Track the incumbent best. Returns True when ``point`` takes over."""
@@ -114,27 +141,41 @@ class ThreadState:
             return True
         return False
 
+    def rebase(self, point: SearchPoint) -> None:
+        """Move the base to ``point`` and its rows to the stack; ``point``
+        must carry its raw row, as every evaluated point does."""
+        if point.raw is None:
+            raise ValueError(f"thread {self.thread_id}'s base has no raw row; evaluate it with core.evaluate")
+        self.base = point
+        self._x[...] = point.x
+        self._raw[...] = point.raw
+
     def adopt(self, point: SearchPoint, memory: IntermediateMemory) -> None:
         """Move the base to ``point``: tabu it, offer it to the archive and observe it."""
-        self.base = point
+        self.rebase(point)
         self.tabu.push(point.x)
         memory.offer(point)
         self.observe(point)
 
 
+def fresh_states(points: Sequence[SearchPoint], config: SearchConfig, first_id: int = 0) -> list[ThreadState]:
+    """One thread around each already-evaluated start, whose evaluation is
+    the thread's first: thread ``first_id + i`` on row i of one new
+    ``Stack``. Until a feasible point takes over, a thread's best is a
+    sentinel at its start, with its ``x`` and ``raw``."""
+    k, n = len(points), points[0].x.size
+    step, rings = np.full((k, 1, 1), config.step_initial), np.full((k, config.n_tabu, n), math.inf)
+    stack = Stack(np.empty((k, 1, n)), np.empty((k, n)), step, rings)
+    for i, point in enumerate(points):
+        sentinel = SearchPoint(x=point.x, value=math.inf, feasible=False, raw=point.raw)
+        tabu = TabuList(config.n_tabu, config.match_tol, stack.tabu[i])
+        stack.threads.append(ThreadState(point, sentinel, tabu, stack, i, thread_id=first_id + i, evals=1))
+    return list(stack.threads)
+
+
 def fresh_state(base: SearchPoint, config: SearchConfig, thread_id: int = 0) -> ThreadState:
-    """Build a ThreadState around an already-evaluated starting point,
-    whose evaluation is the thread's first. Until a feasible point takes
-    over, the best is a sentinel at the start, with its ``x`` and ``raw``."""
-    sentinel = SearchPoint(x=base.x, value=math.inf, feasible=False, raw=base.raw)
-    return ThreadState(
-        base=base,
-        best=sentinel,
-        step=config.step_initial,
-        tabu=TabuList(config.n_tabu, config.match_tol),
-        thread_id=thread_id,
-        evals=1,
-    )
+    """``fresh_states`` of one thread, named ``thread_id``."""
+    return fresh_states([base], config, thread_id)[0]
 
 
 def resolved_step_min(config: SearchConfig, space: ParameterSpace) -> float:
@@ -198,7 +239,7 @@ def apply_action(
         return
     if action == REDUCE_STEP:
         state.step *= config.step_reduce_factor
-        state.base = state.best
+        state.rebase(state.best)
         state.fail_count = 0
         return
     if action == INTENSIFY:
@@ -289,7 +330,8 @@ def run_lockstep(
     start is a uniform random point from it. The config, then the
     starts (named in errors by ``name``) are checked before anything is
     evaluated. The threads share the elite archive and the evaluation
-    budget, and each has its own tabu list and evaluation count.
+    budget, and each has its own tabu list and evaluation count, in one
+    ``Stack`` allocated for the run.
 
     Each stage steps every thread whose step is at or above the floor,
     with the result of stepping them one by one in index order: a
@@ -316,17 +358,13 @@ def run_lockstep(
     xs = [None if x is None else start_point(x, dim, name) for name, x in starts]
     rngs = seed_rngs(config.seed)
     memory = IntermediateMemory(config.m_elite, config.match_tol)
-    states: list[ThreadState] = []
+    points = [evaluate(objective, rngs[i].random(dim) if x0 is None else x0) for i, x0 in enumerate(xs)]
+    states = fresh_states(points, config)
+    best = states[0].best  # thread 0's sentinel, at its start
     history: list[tuple[int, float]] = []
-    total = 0
-    for i, x0 in enumerate(xs):
-        point = evaluate(objective, rngs[i].random(dim) if x0 is None else x0)
-        total += 1
-        state = fresh_state(point, config, thread_id=i)
-        states.append(state)
-        if i == 0:
-            best = state.best  # thread 0's sentinel, at its start
-        state.adopt(point, memory)
+    # Thread i's start was evaluation i + 1.
+    for total, state in enumerate(states, 1):
+        state.adopt(state.base, memory)
         if state.best.value < best.value:
             best = state.best
             history.append((total, best.value))
@@ -337,26 +375,22 @@ def run_lockstep(
     # Each thread's restructure request, None while it continues.
     pending: list[str | None] = [None] * k
     stages: list[tuple[str, ...]] = []
+    idle = (CONTINUE,) * k
     collisions = CollisionLog()
     terminated_by = EVAL_BUDGET
+    live = [state for state in states if state.step >= step_floor]  # only a restructure changes a step
     while total < config.max_evals:
-        # Every thread above the floor steps while the budget lasts. One
-        # hj_stage call steps as many of them as the budget surely
-        # admits; a thread it leaves waits for the actual total.
-        stepping = [i for i in range(k) if states[i].step >= step_floor]
-        if not stepping:
+        # Every live thread steps while the budget lasts. One hj_stage
+        # call steps as many of them as the budget surely admits; a
+        # thread it leaves waits for the actual total.
+        if not live:
             terminated_by = STEP_FLOOR
             break
+        stepping = live
         while stepping and total < config.max_evals:
-            steps = hj_stage(
-                [states[i] for i in stepping],
-                objective,
-                memory,
-                config.k_pattern,
-                config.max_evals - total,
-            )
-            for i, (outcome, spent) in zip(stepping, steps):
-                state = states[i]
+            steps = hj_stage(stepping, objective, memory, config.k_pattern, config.max_evals - total)
+            for state, (outcome, spent) in zip(stepping, steps):
+                i = state.row
                 if outcome == IMPROVED:
                     state.fail_count = 0
                     pending[i] = None
@@ -375,12 +409,13 @@ def run_lockstep(
         # Restructure token: among the threads that ask, the one with the
         # worst best goes (max keeps the lowest index on ties) and the
         # others keep their request pending.
-        asking = [i for i in range(k) if pending[i] is not None]
-        actions = [CONTINUE] * k
-        if asking:
+        actions = idle
+        if pending.count(None) < k:
+            asking = (i for i in range(k) if pending[i] is not None)
             performer = max(asking, key=lambda i: states[i].best.value)
             state = states[performer]
-            action = actions[performer] = pending[performer]
+            action = pending[performer]
+            actions = idle[:performer] + (action,) + idle[performer + 1 :]
             pending[performer] = None
             before = state.evals
             apply_action(state, action, memory, objective, rngs[performer], config)
@@ -388,12 +423,16 @@ def run_lockstep(
             if state.best.value < best.value:
                 best = state.best
                 history.append((total, best.value))
+            live = [state for state in states if state.step >= step_floor]
 
-        stages.append(tuple(actions))
+        stages.append(actions)
         for i in range(k):
             for j in range(i + 1, k):
                 detect_collision(states[i], states[j], config.match_tol, collisions, total)
 
+    # The stack and its threads refer to each other: drop the stack's side,
+    # so that the run's state is freed with the run, not by the cycle collector.
+    states[0].stack.threads.clear()
     threads = [
         ThreadReport(
             thread_id=state.thread_id,

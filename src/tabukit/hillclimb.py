@@ -10,8 +10,9 @@ built and screened from the base and the moved coordinates alone: an
 entry of the tabu list can match a neighbor only when no other
 coordinate of the base lies farther from it than the tolerance.
 
-``hj_stage`` steps several threads as one batched operation: the
-axial rows of all of them are evaluated in one objective call, then each
+``hj_stage`` steps several threads as one batched operation: one
+``axial_moves`` call screens the probes of all of them from their stacked
+rows, their axial rows are evaluated in one objective call, then each
 thread in order evaluates its pattern point alone and adopts its move.
 Objective values do not depend on the other rows of a block, so the
 result is the same as stepping the threads one by one; ``hj_step`` is
@@ -28,6 +29,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,7 +45,7 @@ from .core import (
     evaluate_raw,
     evaluate_raw_block,
 )
-from .memory import IntermediateMemory, TabuList
+from .memory import IntermediateMemory, TabuList, screen_axial
 
 if TYPE_CHECKING:  # pragma: no cover
     from .control import ThreadState
@@ -59,21 +61,19 @@ IMPROVE_TOL = 1e-12
 
 @dataclass
 class MoveSet:
-    """Allowable axial candidates around a base point, plus rejection tallies.
-
-    Candidate r is the base with variable ``axis[r]`` moved by
-    ``sign[r] * step`` and clamped to ``moved[r]``; candidates keep
-    generation order. Only the moved coordinates are kept, not the rows.
-    """
+    """Allowable axial candidates around the bases ``base_x[t, 0]`` of T
+    threads, plus rejection tallies: ``counts[t]`` candidates of each
+    thread in turn, each one its base with variable ``axis[r]`` moved by
+    the step and clamped to ``moved[r]``. The rows are not built."""
 
     base_x: np.ndarray
     axis: np.ndarray
-    sign: np.ndarray
     moved: np.ndarray
+    counts: list[int]
     tabu_rejected: int = 0
     infeasible_rejected: int = 0
-    #: ``TabuList.screen_axial``'s leave-one-out mask around the base, for
-    #: screening the pattern point with ``TabuList.axial_is_tabu``.
+    #: ``memory.screen_axial``'s ``(T, capacity, N)`` leave-one-out mask,
+    #: for screening the pattern points with ``TabuList.axial_is_tabu``.
     rest_near: np.ndarray | None = None
 
     @property
@@ -85,82 +85,87 @@ class MoveSet:
     @property
     def x(self) -> np.ndarray:
         """The candidates' normalized rows as a new ``(k, N)`` block."""
-        X = np.empty((self.axis.size, self.base_x.size))
-        X[:] = self.base_x
+        X = np.repeat(self.base_x[:, 0], self.counts, axis=0)
         X[np.arange(self.axis.size), self.axis] = self.moved
         return X
 
-    def point(self, r: int) -> np.ndarray:
-        """Candidate ``r``'s normalized row, row r of ``x`` alone."""
-        x = self.base_x.copy()
-        x[self.axis[r]] = self.moved[r]
-        return x
+    @property
+    def sign(self) -> np.ndarray:
+        """1 for each candidate that moved up, -1 down (none stayed put)."""
+        base = np.repeat(self.base_x[:, 0], self.counts, axis=0)[np.arange(self.axis.size), self.axis]
+        return np.where(self.moved > base, 1, -1)
 
 
 @lru_cache(maxsize=None)
 def _probe_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(axis, sign) of the 2N axial probes: by variable, increment first."""
     rows = np.arange(2 * n)
-    axis, sign = rows // 2, 1 - 2 * (rows % 2)
+    axis, sign = rows // 2, 1.0 - 2.0 * (rows % 2)
     axis.flags.writeable = sign.flags.writeable = False
     return axis, sign
 
 
-def axial_moves(base_x: np.ndarray, step: float, tabu: TabuList) -> MoveSet:
-    """Generate the clamped, tabu-screened axial neighbors of ``base_x``.
+def axial_moves(
+    base_x: np.ndarray, step: np.ndarray, tabu: np.ndarray, match_tol: float, budget: float = math.inf
+) -> MoveSet:
+    """Generate the clamped, tabu-screened axial neighbours of T bases at once.
 
-    The 2N probes are ordered by variable index with the increment
-    before the decrement, which is also the tie-break order downstream.
-    Only the moved coordinate of a probe is computed and clamped; probes
-    that clamp back onto the base (base already at a bound) are dropped
-    as degenerate; the rest are screened against the tabu list from the
-    base and the moved coordinates. No row is built.
+    The bases are ``(T, 1, N)``, the steps ``(T, 1, 1)`` and the tabu rings
+    ``(T, capacity, N)``. Each base's 2N probes go by variable index, the
+    increment first, which is also the tie-break order downstream; only the
+    moved coordinate is computed. Probes that clamp back onto their base are
+    dropped, the rest screened by ``memory.screen_axial``. Thread t steps
+    only while the evaluations that the threads before it may spend, their
+    candidates plus one pattern point each, stay below ``budget``; the
+    first always does. The move set covers the threads that step.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    axis, sign = _probe_order(base_x.size)
-    base_moved = base_x[axis]
-    moved = base_moved + sign * step
+    axis, sign = _probe_order(base_x.shape[2])
+    base_moved = base_x.take(axis, axis=2)
+    moved = sign * step
+    moved += base_moved
     np.minimum(1.0, np.maximum(0.0, moved, out=moved), out=moved)  # clamp, in place
     keep = moved != base_moved
-    tabu_hit, rest_near = tabu.screen_axial(base_x, axis, moved)
+    tabu_hit, rest_near = screen_axial(base_x, tabu, axis, moved, match_tol)
     tabu_hit &= keep
-    tabu_rejected = int(np.count_nonzero(tabu_hit))
-    if tabu_rejected:
-        keep &= ~tabu_hit
-    return MoveSet(base_x, axis[keep], sign[keep], moved[keep], tabu_rejected=tabu_rejected, rest_near=rest_near)
+    keep ^= tabu_hit
+    if len(keep) == 1:
+        axis = axis[keep[0, 0]]
+        counts = [axis.size]
+    else:
+        counts = np.add.reduce(keep, (1, 2)).tolist()
+        stepping = 1 + sum(spent < budget for spent in accumulate(c + 1 for c in counts[:-1]))
+        if stepping < len(counts):
+            base_x, rest_near, counts = base_x[:stepping], rest_near[:stepping], counts[:stepping]
+            keep, moved, tabu_hit = keep[:stepping], moved[:stepping], tabu_hit[:stepping]
+        axis = axis[keep.nonzero()[2]]
+    return MoveSet(base_x, axis, moved[keep], counts, int(np.count_nonzero(tabu_hit)), rest_near=rest_near)
 
 
-def axial_block(space: ParameterSpace, raws: Sequence[np.ndarray], moves: Sequence[MoveSet]) -> np.ndarray:
-    """The raw rows of several move sets, stacked in order: ``raws[i]``
-    is the raw row of ``moves[i]``'s base.
+def axial_block(space: ParameterSpace, raw: np.ndarray, moves: MoveSet) -> np.ndarray:
+    """The raw rows of ``moves``, whose thread t's base has the raw row
+    ``raw[t]``.
 
     Each row is its base's raw row with the moved coordinate
     denormalized, which is ``denormalize`` of the normalized row bit
     for bit when the base's raw row is ``denormalize`` of its ``x``.
     """
-    if len(moves) == 1:
-        axis, moved = moves[0].axis, moves[0].moved
-    else:
-        axis = np.concatenate([m.axis for m in moves])
-        moved = np.concatenate([m.moved for m in moves])
-    block = np.empty((axis.size, space.dimension))
-    stop = 0
-    for raw, m in zip(raws, moves):
-        start, stop = stop, stop + m.axis.size
-        block[start:stop] = raw
-    block[np.arange(stop), axis] = denormalize_coordinates(space, axis, moved)
+    counts = moves.counts
+    if len(counts) < len(raw):
+        raw = raw[: len(counts)]
+    block = raw.repeat(counts[0] if len(counts) == 1 else counts, axis=0)
+    block[np.arange(len(block)), moves.axis] = denormalize_coordinates(space, moves.axis, moves.moved)
     return block
 
 
 def _select(moves: MoveSet, values: np.ndarray, feasible: np.ndarray) -> int | None:
-    """Row index of the best evaluated row of ``moves``: lowest value,
-    first on ties.
+    """Row index of the best of one thread's evaluated rows of ``moves``:
+    lowest value, first on ties.
 
-    Records the infeasible tally; None when no row is feasible.
+    Adds to the infeasible tally; None when no row is feasible.
     """
-    moves.infeasible_rejected = len(feasible) - int(np.count_nonzero(feasible))
-    if moves.infeasible_rejected == len(feasible):
+    infeasible = len(feasible) - int(np.count_nonzero(feasible))
+    moves.infeasible_rejected += infeasible
+    if infeasible == len(feasible):
         return None
     return int(values.argmin())
 
@@ -179,15 +184,18 @@ def explore(
     degenerate, tabu or infeasible. Only ``base.x`` is read, so the base
     need not carry its raw row.
     """
-    moves = axial_moves(base.x, step, tabu)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    moves = axial_moves(base.x.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.x.size), tabu.match_tol)
     if moves.axis.size == 0:
         return None, moves
-    raw = denormalize(objective.space, moves.x)
+    X = moves.x
+    raw = denormalize(objective.space, X)
     values, feasible = evaluate_raw_block(objective, raw)
     w = _select(moves, values, feasible)
     if w is None:
         return None, moves
-    return SearchPoint(x=moves.point(w), value=float(values[w]), feasible=True, raw=raw[w].copy()), moves
+    return SearchPoint(x=X[w].copy(), value=float(values[w]), feasible=True, raw=raw[w].copy()), moves
 
 
 def pattern_move(old_base: np.ndarray, new_base: np.ndarray, k: float) -> np.ndarray:
@@ -232,42 +240,38 @@ def hj_stage(
     spent to its ``evals``. Returns ``(outcome, evaluations)`` for each
     thread that stepped, in order; no states step none.
 
-    The axial rows of all stepping threads are built in raw units from
-    each base's ``raw`` row (``axial_block``) and evaluated in one
-    ``evaluate_raw_block`` call; no normalized block is built, so every
-    base must carry its raw row, as every evaluated point does (else
-    ValueError, before anything is evaluated). The
-    winner takes a copy of its block row. Then, thread by thread, the pattern
-    point, when it is new and not tabu, is evaluated alone through
-    ``evaluate_raw``, and the adopted point (the pattern point if
-    strictly better than the exploration point, else the exploration
-    point) becomes the new base, goes on the tabu list and is offered to
-    the shared elite archive. The pattern point differs from the base in
-    the winner's coordinate only, as the winner does, so it is screened
-    against the thread's tabu list with the mask of its axial screen and
-    its raw row is the winner's with that one coordinate denormalized.
+    The states must share one ``control.Stack`` (else ValueError), which
+    ``axial_moves`` reads for all of them at once. The axial rows are
+    built from the bases' raw rows (``axial_block``) and evaluated in one
+    ``evaluate_raw_block`` call; the winner takes a copy of its block row.
+    Then, thread by thread, the pattern point, when it is new and not
+    tabu, is evaluated alone through ``evaluate_raw``, and the adopted
+    point (the pattern point if strictly better than the exploration
+    point, else the exploration point) becomes the new base, goes on the
+    tabu list and is offered to the shared elite archive. The pattern
+    point differs from the base in the winner's coordinate only, as the
+    winner does, so it is screened against the thread's tabu list with
+    the mask of its axial screen and its raw row is the winner's with
+    that one coordinate denormalized.
     The outcome is IMPROVED when the adopted point beats the thread's
     best from before the step, STALLED when no allowable move existed.
     """
     if k_pattern <= 0:
         raise ValueError("pattern factor must be positive")
-    k = float(k_pattern)
-    moves: list[MoveSet] = []
-    raws: list[np.ndarray] = []
-    bound = 0
-    for state in states:
-        m = axial_moves(state.base.x, state.step, state.tabu)
-        moves.append(m)
-        if state.base.raw is None:
-            raise ValueError(f"thread {state.thread_id}'s base has no raw row; evaluate it with core.evaluate")
-        raws.append(state.base.raw)
-        bound += m.axis.size + 1
-        if bound >= budget:
-            break
-    if not moves:
+    if not states:
         return []
+    k = float(k_pattern)
+    stack = states[0].stack
+    x, step, tabu, raw = stack.x, stack.step, stack.tabu, stack.raw
+    if states != stack.threads:  # some threads only, as copies
+        stray = [state.thread_id for state in states if state.stack is not stack]
+        if stray:
+            raise ValueError(f"thread {stray[0]} is not on the stage's stack; build the threads with fresh_states")
+        rows = [state.row for state in states]
+        x, step, tabu, raw = x[rows], step[rows], tabu[rows], raw[rows]
+    moves = axial_moves(x, step, tabu, states[0].tabu.match_tol, budget)
     space = objective.space
-    raw = axial_block(space, raws, moves)
+    raw = axial_block(space, raw, moves)
     if len(raw):
         values, feasible = evaluate_raw_block(objective, raw)
     else:
@@ -275,30 +279,33 @@ def hj_stage(
 
     steps: list[tuple[str, int]] = []
     stop = 0
-    for state, m in zip(states, moves):
-        start, stop = stop, stop + m.axis.size
-        spent = m.axis.size
-        w = _select(m, values[start:stop], feasible[start:stop])
+    for t, (state, count) in enumerate(zip(states, moves.counts)):
+        start, stop = stop, stop + count
+        spent = count
+        w = _select(moves, values[start:stop], feasible[start:stop])
         if w is None:
             state.evals += spent
             steps.append((STALLED, spent))
             continue
-        adopted = move = SearchPoint(
-            x=m.point(w), value=float(values[start + w]), feasible=True, raw=raw[start + w].copy()
-        )
+        w += start
+        a, value = moves.axis.item(w), values.item(w)
+        move_x = state.base.x.copy()
+        move_x[a] = moves.moved[w]
+        adopted = None
         # No pattern evaluation when clamping collapsed the pattern point
         # onto the exploration point, and never adopt a tabu one.
-        a = int(m.axis[w])
-        p_x = _pattern_point(state.base.x, move.x, a, k)
+        p_x = _pattern_point(state.base.x, move_x, a, k)
         if p_x is not None:
             p = p_x.item(a)
-            if not state.tabu.axial_is_tabu(m.rest_near, a, p):
-                p_raw = move.raw.copy()
+            if not state.tabu.axial_is_tabu(moves.rest_near[t], a, p):
+                p_raw = raw[w].copy()
                 p_raw[a] = denormalize_coordinate(space, a, p)
                 pattern = evaluate_raw(objective, p_x, p_raw)
                 spent += 1
-                if pattern.feasible and pattern.value < move.value:
+                if pattern.feasible and pattern.value < value:
                     adopted = pattern
+        if adopted is None:
+            adopted = SearchPoint(x=move_x, value=value, feasible=True, raw=raw[w].copy())
         state.evals += spent
         best_before = state.best.value
         state.adopt(adopted, shared)

@@ -2,13 +2,15 @@
 
 The tabu list is a per-thread FIFO of the most recently accepted
 parameter vectors; a candidate matching any entry is skipped without
-being evaluated. The elite archive keeps the best solutions found so
-far, ordered best first, and is the source for both restart generators:
+being evaluated; ``screen_axial`` screens the probes of several threads
+at once. The elite archive keeps the best solutions found so far,
+ordered best first, and is the source for both restart generators:
 the centroid (intensify) and per-coordinate resampling (diversify).
 """
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
 
@@ -19,34 +21,65 @@ DEFAULT_ELITE_CAPACITY = 10
 DEFAULT_MATCH_TOL = 1e-6
 
 
+def screen_axial(
+    bases: np.ndarray, block: np.ndarray, axis: np.ndarray, moved: np.ndarray, match_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``TabuList.screen`` of T threads' axial probes in one broadcast,
+    without building them: mask entry ``[t, 0, p]`` is for the probe that
+    copies ``bases[t, 0]`` but sets coordinate ``axis[p]`` to
+    ``moved[t, 0, p]``, against ring ``block[t]``. A probe matches an entry
+    within the tolerance in the moved coordinate and in every other one,
+    which it shares with its base; an empty slot (+inf) matches nothing.
+    Also returns ``rest_near`` for ``TabuList.axial_is_tabu``: the
+    ``(T, capacity, N)`` mask of the entries within the tolerance of
+    their base in every coordinate but the column's.
+    """
+    diff = bases - block
+    far = np.abs(diff, out=diff) > match_tol
+    # rest_near[t, e, j]: no coordinate but j of entry e is far from base t.
+    rest_near = np.add.reduce(far, axis=2, keepdims=True) == far
+    # take: the same gather as [:, :, axis], with less indexing overhead.
+    own = block.take(axis, axis=2)
+    np.subtract(moved, own, out=own)
+    hit = np.abs(own, out=own) <= match_tol
+    hit &= rest_near.take(axis, axis=2)
+    return np.logical_or.reduce(hit, axis=1, keepdims=True), rest_near
+
+
 class TabuList:
     """Fixed-capacity FIFO of recently accepted normalized vectors.
 
-    Entries live in a ``(capacity, N)`` ring buffer, allocated at the
-    first push once N is known, so a whole candidate block is screened
-    against every entry in one broadcast.
+    Entries live in a ``(capacity, N)`` ring whose empty slots hold +inf,
+    which matches nothing. The lockstep driver hands each thread's list
+    its row of one ``(K, capacity, N)`` block (``ring``); a list built
+    without one allocates it at the first push, once N is known.
     """
 
-    def __init__(self, capacity: int = DEFAULT_TABU_CAPACITY, match_tol: float = DEFAULT_MATCH_TOL):
+    def __init__(self, capacity: int = DEFAULT_TABU_CAPACITY, match_tol: float = DEFAULT_MATCH_TOL, ring=None):
         if capacity < 1:
             raise ValueError("tabu capacity must be positive")
-        if not match_tol >= 0:  # also rejects NaN
-            raise ValueError(f"match tolerance must be non-negative, got {match_tol!r}")
+        if not 0.0 <= match_tol < math.inf:  # also rejects NaN
+            raise ValueError(f"match tolerance must be non-negative and finite, got {match_tol!r}")
         self.capacity = capacity
         self.match_tol = match_tol
-        self._ring: np.ndarray | None = None
+        self._ring = ring
         self._size = 0
         self._next = 0  # slot of the next push, which holds the oldest entry once full
+
+    def block(self, n: int) -> np.ndarray:
+        """The ring as a one-thread ``(1, capacity, n)`` block, allocated if need be."""
+        if self._ring is None:
+            self._ring = np.full((self.capacity, n), math.inf)
+        return self._ring[np.newaxis]
 
     def push(self, x: np.ndarray) -> None:
         """Record an accepted vector, evicting the oldest entry when full."""
         x = np.asarray(x, dtype=float)
-        if self._ring is None:
-            self._ring = np.empty((self.capacity, x.size))
-        if x.shape != self._ring.shape[1:]:
+        ring = self._ring if self._ring is not None else self.block(x.size)[0]
+        if x.shape != ring.shape[1:]:
             # Assignment into the ring would broadcast a short vector silently.
-            raise ValueError(f"tabu entries have shape {self._ring.shape[1:]}, got {x.shape}")
-        self._ring[self._next] = x
+            raise ValueError(f"tabu entries have shape {ring.shape[1:]}, got {x.shape}")
+        ring[self._next] = x
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -60,41 +93,13 @@ class TabuList:
         np.abs(diff, out=diff)
         return np.logical_or.reduce(diff.max(axis=2) <= self.match_tol, axis=1)
 
-    def screen_axial(self, base: np.ndarray, axis: np.ndarray, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``screen`` of the probes that copy ``base`` and set coordinate
-        ``axis[r]`` to ``moved[r]``, without building them.
-
-        A probe matches an entry when both lie within the tolerance in the
-        moved coordinate and in every other one, which the probe shares
-        with the base: the entry may lie farther than the tolerance from
-        the base in the moved coordinate only. Returns the probes' mask
-        and ``rest_near``, the ``(len(self), N)`` mask of the entries that
-        lie within the tolerance of the base in every coordinate but the
-        column's, for ``axial_is_tabu``.
-        """
-        if self._size == 0:
-            return np.zeros(len(axis), dtype=bool), np.zeros((0, base.size), dtype=bool)
-        entries = self._ring[: self._size]
-        diff = base - entries
-        far = np.abs(diff, out=diff) > self.match_tol
-        # rest_near[e, j]: no coordinate but j of entry e is far from the base.
-        rest_near = far.sum(axis=1, keepdims=True) == far
-        # take: the same gather as [:, axis], with less indexing overhead.
-        own = entries.take(axis, axis=1)
-        np.subtract(moved, own, out=own)
-        hit = np.abs(own, out=own) <= self.match_tol
-        hit &= rest_near.take(axis, axis=1)
-        return np.logical_or.reduce(hit, axis=0), rest_near
-
     def axial_is_tabu(self, rest_near: np.ndarray, axis: int, value: float) -> bool:
         """``is_tabu`` of the point that copies the base of ``rest_near``
-        (from ``screen_axial``, with no push since) and sets coordinate
-        ``axis`` to ``value``: only the entries near the base in every
-        other coordinate are tested, on that coordinate alone."""
-        if not len(rest_near):
-            return False
+        (this list's row of a ``screen_axial`` mask, no push since) and
+        sets coordinate ``axis`` to ``value``: only the entries near the
+        base in every other coordinate are tested, on that coordinate alone."""
         tol = self.match_tol
-        own = self._ring[: len(rest_near), axis].tolist()
+        own = self._ring[:, axis].tolist()
         for near, entry in zip(rest_near[:, axis].tolist(), own):
             if near and abs(value - entry) <= tol:
                 return True
@@ -133,8 +138,8 @@ class IntermediateMemory:
     def __init__(self, capacity: int = DEFAULT_ELITE_CAPACITY, match_tol: float = DEFAULT_MATCH_TOL):
         if capacity < 1:
             raise ValueError("elite capacity must be positive")
-        if not match_tol >= 0:
-            raise ValueError(f"match tolerance must be non-negative, got {match_tol!r}")
+        if not 0.0 <= match_tol < math.inf:
+            raise ValueError(f"match tolerance must be non-negative and finite, got {match_tol!r}")
         self.capacity = capacity
         self.match_tol = match_tol
         self._values: list[float] = []  # best first, keeps bisect cheap
@@ -147,10 +152,13 @@ class IntermediateMemory:
         current worst entry. Vectors already present (within the match
         tolerance, max norm) are rejected so the archive cannot collapse
         onto copies of one solution. A vector of another length than
-        the archived ones raises ValueError.
+        the archived ones, or a feasible point with a non-finite value,
+        raises ValueError.
         """
         if not p.feasible:
             return False
+        if not math.isfinite(p.value):
+            raise ValueError(f"cannot archive a feasible point with non-finite value {p.value!r}")
         x = np.asarray(p.x, dtype=float)
         n = len(self._values)
         if self._rows is not None and x.shape != self._rows.shape[1:]:

@@ -74,7 +74,10 @@ class TestSpecValidation:
     def test_options_of_the_problem_accepted(self, problem, options):
         ExperimentSpec(problem=problem, options=options).validate()
 
-    @pytest.mark.parametrize("name, value", [("runs", 2.5), ("runs", "3"), ("base_seed", 1.5), ("base_seed", None)])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("runs", 2.5), ("runs", "3"), ("runs", True), ("base_seed", 1.5), ("base_seed", None), ("base_seed", False)],
+    )
     def test_non_integer_runs_or_seed_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             ExperimentSpec(problem="schwefel10", **{name: value}).validate()

@@ -109,6 +109,9 @@ class TestConfigValidation:
             ("diversify_after", 10.5),
             ("reduce_after", 15.5),
             ("reduce_after", math.inf),
+            ("max_evals", True),
+            ("n_tabu", True),
+            ("seed", False),
         ],
     )
     def test_bad_value_rejected_before_any_evaluation(self, name, value):

@@ -43,6 +43,11 @@ def make_objective(fn, dim=1, record=None):
     return Objective(space=space, fn=wrapped)
 
 
+def moves_around(base, step, tabu):
+    """``axial_moves`` of one thread: ``base`` with its step and tabu list."""
+    return axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tabu.match_tol)
+
+
 def eval_point(obj, x, value_fn):
     x = np.asarray(x, dtype=float)
     return SearchPoint(x=x, value=float(value_fn(x)), feasible=True)
@@ -50,30 +55,30 @@ def eval_point(obj, x, value_fn):
 
 class TestAxialMoves:
     def test_generates_2n_candidates(self):
-        moves = axial_moves(np.array([0.5, 0.5]), 0.1, TabuList())
+        moves = moves_around(np.array([0.5, 0.5]), 0.1, TabuList())
         assert len(moves.x) == 4
         got = {tuple(np.round(x, 12)) for x in moves.x}
         assert got == {(0.6, 0.5), (0.4, 0.5), (0.5, 0.6), (0.5, 0.4)}
 
     def test_order_is_axis_major_increment_first(self):
-        moves = axial_moves(np.array([0.5, 0.5]), 0.1, TabuList())
+        moves = moves_around(np.array([0.5, 0.5]), 0.1, TabuList())
         provenance = list(zip(moves.axis.tolist(), moves.sign.tolist()))
         assert provenance == [(0, 1), (0, -1), (1, 1), (1, -1)]
 
     def test_clamping(self):
-        moves = axial_moves(np.array([0.5, 0.5]), 0.6, TabuList())
+        moves = moves_around(np.array([0.5, 0.5]), 0.6, TabuList())
         got = {tuple(x) for x in moves.x}
         assert got == {(1.0, 0.5), (0.0, 0.5), (0.5, 1.0), (0.5, 0.0)}
 
     def test_degenerate_clamped_candidates_dropped(self):
         # Base on the lower bound: the decrement clamps onto the base.
-        moves = axial_moves(np.array([0.0]), 0.1, TabuList())
+        moves = moves_around(np.array([0.0]), 0.1, TabuList())
         assert list(zip(moves.axis.tolist(), moves.sign.tolist())) == [(0, 1)]
 
     def test_tabu_candidates_filtered_and_counted(self):
         tabu = TabuList()
         tabu.push(np.array([0.4, 0.5]))
-        moves = axial_moves(np.array([0.5, 0.5]), 0.1, tabu)
+        moves = moves_around(np.array([0.5, 0.5]), 0.1, tabu)
         assert moves.tabu_rejected == 1
         assert len(moves.x) == 3
         for x in moves.x:
@@ -82,7 +87,7 @@ class TestAxialMoves:
     def test_candidates_subset_of_axial_neighbors(self):
         base = np.array([0.15, 0.8, 0.5])
         step = 0.3
-        moves = axial_moves(base, step, TabuList())
+        moves = moves_around(base, step, TabuList())
         allowed = set()
         for i in range(3):
             for sign in (1, -1):
@@ -300,19 +305,18 @@ class TestAxialRawBlock:
         # "rounding" space, where lower + 1.0 * span rounds past upper.
         space = SPACES[name]
         n = space.dimension
-        raws, moves = [], []
-        for _ in range(threads):
-            base = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
-            tabu = TabuList(4, 0.0)
+        bases = np.array([data.draw(st.lists(UNIT, min_size=n, max_size=n)) for _ in range(threads)])
+        rings = np.full((threads, 4, n), np.inf)
+        for base, ring in zip(bases, rings):
+            tabu = TabuList(4, 0.0, ring)
             for _ in range(data.draw(st.integers(0, 2))):
                 probe = base.copy()
                 probe[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([step, -step]))
                 tabu.push(clamp(probe))
-            raws.append(denormalize(space, base))
-            moves.append(axial_moves(base, step, tabu))
-        block = axial_block(space, raws, moves)
-        want = denormalize(space, np.concatenate([m.x for m in moves]))
-        assert block.shape == want.shape == (sum(m.axis.size for m in moves), n)
+        moves = axial_moves(bases[:, np.newaxis], np.full((threads, 1, 1), step), rings, 0.0)
+        block = axial_block(space, denormalize(space, bases), moves)
+        want = denormalize(space, moves.x)
+        assert block.shape == want.shape == (moves.axis.size, n)
         assert block.tobytes() == want.tobytes()
 
 

@@ -79,7 +79,7 @@ class TestTabuList:
 
 
 class TestIntermediateMemory:
-    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_rejects_bad_tolerance_like_tabu_list(self, tol):
         with pytest.raises(ValueError, match="match tolerance must be non-negative"):
             TabuList(match_tol=tol)
@@ -125,6 +125,18 @@ class TestIntermediateMemory:
         bad = SearchPoint(x=np.array([0.5]), value=1.0, feasible=False)
         assert not mem.offer(bad)
         assert len(mem) == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_feasible_non_finite_value_rejected(self, bad):
+        # Archived, such a value would break the best-first order that
+        # the capacity check reads.
+        mem = IntermediateMemory(capacity=3)
+        assert mem.offer(point([0.1, 0.0], 1.0))
+        with pytest.raises(ValueError, match=f"non-finite value {bad!r}"):
+            mem.offer(point([0.2, 0.0], bad))
+        assert mem.offer(point([0.3, 0.0], 0.5))
+        assert mem.offer(point([0.4, 0.0], 2.0))
+        assert mem.values() == [0.5, 1.0, 2.0]
 
     def test_values_is_a_copy_in_step_with_rows(self):
         mem = IntermediateMemory(capacity=3)

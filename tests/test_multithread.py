@@ -254,7 +254,8 @@ class TestErrorPropagation:
         for x in (x0, x1):
             tabu = TabuList()
             tabu.push(x)
-            first.append(axial_moves(x, SearchConfig().step_initial, tabu).x)
+            step = np.full((1, 1, 1), SearchConfig().step_initial)
+            first.append(axial_moves(x.reshape(1, 1, -1), step, tabu.block(x.size), tabu.match_tol).x)
         m = 2 + len(first[0]) + row + 1
         calls = failing_run("multi", m)
         assert len(calls) == m

@@ -200,7 +200,7 @@ def axial_blocks(draw, objective, specials=()):
             neighbour = base.copy()
             neighbour[j] += sign * step
             tabu.push(clamp(neighbour))
-        parts.append(axial_moves(base, step, tabu).x)
+        parts.append(axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(n), tabu.match_tol).x)
     raw = denormalize(space, np.concatenate(parts))
     assume(len(raw))
     edits = draw(st.sets(st.sampled_from(["repeat", "two-up", "signed-zero", "one-row"])))
@@ -493,7 +493,7 @@ def test_axial_moves_match_reference(base, step, tol, data):
     for e in entries:
         tabu.push(e)
     want, rejected = reference_axial(base, step, entries, tol)
-    moves = axial_moves(base, step, tabu)
+    moves = axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tol)
     got = list(zip(moves.x, moves.axis.tolist(), moves.sign.tolist()))
     assert moves.tabu_rejected == rejected
     assert [(a, s) for _, a, s in got] == [(a, s) for _, a, s in want]

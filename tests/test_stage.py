@@ -12,12 +12,13 @@ loop that stepped each live thread on its own, one step after another.
 The new code must agree with them exactly.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tabukit import control
+from tabukit import control, hillclimb
 from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit.control import (
     CONTINUE,
@@ -32,6 +33,7 @@ from tabukit.control import (
     control_decision,
     detect_collision,
     fresh_state,
+    fresh_states,
     resolved_step_min,
     run_lockstep,
     start_point,
@@ -48,7 +50,7 @@ from tabukit.hillclimb import (
     pattern_move,
 )
 from tabukit.hydraulic import make_circuit
-from tabukit.memory import IntermediateMemory, TabuList
+from tabukit.memory import IntermediateMemory, TabuList, screen_axial
 from tabukit.multithread import thread_rngs
 
 PROBLEMS = {
@@ -75,8 +77,14 @@ def tile_axial_moves(base_x, step, tabu):
     tabu_hit = moved & tabu.screen(X)
     keep = moved & ~tabu_hit
     X, axis = X[keep], axis[keep]
-    moves = MoveSet(base_x, axis, sign[keep], X[np.arange(len(X)), axis], tabu_rejected=int(np.count_nonzero(tabu_hit)))
+    moved_x = X[np.arange(len(X)), axis]
+    moves = MoveSet(base_x.reshape(1, 1, -1), axis, moved_x, [len(X)], int(np.count_nonzero(tabu_hit)))
     return X, moves
+
+
+def moves_around(base_x, step, tabu):
+    """``axial_moves`` of one thread: ``base_x`` with its step and tabu list."""
+    return axial_moves(base_x.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base_x.size), tabu.match_tol)
 
 
 def counted(objective):
@@ -109,7 +117,7 @@ def reference_hj_step(state, objective, shared, k_pattern):
     if not feasible.any():
         return STALLED
     w = int(np.argmin(values))
-    move = SearchPoint(x=X[w].copy(), value=float(values[w]), feasible=True)
+    move = SearchPoint(x=X[w].copy(), value=float(values[w]), feasible=True, raw=denormalize(objective.space, X[w]))
     adopted = move
     p_x = pattern_move(state.base.x, move.x, k_pattern)
     if not np.array_equal(p_x, move.x) and not state.tabu.is_tabu(p_x):
@@ -257,10 +265,14 @@ def result_key(r):
 
 def lockstep_setup(threads, start=None):
     """(starts, seed_rngs) of run_single for one thread, of run_multi for
-    two. ``start`` is every thread's start; None draws them at random."""
+    two, and of three threads seeded like run_multi's. ``start`` is every
+    thread's start; None draws them at random."""
     if threads == 1:
         return [("start", start)], lambda seed: [np.random.default_rng(seed)]
-    return [("start_a (thread 0)", start), ("start_b (thread 1)", start)], thread_rngs
+    if threads == 2:
+        return [("start_a (thread 0)", start), ("start_b (thread 1)", start)], thread_rngs
+    starts = [(f"start (thread {i})", start) for i in range(threads)]
+    return starts, lambda seed: [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(threads)]
 
 
 # --- axial_moves against the tile + screen construction -------------------
@@ -304,7 +316,7 @@ def test_axial_moves_match_tile_screen(base, step, tol, capacity, data):
     # From an empty list up to three times the capacity, so the ring wraps.
     for _ in range(data.draw(st.integers(0, 3 * capacity))):
         tabu.push(data.draw(tabu_entry(base, step, tol)))
-    got = axial_moves(base, step, tabu)
+    got = moves_around(base, step, tabu)
     want_x, want = tile_axial_moves(base, step, tabu)
     assert got.x.tobytes() == want_x.tobytes()
     assert got.x.shape == want_x.shape
@@ -322,7 +334,7 @@ def test_axial_screen_cases_at_the_tolerance():
     tabu.push(np.array([0.375, tol, 1.0]))  # probe 1 (-x0) lies exactly tol away on another axis
     tabu.push(np.array([0.5, 0.125 + 2 * tol, 1.0 - tol]))  # probe +x1 is 2 tol off: allowed
     tabu.push(np.array([0.5 + tol, 0.0, 0.875 - tol]))  # probe -x2 is tol off on two axes: tabu
-    got = axial_moves(base, 0.125, tabu)
+    got = moves_around(base, 0.125, tabu)
     want_x, want = tile_axial_moves(base, 0.125, tabu)
     # x1 and x2 sit on a bound, so one probe of each is degenerate.
     assert got.axis.tolist() == want.axis.tolist() == [1]
@@ -361,8 +373,60 @@ def test_pattern_screen_from_the_axial_mask_matches_is_tabu(base, tol, capacity,
         else:
             tabu.push(data.draw(tabu_entry(base, 1 / 16, tol)))
     axis, sign = _probe_order(n)
-    _, rest_near = tabu.screen_axial(base, axis, clamp(base[axis] + sign / 16))
-    assert tabu.axial_is_tabu(rest_near, a, p) == tabu.is_tabu(point) == tabu.is_tabu(point + 0.0)
+    probes = clamp(base[axis] + sign / 16).reshape(1, 1, -1)
+    _, rest_near = screen_axial(base.reshape(1, 1, -1), tabu.block(n), axis, probes, tol)
+    assert tabu.axial_is_tabu(rest_near[0], a, p) == tabu.is_tabu(point) == tabu.is_tabu(point + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    threads=st.integers(1, 3),
+    n=st.integers(1, 5),
+    tol=st.sampled_from(TOLS),
+    capacity=st.integers(1, 4),
+    data=st.data(),
+)
+def test_stacked_screen_matches_screen_row_by_row(threads, n, tol, capacity, data):
+    # T threads screened in one call, each against its own ring: rings
+    # filled to different depths and wrapped, bases with signed zeros and
+    # bound coordinates, steps that clamp probes onto both bounds, and
+    # entries a tolerance off. The mask is TabuList.screen of every probe
+    # built as a full row, and axial_moves is the per-thread tile
+    # construction, thread by thread, for the threads the budget admits.
+    coordinate = st.one_of(GRID, st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+    bases = np.array([data.draw(st.lists(coordinate, min_size=n, max_size=n)) for _ in range(threads)])
+    steps = np.array([data.draw(st.sampled_from([1 / 32, 1 / 16, 0.25, 0.6, 0.1])) for _ in range(threads)])
+    rings = np.full((threads, capacity, n), np.inf)
+    tabus = [TabuList(capacity, tol, ring) for ring in rings]
+    for base, step, tabu in zip(bases, steps, tabus):
+        for _ in range(data.draw(st.integers(0, 3 * capacity))):
+            tabu.push(data.draw(tabu_entry(base, step, tol)))
+    axis, sign = _probe_order(n)
+    moved = clamp(bases[:, axis] + sign * steps[:, np.newaxis])
+    hit, rest_near = screen_axial(bases[:, np.newaxis], rings, axis, moved[:, np.newaxis], tol)
+    assert hit.shape == (threads, 1, 2 * n) and rest_near.shape == rings.shape
+    for t, tabu in enumerate(tabus):
+        rows = np.tile(bases[t], (2 * n, 1))
+        rows[np.arange(2 * n), axis] = moved[t]
+        assert hit[t, 0].tolist() == tabu.screen(rows).tolist()
+
+    wants = [tile_axial_moves(base, step, tabu) for base, step, tabu in zip(bases, steps, tabus)]
+    # Budgets at each thread's edge: what the threads before it may spend.
+    edges = np.cumsum([len(x) + 1 for x, _ in wants]).tolist()
+    budget = data.draw(st.one_of(st.just(math.inf), st.integers(-1, 6 * n * threads), st.sampled_from(edges)))
+    got = axial_moves(bases[:, np.newaxis], steps.reshape(-1, 1, 1), rings, tol, budget)
+    stepping, spent = 1, len(wants[0][0]) + 1
+    while stepping < threads and spent < budget:
+        spent += len(wants[stepping][0]) + 1
+        stepping += 1
+    wants = wants[:stepping]
+    assert got.counts == [len(x) for x, _ in wants]
+    assert got.x.tobytes() == np.concatenate([x for x, _ in wants]).tobytes()
+    assert got.moved.tobytes() == b"".join(m.moved.tobytes() for _, m in wants)
+    assert got.axis.tolist() == [a for _, m in wants for a in m.axis.tolist()]
+    assert got.sign.tolist() == [s for _, m in wants for s in m.sign.tolist()]
+    assert got.tabu_rejected == sum(m.tabu_rejected for _, m in wants)
+    assert got.rest_near.tobytes() == rest_near[:stepping].tobytes()
 
 
 # --- the stacked driver against the per-thread reference -----------------
@@ -371,7 +435,7 @@ def test_pattern_screen_from_the_axial_mask_matches_is_tabu(base, tol, capacity,
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 @settings(max_examples=12, deadline=None)
 @given(
-    threads=st.sampled_from([1, 2]),
+    threads=st.sampled_from([1, 2, 3]),
     seed=st.integers(0, 2**16),
     schedule=st.sampled_from([(5, 10, 15), (1, 2, 3)]),
     budget=st.one_of(
@@ -443,6 +507,34 @@ def test_budget_edge_splits_a_stage(monkeypatch):
             assert result_key(got) == result_key(want)
             split += groups[-2:] == [(2, 1), (1, 1)]
     assert split
+
+
+def test_one_axial_moves_call_per_stage_for_the_stepping_threads(monkeypatch):
+    """hj_stage screens and builds the probes of all its threads in one
+    axial_moves call, which covers exactly the threads that step: none
+    that the budget leaves for a later call."""
+    real_moves, real_stage = hillclimb.axial_moves, control.hj_stage
+    calls, stages = [], []
+
+    def axial_moves(*args):
+        moves = real_moves(*args)
+        calls.append(len(moves.counts))
+        return moves
+
+    def stage(states, *args):
+        calls.clear()
+        steps = real_stage(states, *args)
+        stages.append((len(states), len(steps), list(calls)))
+        return steps
+
+    monkeypatch.setattr(hillclimb, "axial_moves", axial_moves)
+    monkeypatch.setattr(control, "hj_stage", stage)
+    objective = make_schwefel10()
+    starts, seed_rngs = lockstep_setup(3)
+    for max_evals in range(300, 400, 9):
+        run_lockstep(objective, SearchConfig(seed=2, max_evals=max_evals), starts, seed_rngs)
+    assert all(calls == [stepped] for _, stepped, calls in stages)
+    assert any(stepped < offered for offered, stepped, _ in stages)
 
 
 def recorded(objective):
@@ -541,14 +633,29 @@ def test_sentinel_best_carries_the_start_raw_row():
 
 
 def test_base_without_a_raw_row_is_named():
-    # A hand-built base has no raw row; the stage says so instead of
-    # sending NaN rows to the objective.
+    # A hand-built base has no raw row; the threads' constructor says so
+    # instead of stacking a NaN row for the stage to send to the objective.
     objective, calls = counted(make_schwefel10())
     base = SearchPoint(x=np.full(10, 0.5), value=1.0, feasible=True)
-    state = fresh_state(base, SearchConfig(), thread_id=1)
     with pytest.raises(ValueError, match="^thread 1's base has no raw row"):
-        hj_stage([state], objective, IntermediateMemory())
+        fresh_states([evaluate(make_schwefel10(), base.x), base], SearchConfig())
+    with pytest.raises(ValueError, match="^thread 2's base has no raw row"):
+        fresh_state(base, SearchConfig(), thread_id=2)
+    state = fresh_state(evaluate(make_schwefel10(), base.x), SearchConfig(), thread_id=1)
+    with pytest.raises(ValueError, match="^thread 1's base has no raw row"):
+        state.adopt(base, IntermediateMemory())
     assert calls == [0]
+
+
+def test_threads_of_another_stack_are_named():
+    # Threads built one by one do not share their stacked rows, so they
+    # cannot step as one stage.
+    objective, calls = counted(make_schwefel10())
+    points = [evaluate(objective, np.full(10, x)) for x in (0.25, 0.75)]
+    states = [fresh_state(point, SearchConfig(), thread_id=i) for i, point in enumerate(points)]
+    with pytest.raises(ValueError, match="^thread 1 is not on the stage's stack"):
+        hj_stage(states, objective, IntermediateMemory())
+    assert calls == [2]
 
 
 def test_stage_of_no_states_steps_none():
@@ -564,13 +671,9 @@ def test_first_state_steps_whatever_the_budget(budget):
     # before it is below the budget.
     objective = make_schwefel10()
     memory = IntermediateMemory()
-    config = SearchConfig()
-    states = []
-    for i, x in enumerate((np.full(10, 0.25), np.full(10, 0.75))):
-        point = evaluate(objective, x)
-        state = fresh_state(point, config, thread_id=i)
-        state.adopt(point, memory)
-        states.append(state)
+    states = fresh_states([evaluate(objective, np.full(10, x)) for x in (0.25, 0.75)], SearchConfig())
+    for state in states:
+        state.adopt(state.base, memory)
     steps = hj_stage(states, objective, memory, budget=budget)
     assert len(steps) == 1
     assert steps[0][1] == states[0].evals - 1 > 0

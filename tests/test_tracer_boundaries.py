@@ -50,7 +50,7 @@ def test_axial_moves_counts_one_candidate_per_row():
     # The tracer counts len(result.candidates) of each axial_moves call.
     tabu = TabuList()
     tabu.push(np.array([0.5, 0.0, 0.6]))
-    moves = axial_moves(np.array([0.5, 0.0, 0.5]), 0.1, tabu)
+    moves = axial_moves(np.array([[[0.5, 0.0, 0.5]]]), np.full((1, 1, 1), 0.1), tabu.block(3), tabu.match_tol)
     # Of six probes, the decrement of x1 clamps onto the base and the
     # increment of x2 is tabu.
     assert moves.tabu_rejected == 1
