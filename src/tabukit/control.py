@@ -173,11 +173,6 @@ def fresh_states(points: Sequence[SearchPoint], config: SearchConfig, first_id: 
     return list(stack.threads)
 
 
-def fresh_state(base: SearchPoint, config: SearchConfig, thread_id: int = 0) -> ThreadState:
-    """``fresh_states`` of one thread, named ``thread_id``."""
-    return fresh_states([base], config, thread_id)[0]
-
-
 def resolved_step_min(config: SearchConfig, space: ParameterSpace) -> float:
     """Step floor in normalized units; derived from the space when unset."""
     if config.step_min is not None:

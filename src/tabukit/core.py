@@ -43,6 +43,13 @@ class ParameterSpace:
             raise ValueError("lower, upper and min_step must have equal length")
         if lower.ndim != 1 or lower.size == 0:
             raise ValueError("bounds must be non-empty 1-D vectors")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or a span past the float range
+            bad = ~np.isfinite(upper - lower)
+        if bad.any():
+            raise ValueError(
+                f"bounds must be finite, with a finite span: at indices {np.flatnonzero(bad).tolist()}, "
+                f"lower {lower[bad].tolist()} and upper {upper[bad].tolist()}"
+            )
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
         if not np.all((min_step > 0) & (min_step <= upper - lower)):
@@ -94,8 +101,7 @@ class Objective:
     each row in order.
 
     One point always goes to ``fn`` (``evaluate``, ``evaluate_raw``), a
-    block to ``fn_batch`` when there is one (``evaluate_block``,
-    ``evaluate_raw_block``).
+    block to ``fn_batch`` when there is one (``evaluate_raw_block``).
     """
 
     space: ParameterSpace
@@ -210,15 +216,6 @@ def evaluate_raw_block(objective: Objective, raw: np.ndarray) -> tuple[np.ndarra
     if np.count_nonzero(feasible) == k:
         return values, feasible
     return np.where(feasible, values, INFEASIBLE_VALUE), feasible
-
-
-def evaluate_block(objective: Objective, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a ``(k, N)`` block of normalized rows: ``evaluate_raw_block``
-    of the denormalized block."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:  # denormalize would take one vector
-        raise ValueError(f"expected a block of {objective.space.dimension}-component rows, got {X.shape}")
-    return evaluate_raw_block(objective, denormalize(objective.space, X))
 
 
 def evaluate_raw(objective: Objective, x: np.ndarray, raw: np.ndarray) -> SearchPoint:

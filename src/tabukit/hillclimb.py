@@ -10,18 +10,10 @@ built and screened from the base and the moved coordinates alone: an
 entry of the tabu list can match a neighbor only when no other
 coordinate of the base lies farther from it than the tolerance.
 
-``hj_stage`` steps several threads as one batched operation: one
-``axial_moves`` call screens the probes of all of them from their stacked
-rows, their axial rows are evaluated in one objective call, then each
-thread in order evaluates its pattern point alone and adopts its move.
-Objective values do not depend on the other rows of a block, so the
-result is the same as stepping the threads one by one; ``hj_step`` is
-the one-thread call. No normalized block is built: ``denormalize`` is
-elementwise, so a neighbor's raw row is its base's raw row with the one
-moved coordinate denormalized (``axial_block``). A pattern point, too,
-differs from the base in the winner's coordinate only, so it is screened
-with the mask of its thread's axial screen (``TabuList.axial_is_tabu``)
-and its raw row is the winner's with that coordinate denormalized.
+The driver steps every thread of a stage through one ``hj_stage`` call,
+with the result of stepping them one by one; its docstring says how.
+``explore`` and ``hj_step`` are not called by the engine; they stay as
+the boundaries that ``perfbench/tracer.py`` wraps.
 """
 from __future__ import annotations
 
@@ -81,19 +73,6 @@ class MoveSet:
         """One entry per candidate, ``moved``, under the name that the
         tracing hooks of ``perfbench/tracer.py`` count."""
         return self.moved
-
-    @property
-    def x(self) -> np.ndarray:
-        """The candidates' normalized rows as a new ``(k, N)`` block."""
-        X = np.repeat(self.base_x[:, 0], self.counts, axis=0)
-        X[np.arange(self.axis.size), self.axis] = self.moved
-        return X
-
-    @property
-    def sign(self) -> np.ndarray:
-        """1 for each candidate that moved up, -1 down (none stayed put)."""
-        base = np.repeat(self.base_x[:, 0], self.counts, axis=0)[np.arange(self.axis.size), self.axis]
-        return np.where(self.moved > base, 1, -1)
 
 
 @lru_cache(maxsize=None)
@@ -182,26 +161,28 @@ def explore(
     nothing improves, the smallest increase wins, and ties go to the
     first generated candidate. Returns None only when every neighbor was
     degenerate, tabu or infeasible. Only ``base.x`` is read, so the base
-    need not carry its raw row.
+    need not carry its raw row. The engine does not call it; it stays
+    as a ``perfbench/tracer.py`` boundary.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not step > 0:  # also rejects NaN
+        raise ValueError(f"step must be positive, got {step!r}")
     moves = axial_moves(base.x.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.x.size), tabu.match_tol)
     if moves.axis.size == 0:
         return None, moves
-    X = moves.x
-    raw = denormalize(objective.space, X)
+    raw = axial_block(objective.space, denormalize(objective.space, base.x)[np.newaxis], moves)
     values, feasible = evaluate_raw_block(objective, raw)
     w = _select(moves, values, feasible)
     if w is None:
         return None, moves
-    return SearchPoint(x=X[w].copy(), value=float(values[w]), feasible=True, raw=raw[w].copy()), moves
+    x = base.x.copy()
+    x[moves.axis[w]] = moves.moved[w]
+    return SearchPoint(x=x, value=float(values[w]), feasible=True, raw=raw[w].copy()), moves
 
 
 def pattern_move(old_base: np.ndarray, new_base: np.ndarray, k: float) -> np.ndarray:
     """Extend the move old_base -> new_base by a factor ``k``, clamped."""
-    if k <= 0:
-        raise ValueError("pattern factor must be positive")
+    if not 0.0 < k < math.inf:  # also rejects NaN, as SearchConfig.validate does
+        raise ValueError(f"pattern factor must be positive and finite, got {k!r}")
     return clamp(new_base + k * (new_base - old_base))
 
 
@@ -256,8 +237,8 @@ def hj_stage(
     The outcome is IMPROVED when the adopted point beats the thread's
     best from before the step, STALLED when no allowable move existed.
     """
-    if k_pattern <= 0:
-        raise ValueError("pattern factor must be positive")
+    if not 0.0 < k_pattern < math.inf:  # also rejects NaN, as SearchConfig.validate does
+        raise ValueError(f"pattern factor must be positive and finite, got {k_pattern!r}")
     if not states:
         return []
     k = float(k_pattern)
@@ -320,5 +301,6 @@ def hj_step(
     k_pattern: float = 1.0,
 ) -> str:
     """One exploration + pattern-move cycle from the thread's base point:
-    ``hj_stage`` for one thread. Returns the outcome."""
+    ``hj_stage`` for one thread. Returns the outcome. The engine does not
+    call it; it stays as a ``perfbench/tracer.py`` boundary."""
     return hj_stage([state], objective, shared, k_pattern)[0][0]

@@ -3,9 +3,10 @@
 The tabu list is a per-thread FIFO of the most recently accepted
 parameter vectors; a candidate matching any entry is skipped without
 being evaluated; ``screen_axial`` screens the probes of several threads
-at once. The elite archive keeps the best solutions found so far,
-ordered best first, and is the source for both restart generators:
-the centroid (intensify) and per-coordinate resampling (diversify).
+at once, and ``TabuList.axial_is_tabu`` a pattern point with its mask.
+The elite archive keeps the best solutions found so far, ordered best
+first, and is the source for both restart generators: the centroid
+(intensify) and per-coordinate resampling (diversify).
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ DEFAULT_MATCH_TOL = 1e-6
 def screen_axial(
     bases: np.ndarray, block: np.ndarray, axis: np.ndarray, moved: np.ndarray, match_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``TabuList.screen`` of T threads' axial probes in one broadcast,
-    without building them: mask entry ``[t, 0, p]`` is for the probe that
+    """Screen T threads' axial probes in one broadcast, without building
+    them: mask entry ``[t, 0, p]`` is ``is_tabu`` of the probe that
     copies ``bases[t, 0]`` but sets coordinate ``axis[p]`` to
     ``moved[t, 0, p]``, against ring ``block[t]``. A probe matches an entry
     within the tolerance in the moved coordinate and in every other one,
@@ -83,16 +84,6 @@ class TabuList:
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def screen(self, X: np.ndarray) -> np.ndarray:
-        """Mask of the rows of ``X`` that match some entry within the
-        tolerance (max norm), testing every row against every entry at once."""
-        X = np.asarray(X, dtype=float)
-        if self._size == 0:
-            return np.zeros(len(X), dtype=bool)
-        diff = X[:, np.newaxis, :] - self._ring[: self._size]
-        np.abs(diff, out=diff)
-        return np.logical_or.reduce(diff.max(axis=2) <= self.match_tol, axis=1)
-
     def axial_is_tabu(self, rest_near: np.ndarray, axis: int, value: float) -> bool:
         """``is_tabu`` of the point that copies the base of ``rest_near``
         (this list's row of a ``screen_axial`` mask, no push since) and
@@ -106,17 +97,13 @@ class TabuList:
         return False
 
     def is_tabu(self, x: np.ndarray) -> bool:
-        """True when some entry matches ``x`` within the tolerance (max norm)."""
-        return bool(self.screen(np.asarray(x, dtype=float)[np.newaxis])[0])
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Copy of the held vectors as rows, oldest first."""
+        """True when some entry matches ``x`` within the tolerance (max norm).
+        The engine does not call it; it stays as a boundary that
+        ``perfbench/tracer.py`` wraps."""
         if self._ring is None:
-            return np.empty((0, 0))
-        if self._size < self.capacity:
-            return self._ring[: self._size].copy()
-        return np.roll(self._ring, -self._next, axis=0)
+            return False
+        diff = np.abs(self._ring - np.asarray(x, dtype=float))  # +inf in the empty slots
+        return bool(np.any(diff.max(axis=1) <= self.match_tol))
 
     def __len__(self) -> int:
         return self._size

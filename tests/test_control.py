@@ -14,7 +14,7 @@ from tabukit.control import (
     SearchConfig,
     apply_action,
     control_decision,
-    fresh_state,
+    fresh_states,
     resolved_step_min,
     run_single,
 )
@@ -139,7 +139,7 @@ class TestConfigValidation:
 
 def seeded_state(obj, x0, config):
     base = evaluate(obj, np.asarray(x0, dtype=float))
-    state = fresh_state(base, config)
+    state = fresh_states([base], config)[0]
     state.tabu.push(base.x)
     state.observe(base)
     return state

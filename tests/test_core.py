@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,24 @@ class TestParameterSpace:
             ParameterSpace(np.array([0.0]), np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
             ParameterSpace(np.array([0.0]), np.array([1.0]), np.array([1.5]))
+
+    @pytest.mark.parametrize(
+        "lower, upper, named",
+        [
+            ([-math.inf, 0.0], [math.inf, 1.0], "at indices [0], lower [-inf] and upper [inf]"),
+            ([0.0, 0.0], [1.0, math.inf], "at indices [1], lower [0.0] and upper [inf]"),
+            ([0.0, math.nan, -math.inf], [1.0, 1.0, 0.0], "at indices [1, 2], lower [nan, -inf] and upper [1.0, 0.0]"),
+            ([-1e308], [1e308], "at indices [0], lower [-1e+308] and upper [1e+308]"),  # the span overflows
+        ],
+    )
+    def test_rejects_non_finite_bounds_by_name(self, lower, upper, named):
+        # Such a space would hand the objective NaN coordinates, for which
+        # the objective would be blamed.
+        calls = []
+        with pytest.raises(ValueError, match=re.escape(f"bounds must be finite, with a finite span: {named}")):
+            space = ParameterSpace(np.array(lower), np.array(upper), np.full(len(lower), 1e-3))
+            evaluate(Objective(space, lambda raw: (calls.append(raw) or 0.0, True)), np.full(len(lower), 0.5))
+        assert calls == []
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

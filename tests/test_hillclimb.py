@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from tabukit.core import (
     denormalize_coordinates,
     evaluate,
 )
-from tabukit.control import SearchConfig, fresh_state
+from tabukit.control import SearchConfig, fresh_states
 from tabukit.hydraulic import make_circuit
 from tabukit.hillclimb import (
     IMPROVED,
@@ -25,6 +26,7 @@ from tabukit.hillclimb import (
     axial_moves,
     explore,
     _pattern_point,
+    hj_stage,
     hj_step,
     pattern_move,
 )
@@ -48,6 +50,20 @@ def moves_around(base, step, tabu):
     return axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tabu.match_tol)
 
 
+def probe_rows(moves):
+    """The normalized rows of ``moves``: each candidate's base with its
+    moved coordinate set."""
+    X = np.repeat(moves.base_x[:, 0], moves.counts, axis=0)
+    X[np.arange(moves.axis.size), moves.axis] = moves.moved
+    return X
+
+
+def probe_signs(moves):
+    """1 for each candidate of ``moves`` that moved up, -1 down."""
+    base = np.repeat(moves.base_x[:, 0], moves.counts, axis=0)[np.arange(moves.axis.size), moves.axis]
+    return np.where(moves.moved > base, 1, -1).tolist()
+
+
 def eval_point(obj, x, value_fn):
     x = np.asarray(x, dtype=float)
     return SearchPoint(x=x, value=float(value_fn(x)), feasible=True)
@@ -56,32 +72,32 @@ def eval_point(obj, x, value_fn):
 class TestAxialMoves:
     def test_generates_2n_candidates(self):
         moves = moves_around(np.array([0.5, 0.5]), 0.1, TabuList())
-        assert len(moves.x) == 4
-        got = {tuple(np.round(x, 12)) for x in moves.x}
+        assert moves.axis.size == 4
+        got = {tuple(np.round(x, 12)) for x in probe_rows(moves)}
         assert got == {(0.6, 0.5), (0.4, 0.5), (0.5, 0.6), (0.5, 0.4)}
 
     def test_order_is_axis_major_increment_first(self):
         moves = moves_around(np.array([0.5, 0.5]), 0.1, TabuList())
-        provenance = list(zip(moves.axis.tolist(), moves.sign.tolist()))
+        provenance = list(zip(moves.axis.tolist(), probe_signs(moves)))
         assert provenance == [(0, 1), (0, -1), (1, 1), (1, -1)]
 
     def test_clamping(self):
         moves = moves_around(np.array([0.5, 0.5]), 0.6, TabuList())
-        got = {tuple(x) for x in moves.x}
+        got = {tuple(x) for x in probe_rows(moves)}
         assert got == {(1.0, 0.5), (0.0, 0.5), (0.5, 1.0), (0.5, 0.0)}
 
     def test_degenerate_clamped_candidates_dropped(self):
         # Base on the lower bound: the decrement clamps onto the base.
         moves = moves_around(np.array([0.0]), 0.1, TabuList())
-        assert list(zip(moves.axis.tolist(), moves.sign.tolist())) == [(0, 1)]
+        assert list(zip(moves.axis.tolist(), probe_signs(moves))) == [(0, 1)]
 
     def test_tabu_candidates_filtered_and_counted(self):
         tabu = TabuList()
         tabu.push(np.array([0.4, 0.5]))
         moves = moves_around(np.array([0.5, 0.5]), 0.1, tabu)
         assert moves.tabu_rejected == 1
-        assert len(moves.x) == 3
-        for x in moves.x:
+        assert moves.axis.size == 3
+        for x in probe_rows(moves):
             assert not tabu.is_tabu(x)
 
     def test_candidates_subset_of_axial_neighbors(self):
@@ -94,7 +110,7 @@ class TestAxialMoves:
                 x = base.copy()
                 x[i] += sign * step
                 allowed.add(tuple(clamp(x)))
-        for x in moves.x:
+        for x in probe_rows(moves):
             assert tuple(x) in allowed
 
 
@@ -104,7 +120,7 @@ class TestExplore:
         base = eval_point(obj, [0.5], lambda x: x[0])
         best, moves = explore(base, 0.25, obj, TabuList())
         assert best.x[0] == pytest.approx(0.25)
-        assert len(moves.x) == 2
+        assert moves.axis.size == 2
 
     def test_tabu_forces_uphill_move(self):
         obj = make_objective(lambda raw: raw[0])
@@ -315,7 +331,7 @@ class TestAxialRawBlock:
                 tabu.push(clamp(probe))
         moves = axial_moves(bases[:, np.newaxis], np.full((threads, 1, 1), step), rings, 0.0)
         block = axial_block(space, denormalize(space, bases), moves)
-        want = denormalize(space, moves.x)
+        want = denormalize(space, probe_rows(moves))
         assert block.shape == want.shape == (moves.axis.size, n)
         assert block.tobytes() == want.tobytes()
 
@@ -351,7 +367,7 @@ def quadratic_setup(base_x, fn=None, step=0.1):
     fn = fn or (lambda raw: (raw[0] - 0.3) ** 2)
     obj = make_objective(fn)
     base = evaluate(obj, np.asarray(base_x, dtype=float))
-    state = fresh_state(base, SearchConfig(step_initial=step))
+    state = fresh_states([base], SearchConfig(step_initial=step))[0]
     state.tabu.push(base.x)
     state.observe(base)
     return obj, state
@@ -411,7 +427,7 @@ class TestHjStep:
         calls = []
         obj = make_objective(lambda raw: float(np.sum((raw - 0.37) ** 2)), dim=dim, record=calls)
         base = evaluate(obj, rng.random(dim))
-        state = fresh_state(base, SearchConfig())
+        state = fresh_states([base], SearchConfig())[0]
         state.observe(base)
         shared = IntermediateMemory()
         for _ in range(30):
@@ -423,18 +439,16 @@ class TestHjStep:
         rng = np.random.default_rng(13)
         obj = make_objective(lambda raw: float(np.sum(np.sin(7 * raw))), dim=3)
         base = evaluate(obj, rng.random(3))
-        state = fresh_state(base, SearchConfig())
+        state = fresh_states([base], SearchConfig())[0]
         state.tabu.push(base.x)
         state.observe(base)
         shared = IntermediateMemory()
         for _ in range(40):
-            snapshot = [e.copy() for e in state.tabu.entries]
-            before_tol = state.tabu.match_tol
+            tabu_before = copy.deepcopy(state.tabu)
             outcome = hj_step(state, obj, shared)
             if outcome == STALLED:
                 break
-            for entry in snapshot:
-                assert np.max(np.abs(entry - state.base.x)) > before_tol
+            assert not tabu_before.is_tabu(state.base.x)
 
     def test_adopted_point_recorded_in_tabu_and_elite(self):
         obj, state = quadratic_setup([0.5])
@@ -450,3 +464,31 @@ class TestHjStep:
         assert state.best.value == state.base.value
         history_values = [v for _, v in state.history]
         assert history_values == sorted(history_values, reverse=True)
+
+
+class TestNonFiniteFactorAndStep:
+    """A NaN or infinite pattern factor, or a NaN step, is refused before
+    any point reaches the objective, where it would be a NaN coordinate."""
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_pattern_factor_outside_zero_to_inf(self, k):
+        calls = []
+        obj = make_objective(lambda raw: raw[0], dim=2, record=calls)
+        state = fresh_states([evaluate(obj, np.array([0.5, 0.5]))], SearchConfig())[0]
+        match = "^pattern factor must be positive and finite"
+        with pytest.raises(ValueError, match=match):
+            hj_step(state, obj, IntermediateMemory(), k_pattern=k)
+        with pytest.raises(ValueError, match=match):
+            hj_stage([state], obj, IntermediateMemory(), k_pattern=k)
+        with pytest.raises(ValueError, match=match):
+            pattern_move(np.array([0.4, 0.5]), np.array([0.5, 0.5]), k)
+        assert len(calls) == state.evals == 1
+
+    @pytest.mark.parametrize("step", [math.nan, -math.nan, 0.0, -0.1, -math.inf])
+    def test_explore_step_not_positive(self, step):
+        calls = []
+        obj = make_objective(lambda raw: raw[0], dim=2, record=calls)
+        base = eval_point(obj, [0.5, 0.5], lambda x: x[0])
+        with pytest.raises(ValueError, match="^step must be positive"):
+            explore(base, step, obj, TabuList())
+        assert calls == []

@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 import tabukit
 from tabukit import control, multithread
 from tabukit.benchmarks import make_schwefel10
-from tabukit.control import CONTINUE, EVAL_BUDGET, STEP_FLOOR, RunResult, SearchConfig, fresh_state, run_single
+from tabukit.control import CONTINUE, EVAL_BUDGET, STEP_FLOOR, RunResult, SearchConfig, fresh_states, run_single
 from tabukit.core import Objective, ParameterSpace, denormalize, evaluate
-from tabukit.hillclimb import axial_moves
-from tabukit.memory import TabuList
 from tabukit.multithread import (
     CollisionLog,
     MultiConfig,
@@ -18,6 +16,8 @@ from tabukit.multithread import (
     run_multi,
     thread_rngs,
 )
+
+from reference import Tabu, axial_probes
 
 
 def small_objective(dim=2, seed_fn=None):
@@ -27,10 +27,8 @@ def small_objective(dim=2, seed_fn=None):
 
 
 def states_at(xa, xb, objective):
-    cfg = SearchConfig()
-    sa = fresh_state(evaluate(objective, np.asarray(xa, float)), cfg, thread_id=0)
-    sb = fresh_state(evaluate(objective, np.asarray(xb, float)), cfg, thread_id=1)
-    return sa, sb
+    points = [evaluate(objective, np.asarray(x, float)) for x in (xa, xb)]
+    return fresh_states(points, SearchConfig())
 
 
 class TestDetectCollision:
@@ -250,12 +248,12 @@ class TestErrorPropagation:
         # thread 0's axial rows, then thread 1's.
         space = make_schwefel10().space
         x0, x1 = (rng.random(10) for rng in thread_rngs(0))
+        config = SearchConfig()
         first = []
         for x in (x0, x1):
-            tabu = TabuList()
+            tabu = Tabu(config.n_tabu, config.match_tol)
             tabu.push(x)
-            step = np.full((1, 1, 1), SearchConfig().step_initial)
-            first.append(axial_moves(x.reshape(1, 1, -1), step, tabu.block(x.size), tabu.match_tol).x)
+            first.append([probe for probe, _, _ in axial_probes(x, config.step_initial, tabu)[0]])
         m = 2 + len(first[0]) + row + 1
         calls = failing_run("multi", m)
         assert len(calls) == m

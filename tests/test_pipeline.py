@@ -1,22 +1,21 @@
 """Batched candidate pipeline: block objectives, tabu screening, the elite
 archive and counting.
 
-The per-candidate rules that the block pipeline replaced are kept here
-as reference implementations: every axial probe built, clamped, screened
-and evaluated one at a time, the best taken by first strict minimum, and
-every archive offer tested against one entry at a time. The block path
-must agree with them exactly.
+The per-candidate rules that the block pipeline replaced are stated in
+``reference.py``: every axial probe built, clamped, screened and
+evaluated one at a time, the best taken by first strict minimum, and
+every tabu test and archive offer made against one entry at a time. The
+block path must agree with them exactly.
 """
-import bisect
 import dataclasses
 import math
 import re
-from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import Archive, Tabu, axial_probes, evaluate as reference_evaluate
 from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit import control, hillclimb
 from tabukit.control import CONTINUE, SearchConfig, run_single
@@ -29,9 +28,9 @@ from tabukit.core import (
     clamp,
     denormalize,
     evaluate,
-    evaluate_block,
+    evaluate_raw_block,
 )
-from tabukit.hillclimb import axial_moves, explore
+from tabukit.hillclimb import axial_block, axial_moves, explore
 from tabukit.hydraulic import (
     STARVATION_POLICIES,
     CircuitParams,
@@ -62,62 +61,9 @@ CIRCUITS = {
 }
 
 
-def reference_is_tabu(entries, x, tol):
-    return any(np.max(np.abs(entry - x)) <= tol for entry in entries)
-
-
-class ReferenceMemory:
-    """The elite archive's per-entry rules: each archived point tested in
-    turn for a match, then the value rule; restarts read the points."""
-
-    def __init__(self, capacity, tol):
-        self.capacity, self.tol = capacity, tol
-        self.entries, self.values = [], []
-
-    def offer(self, p):
-        if not p.feasible:
-            return False
-        for entry in self.entries:
-            if np.max(np.abs(entry.x - p.x)) <= self.tol:
-                return False
-        if len(self.entries) >= self.capacity and p.value >= self.values[-1]:
-            return False
-        idx = bisect.bisect_right(self.values, p.value)
-        self.entries.insert(idx, p)
-        self.values.insert(idx, p.value)
-        if len(self.entries) > self.capacity:
-            self.entries.pop()
-            self.values.pop()
-        return True
-
-    def diversify(self, rng):
-        n = self.entries[0].x.size
-        out = np.empty(n)
-        for j in range(n):
-            r = int(rng.integers(len(self.entries)))
-            c = int(rng.integers(n))
-            out[j] = self.entries[r].x[c]
-        return out
-
-    def intensify(self):
-        return clamp(np.mean([e.x for e in self.entries], axis=0))
-
-
-def reference_axial(base_x, step, entries, tol):
-    """(candidates as (x, axis, sign), tabu_rejected) built one at a time."""
-    out, rejected = [], 0
-    for i in range(base_x.size):
-        for sign in (1, -1):
-            x = base_x.copy()
-            x[i] += sign * step
-            x = clamp(x)
-            if x[i] == base_x[i]:
-                continue
-            if reference_is_tabu(entries, x, tol):
-                rejected += 1
-                continue
-            out.append((x, i, sign))
-    return out, rejected
+def evaluate_block(objective, X):
+    """``evaluate_raw_block`` of the denormalized rows of ``X``."""
+    return evaluate_raw_block(objective, denormalize(objective.space, X))
 
 
 # --- fn_batch agrees with fn bit for bit -----------------------------------
@@ -200,8 +146,9 @@ def axial_blocks(draw, objective, specials=()):
             neighbour = base.copy()
             neighbour[j] += sign * step
             tabu.push(clamp(neighbour))
-        parts.append(axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(n), tabu.match_tol).x)
-    raw = denormalize(space, np.concatenate(parts))
+        moves = axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(n), tabu.match_tol)
+        parts.append(axial_block(space, denormalize(space, base)[np.newaxis], moves))
+    raw = np.concatenate(parts)
     assume(len(raw))
     edits = draw(st.sets(st.sampled_from(["repeat", "two-up", "signed-zero", "one-row"])))
     if "repeat" in edits:
@@ -386,7 +333,7 @@ def test_circuit_out_of_bounds_rows_raise_one_error(data, policy):
     assert "outside" in messages.pop()
 
 
-# --- TabuList.screen is is_tabu over a block --------------------------------
+# --- TabuList.is_tabu is the per-entry rule over the ring -----------------
 
 GRID = st.integers(0, 16).map(lambda k: k / 16.0)  # dyadic: distances are exact
 
@@ -398,23 +345,18 @@ GRID = st.integers(0, 16).map(lambda k: k / 16.0)  # dyadic: distances are exact
     tol=st.sampled_from([0.0, 1 / 16, 1 / 8, 1e-6]),
     data=st.data(),
 )
-def test_screen_matches_is_tabu_and_reference(dim, capacity, tol, data):
+def test_is_tabu_matches_per_entry_reference(dim, capacity, tol, data):
     vec = st.lists(st.one_of(GRID, st.floats(0.0, 1.0)), min_size=dim, max_size=dim).map(np.array)
     pushed = data.draw(st.lists(vec, max_size=3 * capacity))
-    tabu = TabuList(capacity, tol)
-    held = deque(maxlen=capacity)
+    tabu, reference = TabuList(capacity, tol), Tabu(capacity, tol)
     for x in pushed:
         tabu.push(x)
-        held.append(x.copy())
-    assert len(tabu) == len(held)
-    assert [e.tolist() for e in tabu.entries] == [e.tolist() for e in held]  # oldest first
+        reference.push(x)
+    assert len(tabu) == len(reference.entries)
 
-    near = st.sampled_from(list(held)).map(lambda e: e + tol) if held else vec
-    X = np.array(data.draw(st.lists(st.one_of(vec, near), min_size=1, max_size=8)))
-    mask = tabu.screen(X)
-    assert mask.shape == (len(X),)
-    for r in range(len(X)):
-        assert mask[r] == tabu.is_tabu(X[r]) == reference_is_tabu(held, X[r], tol)
+    near = st.sampled_from(list(reference.entries)).map(lambda e: e + tol) if pushed else vec
+    for x in data.draw(st.lists(st.one_of(vec, near), min_size=1, max_size=8)):
+        assert tabu.is_tabu(x) == reference.is_tabu(x)
 
 
 def test_screen_distance_exactly_at_tolerance():
@@ -422,14 +364,23 @@ def test_screen_distance_exactly_at_tolerance():
     for x in ([0.5, 0.5], [0.25, 0.25], [0.75, 0.75]):  # the first push is evicted
         tabu.push(np.array(x))
     X = np.array([[0.875, 0.75], [0.25, 0.375], [0.5, 0.5], [0.25, 0.3750001]])
-    assert tabu.screen(X).tolist() == [True, True, False, False]
+    assert [tabu.is_tabu(x) for x in X] == [True, True, False, False]
 
 
 def test_screen_empty_list_and_empty_block():
+    # An empty list matches nothing; a list that holds every probe leaves
+    # an empty block to evaluate.
+    space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
+    base = np.array([0.5, 0.5])
     tabu = TabuList()
-    assert tabu.screen(np.ones((3, 2))).tolist() == [False] * 3
-    tabu.push(np.ones(2))
-    assert tabu.screen(np.empty((0, 2))).shape == (0,)
+    assert not any(tabu.is_tabu(x) for x in np.ones((3, 2)))
+    moves = axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), 0.25), tabu.block(2), tabu.match_tol)
+    assert moves.axis.size == 4 and moves.tabu_rejected == 0
+    for probe in ([0.75, 0.5], [0.25, 0.5], [0.5, 0.75], [0.5, 0.25]):
+        tabu.push(np.array(probe))
+    moves = axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), 0.25), tabu.block(2), tabu.match_tol)
+    assert moves.tabu_rejected == 4
+    assert axial_block(space, base[np.newaxis], moves).shape == (0, 2)
 
 
 # --- IntermediateMemory.offer is the per-entry rule over the archive rows --
@@ -446,18 +397,18 @@ def test_screen_empty_list_and_empty_block():
 def test_offer_matches_per_entry_reference(dim, capacity, tol, seed, data):
     vec = st.lists(st.one_of(GRID, st.floats(0.0, 1.0)), min_size=dim, max_size=dim).map(np.array)
     value = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-10.0, 10.0))  # ties test the insert order
-    memory, reference = IntermediateMemory(capacity, tol), ReferenceMemory(capacity, tol)
+    memory, reference = IntermediateMemory(capacity, tol), Archive(capacity, tol)
     for _ in range(data.draw(st.integers(1, 4 * capacity + 4))):
-        if reference.entries and data.draw(st.booleans()):
+        if reference.points and data.draw(st.booleans()):
             # Exactly at, or just past, the tolerance from an archived point.
-            x = data.draw(st.sampled_from(reference.entries)).x + data.draw(st.sampled_from([tol, 2 * tol, 1 / 16]))
+            x = data.draw(st.sampled_from(reference.points)).x + data.draw(st.sampled_from([tol, 2 * tol, 1 / 16]))
         else:
             x = data.draw(vec)
         p = SearchPoint(x=x, value=data.draw(value), feasible=data.draw(st.sampled_from([True, True, True, False])))
         assert memory.offer(p) == reference.offer(p)
-        assert memory.values() == reference.values
-        if reference.entries:
-            assert memory.rows().tobytes() == np.array([e.x for e in reference.entries]).tobytes()
+        assert memory.values() == [q.value for q in reference.points]
+        if reference.points:
+            assert memory.rows().tobytes() == np.array([q.x for q in reference.points]).tobytes()
             assert memory.intensify().tobytes() == reference.intensify().tobytes()
             got = memory.diversify(np.random.default_rng(seed))
             assert got.tobytes() == reference.diversify(np.random.default_rng(seed)).tobytes()
@@ -483,22 +434,20 @@ def test_offer_rejects_a_vector_of_another_length():
     data=st.data(),
 )
 def test_axial_moves_match_reference(base, step, tol, data):
-    entries = []
+    tabu, reference = TabuList(7, tol), Tabu(7, tol)
     for _ in range(data.draw(st.integers(0, 4))):
         i = data.draw(st.integers(0, base.size - 1))
         x = base.copy()
         x[i] += data.draw(st.sampled_from([step, -step, 0.0]))
-        entries.append(clamp(x))
-    tabu = TabuList(7, tol)
-    for e in entries:
-        tabu.push(e)
-    want, rejected = reference_axial(base, step, entries, tol)
+        tabu.push(clamp(x))
+        reference.push(clamp(x))
+    want, rejected = axial_probes(base, step, reference)
     moves = axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tol)
-    got = list(zip(moves.x, moves.axis.tolist(), moves.sign.tolist()))
     assert moves.tabu_rejected == rejected
-    assert [(a, s) for _, a, s in got] == [(a, s) for _, a, s in want]
-    for (gx, _, _), (wx, _, _) in zip(got, want):
-        assert gx.tobytes() == wx.tobytes()
+    assert moves.axis.tolist() == [a for _, a, _ in want]
+    # The reference's sign, read off the moved coordinate.
+    assert [1.0 if m > base[a] else -1.0 for a, m in zip(moves.axis.tolist(), moves.moved)] == [s for _, _, s in want]
+    assert moves.moved.tobytes() == np.array([x[a] for x, a, _ in want]).tobytes()
 
 
 @pytest.mark.parametrize("name", ["schwefel10", "bump20-keane", "circuit"])
@@ -512,11 +461,12 @@ def test_explore_matches_per_candidate_reference(name):
             base_x[rng.integers(n)] = 1.0
         step = float(rng.choice([0.3, 0.05, 0.001]))
         base = evaluate(objective, base_x)
-        entries = [base.x]
-        want_moves, _ = reference_axial(base.x, step, entries, 1e-6)
+        reference = Tabu(7, 1e-6)
+        reference.push(base.x)
+        want_moves, _ = axial_probes(base.x, step, reference)
         best = None
         for x, _, _ in want_moves:
-            point = evaluate(objective, x)
+            point = reference_evaluate(objective, x)
             if point.feasible and (best is None or point.value < best.value):
                 best = point
         tabu = TabuList()
@@ -528,6 +478,7 @@ def test_explore_matches_per_candidate_reference(name):
             assert got is None
         else:
             assert got.x.tobytes() == best.x.tobytes()
+            assert got.raw.tobytes() == best.raw.tobytes()
             assert float(got.value).hex() == float(best.value).hex()
 
 
@@ -729,7 +680,7 @@ def test_objective_calls_per_stage(name, method, monkeypatch):
 
     def axial_moves(*args):
         moves = real_axial_moves(*args)
-        rows.append(len(moves.x))
+        rows.append(moves.axis.size)
         return moves
 
     def hj_stage(*args):
@@ -765,4 +716,4 @@ def test_tabu_push_rejects_a_vector_of_another_length():
     tabu.push(np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="tabu entries have shape"):
         tabu.push(np.array([0.25]))
-    assert tabu.entries.tolist() == [[0.5, 0.5]]
+    assert len(tabu) == 1 and tabu.is_tabu(np.array([0.5, 0.5]))

@@ -1,90 +1,51 @@
-"""Stacked lockstep stages against the per-thread rules they replaced.
+"""Stacked lockstep stages against the plain reference in ``reference.py``.
 
 The driver steps all live threads of a stage as one batched operation
 (``hj_stage``), and ``axial_moves`` screens its probes from the base and
 the moved coordinates alone. ``hj_stage`` screens each pattern point with
 the mask of its thread's axial screen and builds its raw row from the
-winner's. The constructions they replaced are kept here as references:
-every probe built as a full row with ``np.tile``, clamped and screened
-with ``TabuList.screen``; each pattern point screened with
-``TabuList.is_tabu`` and evaluated through ``evaluate``; and the driver
-loop that stepped each live thread on its own, one step after another.
-The new code must agree with them exactly.
+winner's. ``reference.py`` states the same search one point at a time,
+without the engine's code: every probe built as a full row and clamped
+with ``np.clip``, every tabu test and archive offer made one entry at a
+time, and the driver loop stepping each live thread on its own, one step
+after another. The engine must agree with it exactly.
 """
+import ast
 import dataclasses
 import math
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import reference
+from reference import PROBLEMS, Tabu, axial_probes
 from tabukit import control, hillclimb
-from tabukit.benchmarks import make_bump, make_schwefel10
-from tabukit.control import (
-    CONTINUE,
-    EVAL_BUDGET,
-    IMPROVED,
-    STEP_FLOOR,
-    CollisionLog,
-    MultiRunResult,
-    SearchConfig,
-    ThreadReport,
-    apply_action,
-    control_decision,
-    detect_collision,
-    fresh_state,
-    fresh_states,
-    resolved_step_min,
-    run_lockstep,
-    start_point,
-)
-from tabukit.core import SearchPoint, clamp, denormalize, evaluate, evaluate_block
-from tabukit.hillclimb import (
-    IMPROVE_TOL,
-    NOT_IMPROVED,
-    STALLED,
-    MoveSet,
-    _probe_order,
-    axial_moves,
-    hj_stage,
-    pattern_move,
-)
-from tabukit.hydraulic import make_circuit
+from tabukit.benchmarks import make_schwefel10
+from tabukit.control import SearchConfig, fresh_states, resolved_step_min, run_lockstep, run_single
+from tabukit.core import SearchPoint, clamp, denormalize, evaluate
+from tabukit.hillclimb import _probe_order, axial_moves, hj_stage
 from tabukit.memory import IntermediateMemory, TabuList, screen_axial
-from tabukit.multithread import thread_rngs
-
-PROBLEMS = {
-    "schwefel10": make_schwefel10,
-    "bump20": lambda: make_bump(20),
-    "bump50": lambda: make_bump(50),
-    "circuit": make_circuit,
-}
-
-
-def tile_axial_moves(base_x, step, tabu):
-    """Every probe built as a full row, the whole block clamped, then
-    screened with ``TabuList.screen`` in one broadcast. Returns the kept
-    rows and their ``MoveSet``, whose moved coordinates are read off
-    the rows."""
-    n = base_x.size
-    rows = np.arange(2 * n)
-    axis = rows // 2
-    sign = 1 - 2 * (rows % 2)
-    X = np.tile(base_x, (2 * n, 1))
-    X[rows, axis] += sign * step
-    X = clamp(X)
-    moved = X[rows, axis] != base_x[axis]
-    tabu_hit = moved & tabu.screen(X)
-    keep = moved & ~tabu_hit
-    X, axis = X[keep], axis[keep]
-    moved_x = X[np.arange(len(X)), axis]
-    moves = MoveSet(base_x.reshape(1, 1, -1), axis, moved_x, [len(X)], int(np.count_nonzero(tabu_hit)))
-    return X, moves
+from tabukit.multithread import MultiConfig, run_multi
 
 
 def moves_around(base_x, step, tabu):
     """``axial_moves`` of one thread: ``base_x`` with its step and tabu list."""
     return axial_moves(base_x.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base_x.size), tabu.match_tol)
+
+
+def reference_moves(base_x, step, tabu):
+    """(axes, moved coordinates, tabu hits) of the reference's allowable
+    probes around ``base_x``, against the reference tabu list ``tabu``."""
+    probes, hits = axial_probes(base_x, step, tabu)
+    return [a for _, a, _ in probes], np.array([x[a] for x, a, _ in probes]), hits
+
+
+def tabu_pair(capacity, tol):
+    """An engine tabu list and a reference one, to push the same entries to."""
+    return TabuList(capacity, tol), Tabu(capacity, tol)
 
 
 def counted(objective):
@@ -104,158 +65,21 @@ def counted(objective):
     return dataclasses.replace(objective, fn=fn, fn_batch=batch), calls
 
 
-def reference_hj_step(state, objective, shared, k_pattern):
-    """One thread's step with the tile screen, its axial block and its
-    pattern point each evaluated on their own, the pattern point screened
-    with ``is_tabu`` and evaluated through ``evaluate``."""
-    best_before = state.best.value
-    X, _ = tile_axial_moves(state.base.x, state.step, state.tabu)
-    if len(X) == 0:
-        return STALLED
-    values, feasible = evaluate_block(objective, X)
-    state.evals += len(X)
-    if not feasible.any():
-        return STALLED
-    w = int(np.argmin(values))
-    move = SearchPoint(x=X[w].copy(), value=float(values[w]), feasible=True, raw=denormalize(objective.space, X[w]))
-    adopted = move
-    p_x = pattern_move(state.base.x, move.x, k_pattern)
-    if not np.array_equal(p_x, move.x) and not state.tabu.is_tabu(p_x):
-        pattern_point = evaluate(objective, p_x)
-        state.evals += 1
-        if pattern_point.feasible and pattern_point.value < move.value:
-            adopted = pattern_point
-    state.adopt(adopted, shared)
-    return IMPROVED if adopted.value < best_before - IMPROVE_TOL else NOT_IMPROVED
-
-
-def reference_lockstep(objective, config, starts, seed_rngs, step_ends=None):
-    """The lockstep driver with one ``reference_hj_step`` per live thread.
-
-    Appends the running total after every thread step to ``step_ends``.
-    The total and each thread's count are tallied from the objective's
-    calls, apart from ``ThreadState.evals``.
-    """
-    objective, calls = counted(objective)
-    space = objective.space
-    step_floor = resolved_step_min(config, space)
-    dim = space.dimension
-    xs = [None if x is None else start_point(x, dim, name) for name, x in starts]
-    rngs = seed_rngs(config.seed)
-    memory = IntermediateMemory(config.m_elite, config.match_tol)
-    evals = []
-    states = []
-    total = 0
-    for i, x0 in enumerate(xs):
-        point = evaluate(objective, rngs[i].random(dim) if x0 is None else x0)
-        evals.append(calls[0] - total)
-        total = calls[0]
-        state = fresh_state(point, config, thread_id=i)
-        state.adopt(point, memory)
-        states.append(state)
-        if i == 0:
-            best, history = state.best, list(state.history)
-        elif state.best.value < best.value:
-            best = state.best
-            history.append((total, best.value))
-
-    k = len(states)
-    live = k
-    pending = [None] * k
-    stages = []
-    collisions = CollisionLog()
-    terminated_by = EVAL_BUDGET
-    while total < config.max_evals:
-        desired = [CONTINUE] * k
-        for i in range(k):
-            state = states[i]
-            if state.step < step_floor or total >= config.max_evals:
-                continue
-            if reference_hj_step(state, objective, memory, config.k_pattern) == IMPROVED:
-                state.fail_count = 0
-                pending[i] = None
-            else:
-                state.fail_count += 1
-            evals[i] += calls[0] - total
-            total = calls[0]
-            if step_ends is not None:
-                step_ends.append(total)
-            if state.best.value < best.value:
-                best = state.best
-                history.append((total, best.value))
-            desired[i] = pending[i] or control_decision(state.fail_count, config)
-        if total >= config.max_evals:
-            break
-
-        performer = -1
-        for i in range(k):
-            if desired[i] == CONTINUE:
-                continue
-            if performer < 0 or states[i].best.value > states[performer].best.value:
-                if performer >= 0:
-                    pending[performer] = desired[performer]
-                performer = i
-            else:
-                pending[i] = desired[i]
-        actions = [CONTINUE] * k
-        if performer >= 0:
-            state = states[performer]
-            action = actions[performer] = desired[performer]
-            pending[performer] = None
-            apply_action(state, action, memory, objective, rngs[performer], config)
-            evals[performer] += calls[0] - total
-            total = calls[0]
-            if state.best.value < best.value:
-                best = state.best
-                history.append((total, best.value))
-            if state.step < step_floor:
-                live -= 1
-
-        stages.append(tuple(actions))
-        for i in range(k):
-            for j in range(i + 1, k):
-                detect_collision(states[i], states[j], config.match_tol, collisions, total)
-        if live == 0:
-            terminated_by = STEP_FLOOR
-            break
-
-    threads = [
-        ThreadReport(
-            thread_id=state.thread_id,
-            best=state.best,
-            best_raw=denormalize(space, state.best.x),
-            evals=count,
-            step_final=state.step,
-            history=list(state.history),
-        )
-        for state, count in zip(states, evals)
-    ]
-    return MultiRunResult(
-        best=best,
-        best_raw=denormalize(space, best.x),
-        evals=total,
-        terminated_by=terminated_by,
-        history=history,
-        threads=threads,
-        collisions=collisions,
-        stages=stages,
-    )
-
-
 def point_key(p):
     return p.x.tobytes(), float(p.value).hex(), p.feasible
 
 
+def run_key(r):
+    """The fields of a RunResult, with floats as exact bits."""
+    return point_key(r.best), r.best_raw.tobytes(), r.evals, r.terminated_by, r.history
+
+
 def result_key(r):
-    """Every compared field of a MultiRunResult, with floats as exact bits."""
-    return (
-        point_key(r.best),
-        r.best_raw.tobytes(),
-        r.evals,
-        r.terminated_by,
-        r.history,
+    """Every compared field of a lockstep run, engine or reference, with
+    floats as exact bits."""
+    return run_key(r) + (
         r.stages,
-        r.collisions.events,
+        getattr(r.collisions, "events", r.collisions),
         [
             (t.thread_id, point_key(t.best), t.best_raw.tobytes(), t.evals, float(t.step_final).hex(), t.history)
             for t in r.threads
@@ -263,19 +87,27 @@ def result_key(r):
     )
 
 
-def lockstep_setup(threads, start=None):
-    """(starts, seed_rngs) of run_single for one thread, of run_multi for
-    two, and of three threads seeded like run_multi's. ``start`` is every
-    thread's start; None draws them at random."""
+def seeded_rngs(threads, seed):
+    """Thread i's generator: ``run_single``'s for one thread, else child i
+    of the seed's ``SeedSequence``, as ``run_multi`` draws two."""
     if threads == 1:
-        return [("start", start)], lambda seed: [np.random.default_rng(seed)]
-    if threads == 2:
-        return [("start_a (thread 0)", start), ("start_b (thread 1)", start)], thread_rngs
+        return [np.random.default_rng(seed)]
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(threads)]
+
+
+def lockstep_setup(threads, start=None):
+    """(starts, seed_rngs) of ``run_lockstep`` for ``threads`` threads, all
+    starting at ``start``; None draws them at random."""
     starts = [(f"start (thread {i})", start) for i in range(threads)]
-    return starts, lambda seed: [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(threads)]
+    return starts, lambda seed: seeded_rngs(threads, seed)
 
 
-# --- axial_moves against the tile + screen construction -------------------
+def reference_run(objective, config, threads, start=None, step_ends=None):
+    """The reference lockstep run that ``lockstep_setup(threads, start)`` sets up."""
+    return reference.lockstep(objective, config, [start] * threads, seeded_rngs(threads, config.seed), step_ends)
+
+
+# --- axial_moves against the reference's full-row probes ------------------
 
 #: Dyadic coordinates, steps and tolerances, so every distance is exact
 #: and entries can sit exactly at the tolerance.
@@ -311,36 +143,39 @@ def tabu_entry(draw, base, step, tol):
     capacity=st.integers(1, 4),
     data=st.data(),
 )
-def test_axial_moves_match_tile_screen(base, step, tol, capacity, data):
-    tabu = TabuList(capacity, tol)
+def test_axial_moves_match_reference_probes(base, step, tol, capacity, data):
+    tabu, ref = tabu_pair(capacity, tol)
     # From an empty list up to three times the capacity, so the ring wraps.
     for _ in range(data.draw(st.integers(0, 3 * capacity))):
-        tabu.push(data.draw(tabu_entry(base, step, tol)))
+        entry = data.draw(tabu_entry(base, step, tol))
+        tabu.push(entry)
+        ref.push(entry)
     got = moves_around(base, step, tabu)
-    want_x, want = tile_axial_moves(base, step, tabu)
-    assert got.x.tobytes() == want_x.tobytes()
-    assert got.x.shape == want_x.shape
-    assert got.moved.tobytes() == want.moved.tobytes()
-    assert got.axis.tolist() == want.axis.tolist()
-    assert got.sign.tolist() == want.sign.tolist()
-    assert got.tabu_rejected == want.tabu_rejected
+    axes, moved, hits = reference_moves(base, step, ref)
+    assert got.axis.tolist() == axes
+    assert got.moved.tobytes() == moved.tobytes()
+    assert got.counts == [len(axes)]
+    assert got.tabu_rejected == hits
 
 
 def test_axial_screen_cases_at_the_tolerance():
     tol = 1 / 16
     base = np.array([0.5, 0.0, 1.0])
-    tabu = TabuList(4, tol)
-    tabu.push(np.array([0.625 + tol, 0.0, 1.0]))  # probe 0 (+x0) lies exactly tol away on its own axis
-    tabu.push(np.array([0.375, tol, 1.0]))  # probe 1 (-x0) lies exactly tol away on another axis
-    tabu.push(np.array([0.5, 0.125 + 2 * tol, 1.0 - tol]))  # probe +x1 is 2 tol off: allowed
-    tabu.push(np.array([0.5 + tol, 0.0, 0.875 - tol]))  # probe -x2 is tol off on two axes: tabu
+    tabu, ref = tabu_pair(4, tol)
+    for entry in (
+        [0.625 + tol, 0.0, 1.0],  # probe 0 (+x0) lies exactly tol away on its own axis
+        [0.375, tol, 1.0],  # probe 1 (-x0) lies exactly tol away on another axis
+        [0.5, 0.125 + 2 * tol, 1.0 - tol],  # probe +x1 is 2 tol off: allowed
+        [0.5 + tol, 0.0, 0.875 - tol],  # probe -x2 is tol off on two axes: tabu
+    ):
+        tabu.push(np.array(entry))
+        ref.push(np.array(entry))
     got = moves_around(base, 0.125, tabu)
-    want_x, want = tile_axial_moves(base, 0.125, tabu)
+    axes, moved, hits = reference_moves(base, 0.125, ref)
     # x1 and x2 sit on a bound, so one probe of each is degenerate.
-    assert got.axis.tolist() == want.axis.tolist() == [1]
-    assert got.sign.tolist() == [1]
-    assert got.tabu_rejected == want.tabu_rejected == 3
-    assert got.x.tobytes() == want_x.tobytes()
+    assert got.axis.tolist() == axes == [1]
+    assert got.moved.tolist() == moved.tolist() == [0.125]
+    assert got.tabu_rejected == hits == 3
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,7 +196,7 @@ def test_pattern_screen_from_the_axial_mask_matches_is_tabu(base, tol, capacity,
     p = data.draw(st.one_of(GRID, st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)))
     point = base.copy()
     point[a] = p
-    tabu = TabuList(capacity, tol)
+    tabu, ref = tabu_pair(capacity, tol)
     # From an empty list up to three times the capacity, so the ring wraps.
     for _ in range(data.draw(st.integers(0, 3 * capacity))):
         if data.draw(st.booleans()):
@@ -369,13 +204,17 @@ def test_pattern_screen_from_the_axial_mask_matches_is_tabu(base, tol, capacity,
             for _ in range(data.draw(st.integers(0, 2))):
                 j = data.draw(st.integers(0, n - 1))
                 entry[j] += data.draw(st.sampled_from([tol, -tol, 2 * tol, 1 / 32]))
-            tabu.push(clamp(entry))
+            entry = clamp(entry)
         else:
-            tabu.push(data.draw(tabu_entry(base, 1 / 16, tol)))
+            entry = data.draw(tabu_entry(base, 1 / 16, tol))
+        tabu.push(entry)
+        ref.push(entry)
     axis, sign = _probe_order(n)
     probes = clamp(base[axis] + sign / 16).reshape(1, 1, -1)
     _, rest_near = screen_axial(base.reshape(1, 1, -1), tabu.block(n), axis, probes, tol)
-    assert tabu.axial_is_tabu(rest_near[0], a, p) == tabu.is_tabu(point) == tabu.is_tabu(point + 0.0)
+    want = ref.is_tabu(point)
+    assert tabu.axial_is_tabu(rest_near[0], a, p) == want
+    assert tabu.is_tabu(point) == tabu.is_tabu(point + 0.0) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -390,29 +229,34 @@ def test_stacked_screen_matches_screen_row_by_row(threads, n, tol, capacity, dat
     # T threads screened in one call, each against its own ring: rings
     # filled to different depths and wrapped, bases with signed zeros and
     # bound coordinates, steps that clamp probes onto both bounds, and
-    # entries a tolerance off. The mask is TabuList.screen of every probe
-    # built as a full row, and axial_moves is the per-thread tile
-    # construction, thread by thread, for the threads the budget admits.
+    # entries a tolerance off. The mask is the reference tabu test of
+    # every probe built as a full row, and axial_moves gives the
+    # reference's probes, thread by thread, for the threads the budget
+    # admits.
     coordinate = st.one_of(GRID, st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
     bases = np.array([data.draw(st.lists(coordinate, min_size=n, max_size=n)) for _ in range(threads)])
     steps = np.array([data.draw(st.sampled_from([1 / 32, 1 / 16, 0.25, 0.6, 0.1])) for _ in range(threads)])
     rings = np.full((threads, capacity, n), np.inf)
     tabus = [TabuList(capacity, tol, ring) for ring in rings]
-    for base, step, tabu in zip(bases, steps, tabus):
+    refs = [Tabu(capacity, tol) for _ in range(threads)]
+    for base, step, tabu, ref in zip(bases, steps, tabus, refs):
         for _ in range(data.draw(st.integers(0, 3 * capacity))):
-            tabu.push(data.draw(tabu_entry(base, step, tol)))
+            entry = data.draw(tabu_entry(base, step, tol))
+            tabu.push(entry)
+            ref.push(entry)
     axis, sign = _probe_order(n)
     moved = clamp(bases[:, axis] + sign * steps[:, np.newaxis])
     hit, rest_near = screen_axial(bases[:, np.newaxis], rings, axis, moved[:, np.newaxis], tol)
     assert hit.shape == (threads, 1, 2 * n) and rest_near.shape == rings.shape
-    for t, tabu in enumerate(tabus):
-        rows = np.tile(bases[t], (2 * n, 1))
-        rows[np.arange(2 * n), axis] = moved[t]
-        assert hit[t, 0].tolist() == tabu.screen(rows).tolist()
+    for t, ref in enumerate(refs):
+        for p in range(2 * n):
+            row = bases[t].copy()
+            row[axis[p]] = moved[t, p]
+            assert hit[t, 0, p] == ref.is_tabu(row)
 
-    wants = [tile_axial_moves(base, step, tabu) for base, step, tabu in zip(bases, steps, tabus)]
+    wants = [reference_moves(base, step, ref) for base, step, ref in zip(bases, steps, refs)]
     # Budgets at each thread's edge: what the threads before it may spend.
-    edges = np.cumsum([len(x) + 1 for x, _ in wants]).tolist()
+    edges = np.cumsum([len(axes) + 1 for axes, _, _ in wants]).tolist()
     budget = data.draw(st.one_of(st.just(math.inf), st.integers(-1, 6 * n * threads), st.sampled_from(edges)))
     got = axial_moves(bases[:, np.newaxis], steps.reshape(-1, 1, 1), rings, tol, budget)
     stepping, spent = 1, len(wants[0][0]) + 1
@@ -420,51 +264,90 @@ def test_stacked_screen_matches_screen_row_by_row(threads, n, tol, capacity, dat
         spent += len(wants[stepping][0]) + 1
         stepping += 1
     wants = wants[:stepping]
-    assert got.counts == [len(x) for x, _ in wants]
-    assert got.x.tobytes() == np.concatenate([x for x, _ in wants]).tobytes()
-    assert got.moved.tobytes() == b"".join(m.moved.tobytes() for _, m in wants)
-    assert got.axis.tolist() == [a for _, m in wants for a in m.axis.tolist()]
-    assert got.sign.tolist() == [s for _, m in wants for s in m.sign.tolist()]
-    assert got.tabu_rejected == sum(m.tabu_rejected for _, m in wants)
+    assert got.counts == [len(axes) for axes, _, _ in wants]
+    assert got.axis.tolist() == [a for axes, _, _ in wants for a in axes]
+    assert got.moved.tobytes() == b"".join(moved.tobytes() for _, moved, _ in wants)
+    assert got.tabu_rejected == sum(hits for _, _, hits in wants)
     assert got.rest_near.tobytes() == rest_near[:stepping].tobytes()
 
 
-# --- the stacked driver against the per-thread reference -----------------
+# --- whole runs against the reference -------------------------------------
+
+
+@st.composite
+def schedules(draw):
+    """(intensify_after, diversify_after, reduce_after): the defaults, a
+    restructure every step, or drawn."""
+    drawn = st.lists(st.integers(1, 20), min_size=3, max_size=3, unique=True).map(lambda t: tuple(sorted(t)))
+    return draw(st.one_of(st.sampled_from([(5, 10, 15), (1, 2, 3)]), drawn))
+
+
+#: The SearchConfig defaults of the settings that the run test draws.
+DEFAULTS = {"n_tabu": 7, "m_elite": 10, "k_pattern": 1.0, "match_tol": 1e-6}
 
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(
     threads=st.sampled_from([1, 2, 3]),
     seed=st.integers(0, 2**16),
-    schedule=st.sampled_from([(5, 10, 15), (1, 2, 3)]),
+    n_tabu=st.integers(1, 9),
+    m_elite=st.integers(1, 12),
+    schedule=schedules(),
+    k_pattern=st.one_of(st.sampled_from([1.0, 0.5, 2.0]), st.floats(0.05, 3.0)),
+    # At 0 a probe or pattern point that returns onto a tabu entry sits
+    # exactly at the tolerance.
+    match_tol=st.sampled_from([0.0, 1e-8, 1e-6, 1 / 64]),
+    start=st.sampled_from(["random", "equal", "flat"]),
+    step_min=st.sampled_from([None, 0.05]),
     budget=st.one_of(
         st.tuples(st.just("edge"), st.integers(0, 10_000), st.integers(-1, 2)),
-        st.tuples(st.just("any"), st.integers(1, 3000), st.just(0)),
+        st.tuples(st.just("any"), st.integers(1, 1500), st.just(0)),
     ),
-    equal_starts=st.booleans(),
-    step_min=st.sampled_from([None, 0.05]),
 )
 # Two threads from one start tie on their best values, so the token's
 # tie-break decides: at seed 0 the tied threads both ask in some stage on
 # every problem but bump50. With schedule (5, 10, 15) the schwefel10 and
 # circuit runs end on the step_min 0.05 floor.
-@example(threads=2, seed=0, schedule=(5, 10, 15), budget=("any", 3000, 0), equal_starts=True, step_min=0.05)
-@example(threads=2, seed=0, schedule=(1, 2, 3), budget=("any", 3000, 0), equal_starts=True, step_min=0.05)
-def test_stacked_stage_matches_serial_threads(problem, threads, seed, schedule, budget, equal_starts, step_min):
+@example(**DEFAULTS, threads=2, seed=0, schedule=(5, 10, 15), start="equal", step_min=0.05, budget=("any", 3000, 0))
+@example(**DEFAULTS, threads=2, seed=0, schedule=(1, 2, 3), start="equal", step_min=0.05, budget=("any", 3000, 0))
+# From a flat start the schwefel10 probes on different axes tie, so the
+# first-on-ties rule decides the move; the two threads tie on every problem.
+@example(**DEFAULTS, threads=2, seed=0, schedule=(1, 2, 3), start="flat", step_min=0.05, budget=("any", 800, 0))
+# At tolerance 0 a probe back onto the previous base is tabu only because
+# the match is inclusive.
+@example(
+    **(DEFAULTS | {"match_tol": 0.0}), threads=1, seed=0, schedule=(5, 10, 15), start="random", step_min=None,
+    budget=("any", 800, 0),
+)
+def test_stacked_stage_matches_serial_threads(
+    problem, threads, seed, n_tabu, m_elite, schedule, k_pattern, match_tol, start, step_min, budget
+):
+    # run_single (one thread), run_multi (two) and run_lockstep (one to
+    # three) against the reference: the whole run bit for bit. Starts are
+    # random per thread, one random point for all threads, or one with
+    # every coordinate equal, where probes on different axes tie.
     objective = PROBLEMS[problem]()
+    n = objective.space.dimension
+    rng = np.random.default_rng(seed)
+    x0 = {"random": None, "equal": rng.random(n), "flat": np.full(n, rng.random())}[start]
     intensify, diversify, reduce = schedule
-    start = np.random.default_rng(seed).random(objective.space.dimension) if equal_starts else None
-    starts, seed_rngs = lockstep_setup(threads, start)
+    # Below every step the run can reach: from a tolerance at or above the
+    # step on, a run may never end (test_run_ends_when_the_tolerance_reaches_the_step).
+    assume(match_tol < (step_min or resolved_step_min(SearchConfig(), objective.space)))
 
     def config(max_evals):
         return SearchConfig(
-            seed=seed,
-            max_evals=max_evals,
+            n_tabu=n_tabu,
+            m_elite=m_elite,
+            k_pattern=k_pattern,
             step_min=step_min,
             intensify_after=intensify,
             diversify_after=diversify,
             reduce_after=reduce,
+            match_tol=match_tol,
+            max_evals=max_evals,
+            seed=seed,
         )
 
     kind, pick, offset = budget
@@ -472,13 +355,61 @@ def test_stacked_stage_matches_serial_threads(problem, threads, seed, schedule, 
         # End the budget just after some thread's step, found on a longer
         # run: the next thread of that stage then sits at the budget edge.
         step_ends = []
-        reference_lockstep(objective, config(2500), starts, seed_rngs, step_ends)
+        reference_run(objective, config(1200), threads, x0, step_ends)
         max_evals = max(1, step_ends[pick % len(step_ends)] + offset)
     else:
         max_evals = pick
-    got = run_lockstep(objective, config(max_evals), starts, seed_rngs)
-    want = reference_lockstep(objective, config(max_evals), starts, seed_rngs)
+    want = reference_run(objective, config(max_evals), threads, x0)
+    if threads == 2:
+        got = run_multi(objective, MultiConfig(config(max_evals), x0, x0))
+    else:
+        starts, seed_rngs = lockstep_setup(threads, x0)
+        got = run_lockstep(objective, config(max_evals), starts, seed_rngs)
     assert result_key(got) == result_key(want)
+    if threads == 1:
+        assert run_key(run_single(objective, config(max_evals), x0)) == run_key(want)
+
+
+@pytest.mark.xfail(raises=TimeoutError, strict=True, reason="known fault: the run never ends (CHANGES.md FOUND)")
+def test_run_ends_when_the_tolerance_reaches_the_step():
+    # From a step at or below the tabu tolerance on, every probe of a
+    # thread matches its own base, so its steps spend nothing and only
+    # the restructure thresholds move it. Here thread 0's reduce request
+    # is lost while its earlier request waits for the token; its failure
+    # count then passes every threshold, and it stalls at step 0.0125
+    # after thread 1 has reached the floor. The run would take about
+    # 0.1 s; an alarm stops it after 2 s.
+    config = SearchConfig(seed=3, max_evals=1500, match_tol=0.05, intensify_after=1, diversify_after=2, reduce_after=3)
+
+    def stop(signum, frame):
+        raise TimeoutError("the run did not end within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(2)
+    try:
+        run_lockstep(make_schwefel10(), config, *lockstep_setup(2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: What ``reference.py`` may take from ``tabukit``: the problem definitions.
+PROBLEM_DEFINITIONS = {
+    "Objective", "ParameterSpace", "MAXIMIZE", "MINIMIZE", "make_bump", "make_schwefel10", "make_circuit"
+}
+
+
+def test_reference_imports_only_problem_definitions():
+    # The reference checks the engine only while it shares no code with it.
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken += [alias.name for alias in node.names if alias.name.partition(".")[0] == "tabukit"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").partition(".")[0] == "tabukit"):
+            taken += [alias.name for alias in node.names]
+    assert taken
+    assert set(taken) <= PROBLEM_DEFINITIONS, sorted(set(taken) - PROBLEM_DEFINITIONS)
 
 
 def test_budget_edge_splits_a_stage(monkeypatch):
@@ -487,7 +418,7 @@ def test_budget_edge_splits_a_stage(monkeypatch):
     objective = make_schwefel10()
     starts, seed_rngs = lockstep_setup(2)
     step_ends = []
-    reference_lockstep(objective, SearchConfig(seed=3, max_evals=600), starts, seed_rngs, step_ends)
+    reference_run(objective, SearchConfig(seed=3, max_evals=600), 2, step_ends=step_ends)
     real_stage = control.hj_stage
     groups = []
 
@@ -503,8 +434,7 @@ def test_budget_edge_splits_a_stage(monkeypatch):
             groups.clear()
             config = SearchConfig(seed=3, max_evals=end + offset)
             got = run_lockstep(objective, config, starts, seed_rngs)
-            want = reference_lockstep(objective, config, starts, seed_rngs)
-            assert result_key(got) == result_key(want)
+            assert result_key(got) == result_key(reference_run(objective, config, 2))
             split += groups[-2:] == [(2, 1), (1, 1)]
     assert split
 
@@ -538,17 +468,18 @@ def test_one_axial_moves_call_per_stage_for_the_stepping_threads(monkeypatch):
 
 
 def recorded(objective):
-    """The objective and a log of what reaches it: the bytes of each
-    ``fn`` input, and each ``fn_batch`` block's row count and bytes."""
-    log = {"fn": [], "fn_batch": [], "batch_bytes": []}
+    """The objective and a log of what reaches it: the bytes of every row,
+    from ``fn`` or ``fn_batch``, in order, and each ``fn_batch`` block's
+    row count."""
+    log = {"rows": [], "fn_batch": []}
 
     def fn(raw):
-        log["fn"].append(raw.tobytes())
+        log["rows"].append(raw.tobytes())
         return objective.fn(raw)
 
     def fn_batch(raw):
         log["fn_batch"].append(len(raw))
-        log["batch_bytes"].append(raw.tobytes())
+        log["rows"] += [row.tobytes() for row in raw]
         return objective.fn_batch(raw)
 
     batch = None if objective.fn_batch is None else fn_batch
@@ -559,31 +490,26 @@ def recorded(objective):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_stage_sends_the_reference_points_to_the_objective(problem, threads, batch):
-    # Seeded runs against the per-thread reference, which screens each
-    # pattern point with is_tabu and evaluates it through evaluate: the
-    # results agree bit for bit, fn receives the same points (pattern
-    # points, starts and relocations, plus the axial rows without
-    # fn_batch), and fn_batch the same rows, one block per stage. Without
-    # fn_batch two threads' axial rows come before their pattern points,
-    # so only there the order of the fn calls differs.
+    # Seeded runs against the reference, which sends every point to fn on
+    # its own: the results agree bit for bit, and the objective receives
+    # the same rows. At one thread they come in the same order. Two
+    # threads' axial rows come before their pattern points, so there only
+    # the order differs.
     objective = PROBLEMS[problem]()
     if not batch:
         objective = dataclasses.replace(objective, fn_batch=None)
     starts, seed_rngs = lockstep_setup(threads)
     for seed in (0, 1):
-        config = SearchConfig(seed=seed, max_evals=3000, intensify_after=1, diversify_after=2, reduce_after=3)
+        config = SearchConfig(seed=seed, max_evals=1500, intensify_after=1, diversify_after=2, reduce_after=3)
         got_objective, got = recorded(objective)
         want_objective, want = recorded(objective)
         result = run_lockstep(got_objective, config, starts, seed_rngs)
-        assert result_key(result) == result_key(reference_lockstep(want_objective, config, starts, seed_rngs))
-        if batch or threads == 1:
-            assert got["fn"] == want["fn"]
+        assert result_key(result) == result_key(reference_run(want_objective, config, threads))
+        if threads == 1:
+            assert got["rows"] == want["rows"]
         else:
-            assert sorted(got["fn"]) == sorted(want["fn"])
-        assert len(got["fn"]) == result.evals - sum(got["fn_batch"])
-        assert sum(got["fn_batch"]) == sum(want["fn_batch"])
-        assert b"".join(got["batch_bytes"]) == b"".join(want["batch_bytes"])
-        assert len(got["fn_batch"]) <= len(want["fn_batch"])
+            assert sorted(got["rows"]) == sorted(want["rows"])
+        assert len(got["rows"]) == result.evals
         assert (len(got["fn_batch"]) > 0) == batch
 
 
@@ -617,7 +543,7 @@ def test_every_adopted_point_carries_its_raw_row(problem, threads, monkeypatch):
 
 def test_run_single_best_raw_is_a_copy():
     objective = make_schwefel10()
-    result = control.run_single(objective, SearchConfig(max_evals=500))
+    result = run_single(objective, SearchConfig(max_evals=500))
     assert result.best_raw.tobytes() == result.best.raw.tobytes()
     assert not np.shares_memory(result.best_raw, result.best.raw)
 
@@ -627,7 +553,7 @@ def test_sentinel_best_carries_the_start_raw_row():
     # start; a step reduction restarts from it, so it needs the raw row.
     objective = make_schwefel10()
     point = evaluate(objective, np.full(10, 0.25))
-    state = fresh_state(point, SearchConfig())
+    state = fresh_states([point], SearchConfig())[0]
     assert state.best.raw is point.raw and state.best.x is point.x
     assert not state.best.feasible
 
@@ -640,8 +566,8 @@ def test_base_without_a_raw_row_is_named():
     with pytest.raises(ValueError, match="^thread 1's base has no raw row"):
         fresh_states([evaluate(make_schwefel10(), base.x), base], SearchConfig())
     with pytest.raises(ValueError, match="^thread 2's base has no raw row"):
-        fresh_state(base, SearchConfig(), thread_id=2)
-    state = fresh_state(evaluate(make_schwefel10(), base.x), SearchConfig(), thread_id=1)
+        fresh_states([base], SearchConfig(), first_id=2)
+    state = fresh_states([evaluate(make_schwefel10(), base.x)], SearchConfig(), first_id=1)[0]
     with pytest.raises(ValueError, match="^thread 1's base has no raw row"):
         state.adopt(base, IntermediateMemory())
     assert calls == [0]
@@ -652,7 +578,7 @@ def test_threads_of_another_stack_are_named():
     # cannot step as one stage.
     objective, calls = counted(make_schwefel10())
     points = [evaluate(objective, np.full(10, x)) for x in (0.25, 0.75)]
-    states = [fresh_state(point, SearchConfig(), thread_id=i) for i, point in enumerate(points)]
+    states = [fresh_states([point], SearchConfig(), first_id=i)[0] for i, point in enumerate(points)]
     with pytest.raises(ValueError, match="^thread 1 is not on the stage's stack"):
         hj_stage(states, objective, IntermediateMemory())
     assert calls == [2]

@@ -54,4 +54,4 @@ def test_axial_moves_counts_one_candidate_per_row():
     # Of six probes, the decrement of x1 clamps onto the base and the
     # increment of x2 is tabu.
     assert moves.tabu_rejected == 1
-    assert len(moves.candidates) == len(moves.x) == 4
+    assert len(moves.candidates) == moves.axis.size == 4
