@@ -6,23 +6,24 @@ random point, then halve the step and restart from the best point
 found so far. The run ends when every thread's step has fallen below
 the resolution floor or the evaluation budget is spent.
 
-One lockstep driver, ``run_lockstep``, runs K threads over a shared
-elite archive and returns a ``MultiRunResult``; ``run_single`` is its
-K = 1 case and returns the plain ``RunResult`` part. Each stage steps
-the live threads through one ``hillclimb.hj_stage`` call, which screens
-all their probes at once (their state is stacked, ``Stack``), evaluates
-all their axial candidates in one objective call and each pattern point
+One lockstep driver, ``run_lockstep``, runs K threads and returns a
+``MultiRunResult``; ``run_single`` is its K = 1 case and returns the
+plain ``RunResult`` part. Each thread's state, a reference to the run's
+shared archive included, is one ``ThreadState``. Each stage steps the
+live threads through one ``hillclimb.hj_stage`` call, which screens all
+their probes at once (their state is stacked, ``Stack``), evaluates all
+their axial candidates in one objective call and each pattern point
 alone, and the result is the same as stepping them one after another.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Objective, ParameterSpace, SearchPoint, clamp, evaluate
+from .core import Objective, ParameterSpace, SearchPoint, check_finite, clamp, evaluate
 from .hillclimb import IMPROVED, hj_stage
 from .memory import (
     DEFAULT_ELITE_CAPACITY,
@@ -94,28 +95,32 @@ class Stack:
     """A run's per-thread state with one row per thread, which a stage reads
     for all its threads at once: bases ``x`` ``(K, 1, N)`` and ``raw``
     ``(K, N)``, steps ``(K, 1, 1)`` and tabu rings ``(K, capacity, N)``;
-    ``threads[i]`` owns row i."""
+    thread i owns row i."""
 
     x: np.ndarray
     raw: np.ndarray
     step: np.ndarray
     tabu: np.ndarray
-    threads: list[ThreadState] = field(default_factory=list)
 
 
 @dataclass(eq=False)
 class ThreadState:
-    """Mutable per-thread search state. The step, the tabu ring (``tabu``
-    is a view) and copies of the base live in row ``row`` of ``stack``;
-    move the base with ``rebase`` or ``adopt``, which keep them in step."""
+    """Mutable state of thread ``row``: its tabu list, generator and pending
+    request, and ``memory``, the elite archive that all the run's threads
+    share. The step, the tabu ring (``tabu`` is a view) and copies of the
+    base live in row ``row`` of ``stack``; move the base with ``rebase``
+    or ``adopt``, which keep them in step."""
 
     base: SearchPoint
     best: SearchPoint
     tabu: TabuList
+    memory: IntermediateMemory
+    rng: np.random.Generator
     stack: Stack
     row: int
     fail_count: int = 0
-    thread_id: int = 0
+    #: The restructure this thread asks for, None while it continues.
+    pending: str | None = None
     #: Objective evaluations this thread has spent.
     evals: int = 0
     #: (evaluation count, best value) at each improvement, oldest first.
@@ -145,32 +150,46 @@ class ThreadState:
         """Move the base to ``point`` and its rows to the stack; ``point``
         must carry its raw row, as every evaluated point does."""
         if point.raw is None:
-            raise ValueError(f"thread {self.thread_id}'s base has no raw row; evaluate it with core.evaluate")
+            raise ValueError(f"thread {self.row}'s base has no raw row; evaluate it with core.evaluate")
         self.base = point
         self._x[...] = point.x
         self._raw[...] = point.raw
 
-    def adopt(self, point: SearchPoint, memory: IntermediateMemory) -> None:
+    def adopt(self, point: SearchPoint) -> None:
         """Move the base to ``point``: tabu it, offer it to the archive and observe it."""
         self.rebase(point)
         self.tabu.push(point.x)
-        memory.offer(point)
+        self.memory.offer(point)
         self.observe(point)
 
 
-def fresh_states(points: Sequence[SearchPoint], config: SearchConfig, first_id: int = 0) -> list[ThreadState]:
+def thread_generators(seed: int, k: int) -> list[np.random.Generator]:
+    """A run's thread generators: ``default_rng(seed)`` for one thread, else
+    one for each child of ``SeedSequence(seed).spawn(k)``."""
+    if k == 1:
+        return [np.random.default_rng(seed)]
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(k)]
+
+
+def fresh_states(
+    points: Sequence[SearchPoint], config: SearchConfig, rngs: Sequence[np.random.Generator] | None = None
+) -> list[ThreadState]:
     """One thread around each already-evaluated start, whose evaluation is
-    the thread's first: thread ``first_id + i`` on row i of one new
-    ``Stack``. Until a feasible point takes over, a thread's best is a
-    sentinel at its start, with its ``x`` and ``raw``."""
+    the thread's first: thread i on row i of one new ``Stack``, drawing
+    from ``rngs[i]`` (``thread_generators(config.seed, K)`` by default),
+    all sharing one new archive. Until a feasible point takes over, a
+    thread's best is a sentinel at its start, with its ``x`` and ``raw``."""
     k, n = len(points), points[0].x.size
+    rngs = thread_generators(config.seed, k) if rngs is None else rngs
+    memory = IntermediateMemory(config.m_elite, config.match_tol)
     step, rings = np.full((k, 1, 1), config.step_initial), np.full((k, config.n_tabu, n), math.inf)
     stack = Stack(np.empty((k, 1, n)), np.empty((k, n)), step, rings)
-    for i, point in enumerate(points):
+    states = []
+    for i, (point, rng) in enumerate(zip(points, rngs)):
         sentinel = SearchPoint(x=point.x, value=math.inf, feasible=False, raw=point.raw)
         tabu = TabuList(config.n_tabu, config.match_tol, stack.tabu[i])
-        stack.threads.append(ThreadState(point, sentinel, tabu, stack, i, thread_id=first_id + i, evals=1))
-    return list(stack.threads)
+        states.append(ThreadState(point, sentinel, tabu, memory, rng, stack, i, evals=1))
+    return states
 
 
 def resolved_step_min(config: SearchConfig, space: ParameterSpace) -> float:
@@ -192,9 +211,7 @@ def start_point(start: np.ndarray, dimension: int, name: str = "start") -> np.nd
         raise ValueError(
             f"{name} must have one coordinate per parameter: expected shape ({dimension},), got {x.shape}"
         )
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"{name} has non-finite coordinates at indices {bad.tolist()}: {x[bad].tolist()}")
+    check_finite(x, name)
     return clamp(x)
 
 
@@ -214,14 +231,7 @@ def control_decision(fail_count: int, config: SearchConfig) -> str:
     return CONTINUE
 
 
-def apply_action(
-    state: ThreadState,
-    action: str,
-    memory: IntermediateMemory,
-    objective: Objective,
-    rng: np.random.Generator,
-    config: SearchConfig,
-) -> None:
+def apply_action(state: ThreadState, action: str, objective: Objective, config: SearchConfig) -> None:
     """Carry out a control action, mutating ``state`` in place.
 
     Intensify and diversify relocate the base, which costs one
@@ -237,21 +247,22 @@ def apply_action(
         state.rebase(state.best)
         state.fail_count = 0
         return
+    memory = state.memory
     if action == INTENSIFY:
         if len(memory) == 0:
             return
         x = memory.intensify()
     elif action == DIVERSIFY:
         if len(memory) == 0:
-            x = rng.random(state.base.x.size)
+            x = state.rng.random(state.base.x.size)
         else:
-            x = memory.diversify(rng)
+            x = memory.diversify(state.rng)
     else:
         raise ValueError(f"unknown control action: {action!r}")
 
     point = evaluate(objective, x)
     state.evals += 1
-    state.adopt(point, memory)
+    state.adopt(point)
 
 
 @dataclass
@@ -317,11 +328,12 @@ def run_lockstep(
     objective: Objective,
     config: SearchConfig,
     starts: Sequence[tuple[str, np.ndarray | None]],
-    seed_rngs: Callable[[int], Sequence[np.random.Generator]],
 ) -> MultiRunResult:
     """Run one thread per ``(name, start)`` pair in lockstep to termination.
 
-    ``seed_rngs(config.seed)`` gives each thread its generator; a None
+    Each thread draws from its own generator, seeded from ``config.seed``
+    (``thread_generators``): a lone thread from ``default_rng(seed)``,
+    thread i of K from child i of ``SeedSequence(seed).spawn(K)``. A None
     start is a uniform random point from it. The config, then the
     starts (named in errors by ``name``) are checked before anything is
     evaluated. The threads share the elite archive and the evaluation
@@ -351,15 +363,14 @@ def run_lockstep(
         raise ValueError("step_initial is below the resolution floor of the space")
     dim = space.dimension
     xs = [None if x is None else start_point(x, dim, name) for name, x in starts]
-    rngs = seed_rngs(config.seed)
-    memory = IntermediateMemory(config.m_elite, config.match_tol)
-    points = [evaluate(objective, rngs[i].random(dim) if x0 is None else x0) for i, x0 in enumerate(xs)]
-    states = fresh_states(points, config)
+    rngs = thread_generators(config.seed, len(xs))
+    points = [evaluate(objective, rng.random(dim) if x0 is None else x0) for rng, x0 in zip(rngs, xs)]
+    states = fresh_states(points, config, rngs)
     best = states[0].best  # thread 0's sentinel, at its start
     history: list[tuple[int, float]] = []
     # Thread i's start was evaluation i + 1.
     for total, state in enumerate(states, 1):
-        state.adopt(state.base, memory)
+        state.adopt(state.base)
         if state.best.value < best.value:
             best = state.best
             history.append((total, best.value))
@@ -367,8 +378,6 @@ def run_lockstep(
     # Plain loops below: at K = 1 this is the whole per-step overhead
     # of run_single.
     k = len(states)
-    # Each thread's restructure request, None while it continues.
-    pending: list[str | None] = [None] * k
     stages: list[tuple[str, ...]] = []
     idle = (CONTINUE,) * k
     collisions = CollisionLog()
@@ -383,40 +392,39 @@ def run_lockstep(
             break
         stepping = live
         while stepping and total < config.max_evals:
-            steps = hj_stage(stepping, objective, memory, config.k_pattern, config.max_evals - total)
+            steps = hj_stage(stepping, objective, config.k_pattern, config.max_evals - total)
             for state, (outcome, spent) in zip(stepping, steps):
-                i = state.row
                 if outcome == IMPROVED:
                     state.fail_count = 0
-                    pending[i] = None
+                    state.pending = None
                 else:
                     state.fail_count += 1
                 total += spent
                 if state.best.value < best.value:
                     best = state.best
                     history.append((total, best.value))
-                request = pending[i] or control_decision(state.fail_count, config)
-                pending[i] = None if request == CONTINUE else request
+                request = state.pending or control_decision(state.fail_count, config)
+                state.pending = None if request == CONTINUE else request
             stepping = stepping[len(steps) :]
         if total >= config.max_evals:
             break
 
         # Restructure token: among the threads that ask, the one with the
-        # worst best goes (max keeps the lowest index on ties) and the
-        # others keep their request pending.
+        # worst best goes (the lowest index on ties) and the others keep
+        # their request pending.
         actions = idle
-        if pending.count(None) < k:
-            asking = (i for i in range(k) if pending[i] is not None)
-            performer = max(asking, key=lambda i: states[i].best.value)
-            state = states[performer]
-            action = pending[performer]
-            actions = idle[:performer] + (action,) + idle[performer + 1 :]
-            pending[performer] = None
-            before = state.evals
-            apply_action(state, action, memory, objective, rngs[performer], config)
-            total += state.evals - before
-            if state.best.value < best.value:
-                best = state.best
+        performer = None
+        for state in states:
+            if state.pending is not None and (performer is None or state.best.value > performer.best.value):
+                performer = state
+        if performer is not None:
+            i, action, performer.pending = performer.row, performer.pending, None
+            actions = idle[:i] + (action,) + idle[i + 1 :]
+            before = performer.evals
+            apply_action(performer, action, objective, config)
+            total += performer.evals - before
+            if performer.best.value < best.value:
+                best = performer.best
                 history.append((total, best.value))
             live = [state for state in states if state.step >= step_floor]
 
@@ -425,18 +433,8 @@ def run_lockstep(
             for j in range(i + 1, k):
                 detect_collision(states[i], states[j], config.match_tol, collisions, total)
 
-    # The stack and its threads refer to each other: drop the stack's side,
-    # so that the run's state is freed with the run, not by the cycle collector.
-    states[0].stack.threads.clear()
     threads = [
-        ThreadReport(
-            thread_id=state.thread_id,
-            best=state.best,
-            best_raw=state.best.raw.copy(),
-            evals=state.evals,
-            step_final=state.step,
-            history=list(state.history),
-        )
+        ThreadReport(state.row, state.best, state.best.raw.copy(), state.evals, state.step, list(state.history))
         for state in states
     ]
     return MultiRunResult(
@@ -462,5 +460,5 @@ def run_single(
     the run starts from a seeded uniform random point.
     """
     config = config or SearchConfig()
-    run = run_lockstep(objective, config, [("start", start)], lambda seed: [np.random.default_rng(seed)])
+    run = run_lockstep(objective, config, [("start", start)])
     return RunResult(run.best, run.best_raw, run.evals, run.terminated_by, run.history)

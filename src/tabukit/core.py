@@ -119,11 +119,20 @@ class Objective:
         return -engine_value if self.sense == MAXIMIZE else engine_value
 
 
+def check_finite(x: np.ndarray, name: str) -> None:
+    """Raise ValueError naming ``name`` and the non-finite coordinates of ``x``, if any."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise ValueError(f"{name} has non-finite coordinates at indices {bad.tolist()}: {x[bad].tolist()}")
+
+
 def normalize(space: ParameterSpace, raw: np.ndarray) -> np.ndarray:
-    """Map a raw in-bounds vector to [0, 1]^N coordinates."""
+    """Map a raw, finite, in-bounds vector to [0, 1]^N coordinates."""
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (space.dimension,):
         raise ValueError(f"expected {space.dimension} components, got {raw.shape}")
+    check_finite(raw, "vector")
     if np.any(raw < space.lower) or np.any(raw > space.upper):
         raise ValueError("vector outside bounds; clamp before normalizing")
     return (raw - space.lower) / space.span
@@ -231,9 +240,10 @@ def evaluate_raw(objective: Objective, x: np.ndarray, raw: np.ndarray) -> Search
 
 
 def evaluate(objective: Objective, x: np.ndarray) -> SearchPoint:
-    """Evaluate one normalized point: ``evaluate_raw`` of a copy of ``x``
-    and its denormalized form."""
+    """Evaluate one finite normalized point: ``evaluate_raw`` of a copy of
+    ``x`` and its denormalized form."""
     x = np.array(x, dtype=float, copy=True)
     if x.ndim != 1:  # denormalize would take a block
         raise ValueError(f"expected {objective.space.dimension} components, got {x.shape}")
+    check_finite(x, "point")
     return evaluate_raw(objective, x, denormalize(objective.space, x))

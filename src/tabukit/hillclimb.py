@@ -30,14 +30,13 @@ from .core import (
     Objective,
     ParameterSpace,
     SearchPoint,
-    clamp,
     denormalize,
     denormalize_coordinate,
     denormalize_coordinates,
     evaluate_raw,
     evaluate_raw_block,
 )
-from .memory import IntermediateMemory, TabuList, screen_axial
+from .memory import TabuList, screen_axial
 
 if TYPE_CHECKING:  # pragma: no cover
     from .control import ThreadState
@@ -53,12 +52,11 @@ IMPROVE_TOL = 1e-12
 
 @dataclass
 class MoveSet:
-    """Allowable axial candidates around the bases ``base_x[t, 0]`` of T
-    threads, plus rejection tallies: ``counts[t]`` candidates of each
-    thread in turn, each one its base with variable ``axis[r]`` moved by
-    the step and clamped to ``moved[r]``. The rows are not built."""
+    """Allowable axial candidates around the bases of T threads, plus
+    rejection tallies: ``counts[t]`` candidates of each thread in turn,
+    each one its base with variable ``axis[r]`` moved by the step and
+    clamped to ``moved[r]``. The rows are not built."""
 
-    base_x: np.ndarray
     axis: np.ndarray
     moved: np.ndarray
     counts: list[int]
@@ -114,10 +112,10 @@ def axial_moves(
         counts = np.add.reduce(keep, (1, 2)).tolist()
         stepping = 1 + sum(spent < budget for spent in accumulate(c + 1 for c in counts[:-1]))
         if stepping < len(counts):
-            base_x, rest_near, counts = base_x[:stepping], rest_near[:stepping], counts[:stepping]
+            rest_near, counts = rest_near[:stepping], counts[:stepping]
             keep, moved, tabu_hit = keep[:stepping], moved[:stepping], tabu_hit[:stepping]
         axis = axis[keep.nonzero()[2]]
-    return MoveSet(base_x, axis, moved[keep], counts, int(np.count_nonzero(tabu_hit)), rest_near=rest_near)
+    return MoveSet(axis, moved[keep], counts, int(np.count_nonzero(tabu_hit)), rest_near=rest_near)
 
 
 def axial_block(space: ParameterSpace, raw: np.ndarray, moves: MoveSet) -> np.ndarray:
@@ -179,20 +177,15 @@ def explore(
     return SearchPoint(x=x, value=float(values[w]), feasible=True, raw=raw[w].copy()), moves
 
 
-def pattern_move(old_base: np.ndarray, new_base: np.ndarray, k: float) -> np.ndarray:
-    """Extend the move old_base -> new_base by a factor ``k``, clamped."""
-    if not 0.0 < k < math.inf:  # also rejects NaN, as SearchConfig.validate does
-        raise ValueError(f"pattern factor must be positive and finite, got {k!r}")
-    return clamp(new_base + k * (new_base - old_base))
-
-
 def _pattern_point(base_x: np.ndarray, move_x: np.ndarray, axis: int, k: float) -> np.ndarray | None:
-    """``pattern_move(base_x, move_x, k)`` for a move that changed only
-    coordinate ``axis``, or None when clamping collapses it onto ``move_x``.
+    """The pattern point of the move ``base_x -> move_x``, which changed
+    only coordinate ``axis``: the move extended by the factor ``k`` and
+    clamped into the unit cube, or None when clamping collapses it onto
+    ``move_x``.
 
     Only that coordinate is computed, in Python floats with the same
-    rounding and clamp as numpy's. Every other one is ``x + 0.0``, as in
-    ``pattern_move``, which turns -0.0 into 0.0.
+    rounding and clamp as numpy's. Every other one is ``x + 0.0``, as
+    ``x + k * (x - x)`` is, which turns -0.0 into 0.0.
     """
     m = float(move_x[axis])
     p = m + k * (m - float(base_x[axis]))
@@ -207,7 +200,6 @@ def _pattern_point(base_x: np.ndarray, move_x: np.ndarray, axis: int, k: float) 
 def hj_stage(
     states: Sequence["ThreadState"],
     objective: Objective,
-    shared: IntermediateMemory,
     k_pattern: float = 1.0,
     budget: float = math.inf,
 ) -> list[tuple[str, int]]:
@@ -222,14 +214,16 @@ def hj_stage(
     thread that stepped, in order; no states step none.
 
     The states must share one ``control.Stack`` (else ValueError), which
-    ``axial_moves`` reads for all of them at once. The axial rows are
-    built from the bases' raw rows (``axial_block``) and evaluated in one
-    ``evaluate_raw_block`` call; the winner takes a copy of its block row.
+    ``axial_moves`` reads for all of them at once: its arrays themselves
+    when the states are all its rows in order, else copies of their rows.
+    The axial rows are built from the bases' raw rows (``axial_block``)
+    and evaluated in one ``evaluate_raw_block`` call; the winner takes a
+    copy of its block row.
     Then, thread by thread, the pattern point, when it is new and not
     tabu, is evaluated alone through ``evaluate_raw``, and the adopted
     point (the pattern point if strictly better than the exploration
     point, else the exploration point) becomes the new base, goes on the
-    tabu list and is offered to the shared elite archive. The pattern
+    tabu list and is offered to the thread's elite archive. The pattern
     point differs from the base in the winner's coordinate only, as the
     winner does, so it is screened against the thread's tabu list with
     the mask of its axial screen and its raw row is the winner's with
@@ -244,10 +238,12 @@ def hj_stage(
     k = float(k_pattern)
     stack = states[0].stack
     x, step, tabu, raw = stack.x, stack.step, stack.tabu, stack.raw
-    if states != stack.threads:  # some threads only, as copies
-        stray = [state.thread_id for state in states if state.stack is not stack]
-        if stray:
-            raise ValueError(f"thread {stray[0]} is not on the stage's stack; build the threads with fresh_states")
+    whole = len(states) == len(x)  # every row of the stack, in order
+    for t, state in enumerate(states):
+        if state.stack is not stack:
+            raise ValueError(f"thread {state.row} is not on the stage's stack; build the threads with fresh_states")
+        whole = whole and state.row == t
+    if not whole:  # some threads, or out of row order: copies
         rows = [state.row for state in states]
         x, step, tabu, raw = x[rows], step[rows], tabu[rows], raw[rows]
     moves = axial_moves(x, step, tabu, states[0].tabu.match_tol, budget)
@@ -289,18 +285,13 @@ def hj_stage(
             adopted = SearchPoint(x=move_x, value=value, feasible=True, raw=raw[w].copy())
         state.evals += spent
         best_before = state.best.value
-        state.adopt(adopted, shared)
+        state.adopt(adopted)
         steps.append((IMPROVED if adopted.value < best_before - IMPROVE_TOL else NOT_IMPROVED, spent))
     return steps
 
 
-def hj_step(
-    state: "ThreadState",
-    objective: Objective,
-    shared: IntermediateMemory,
-    k_pattern: float = 1.0,
-) -> str:
+def hj_step(state: "ThreadState", objective: Objective, k_pattern: float = 1.0) -> str:
     """One exploration + pattern-move cycle from the thread's base point:
     ``hj_stage`` for one thread. Returns the outcome. The engine does not
     call it; it stays as a ``perfbench/tracer.py`` boundary."""
-    return hj_stage([state], objective, shared, k_pattern)[0][0]
+    return hj_stage([state], objective, k_pattern)[0][0]

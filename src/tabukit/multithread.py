@@ -1,11 +1,12 @@
 """Two-thread setup, seeding and entry point.
 
 Two threads share the intermediate memory, one evaluation budget and a
-restructure token; each has a private tabu list. The lockstep driver
-in ``control`` runs them, interleaved deterministically in one OS
-thread, so a seeded run is bit-reproducible. This module holds only
-what is particular to two threads: the starts, the per-thread
-generators and ``run_multi``.
+restructure token; each has a private tabu list and generator. The
+lockstep driver in ``control`` runs them, interleaved deterministically
+in one OS thread, so a seeded run is bit-reproducible. It seeds its
+threads itself, and ``thread_rngs`` is the K = 2 case of its rule
+(``control.thread_generators``). This module holds only what is
+particular to two threads: the starts, ``thread_rngs`` and ``run_multi``.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .control import (  # noqa: F401
     ThreadReport,
     detect_collision,
     run_lockstep,
+    thread_generators,
 )
 from .core import Objective
 
@@ -40,9 +42,8 @@ class MultiConfig:
 
 
 def thread_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Two distinct, reproducible generators derived from one seed."""
-    child_a, child_b = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(child_a), np.random.default_rng(child_b)
+    """The two generators that a two-thread run with this seed draws from."""
+    return tuple(thread_generators(seed, 2))
 
 
 def run_multi(objective: Objective, config: MultiConfig | None = None) -> MultiRunResult:
@@ -55,4 +56,4 @@ def run_multi(objective: Objective, config: MultiConfig | None = None) -> MultiR
     """
     config = config or MultiConfig()
     starts = [("start_a (thread 0)", config.start_a), ("start_b (thread 1)", config.start_b)]
-    return run_lockstep(objective, config.base, starts, thread_rngs)
+    return run_lockstep(objective, config.base, starts)

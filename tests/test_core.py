@@ -87,6 +87,14 @@ class TestCoordinateMaps:
         with pytest.raises(ValueError):
             normalize(space, np.array([1.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_normalize_rejects_non_finite_by_index(self, bad):
+        # NaN fails both bound comparisons, so only a finiteness check
+        # keeps it from coming back as a NaN coordinate.
+        space = unit_space(3)
+        with pytest.raises(ValueError, match=re.escape(f"non-finite coordinates at indices [0, 2]: [{bad!r}, {bad!r}]")):
+            normalize(space, np.array([bad, 0.5, bad]))
+
     def test_normalize_rejects_wrong_shape(self):
         space = unit_space()
         with pytest.raises(ValueError):
@@ -134,6 +142,16 @@ class TestEvaluate:
         obj = Objective(unit_space(1), fn=lambda raw: (math.nan, True))
         with pytest.raises(ValueError):
             evaluate(obj, np.array([0.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_point_before_the_objective(self, bad):
+        # Objectives are promised in-bounds input; denormalize would pass
+        # a NaN on and clamp an infinity onto a bound.
+        calls = []
+        obj = Objective(unit_space(2), fn=lambda raw: (calls.append(raw) or 0.0, True))
+        with pytest.raises(ValueError, match=re.escape(f"point has non-finite coordinates at indices [0]: [{bad!r}]")):
+            evaluate(obj, np.array([bad, 0.5]))
+        assert calls == []
 
     def test_point_copies_input(self):
         obj = Objective(unit_space(1), fn=lambda raw: (0.0, True))

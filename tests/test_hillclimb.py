@@ -28,9 +28,10 @@ from tabukit.hillclimb import (
     _pattern_point,
     hj_stage,
     hj_step,
-    pattern_move,
 )
-from tabukit.memory import IntermediateMemory, TabuList
+from tabukit.memory import TabuList
+
+import reference
 
 
 def make_objective(fn, dim=1, record=None):
@@ -50,17 +51,17 @@ def moves_around(base, step, tabu):
     return axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tabu.match_tol)
 
 
-def probe_rows(moves):
-    """The normalized rows of ``moves``: each candidate's base with its
-    moved coordinate set."""
-    X = np.repeat(moves.base_x[:, 0], moves.counts, axis=0)
+def probe_rows(moves, bases):
+    """The normalized rows of ``moves`` around ``bases``, one base or one
+    row per thread: each candidate's base with its moved coordinate set."""
+    X = np.repeat(np.atleast_2d(bases), moves.counts, axis=0)
     X[np.arange(moves.axis.size), moves.axis] = moves.moved
     return X
 
 
-def probe_signs(moves):
-    """1 for each candidate of ``moves`` that moved up, -1 down."""
-    base = np.repeat(moves.base_x[:, 0], moves.counts, axis=0)[np.arange(moves.axis.size), moves.axis]
+def probe_signs(moves, bases):
+    """1 for each candidate of ``moves`` around ``bases`` that moved up, -1 down."""
+    base = np.repeat(np.atleast_2d(bases), moves.counts, axis=0)[np.arange(moves.axis.size), moves.axis]
     return np.where(moves.moved > base, 1, -1).tolist()
 
 
@@ -71,33 +72,38 @@ def eval_point(obj, x, value_fn):
 
 class TestAxialMoves:
     def test_generates_2n_candidates(self):
-        moves = moves_around(np.array([0.5, 0.5]), 0.1, TabuList())
+        base = np.array([0.5, 0.5])
+        moves = moves_around(base, 0.1, TabuList())
         assert moves.axis.size == 4
-        got = {tuple(np.round(x, 12)) for x in probe_rows(moves)}
+        got = {tuple(np.round(x, 12)) for x in probe_rows(moves, base)}
         assert got == {(0.6, 0.5), (0.4, 0.5), (0.5, 0.6), (0.5, 0.4)}
 
     def test_order_is_axis_major_increment_first(self):
-        moves = moves_around(np.array([0.5, 0.5]), 0.1, TabuList())
-        provenance = list(zip(moves.axis.tolist(), probe_signs(moves)))
+        base = np.array([0.5, 0.5])
+        moves = moves_around(base, 0.1, TabuList())
+        provenance = list(zip(moves.axis.tolist(), probe_signs(moves, base)))
         assert provenance == [(0, 1), (0, -1), (1, 1), (1, -1)]
 
     def test_clamping(self):
-        moves = moves_around(np.array([0.5, 0.5]), 0.6, TabuList())
-        got = {tuple(x) for x in probe_rows(moves)}
+        base = np.array([0.5, 0.5])
+        moves = moves_around(base, 0.6, TabuList())
+        got = {tuple(x) for x in probe_rows(moves, base)}
         assert got == {(1.0, 0.5), (0.0, 0.5), (0.5, 1.0), (0.5, 0.0)}
 
     def test_degenerate_clamped_candidates_dropped(self):
         # Base on the lower bound: the decrement clamps onto the base.
-        moves = moves_around(np.array([0.0]), 0.1, TabuList())
-        assert list(zip(moves.axis.tolist(), probe_signs(moves))) == [(0, 1)]
+        base = np.array([0.0])
+        moves = moves_around(base, 0.1, TabuList())
+        assert list(zip(moves.axis.tolist(), probe_signs(moves, base))) == [(0, 1)]
 
     def test_tabu_candidates_filtered_and_counted(self):
         tabu = TabuList()
         tabu.push(np.array([0.4, 0.5]))
-        moves = moves_around(np.array([0.5, 0.5]), 0.1, tabu)
+        base = np.array([0.5, 0.5])
+        moves = moves_around(base, 0.1, tabu)
         assert moves.tabu_rejected == 1
         assert moves.axis.size == 3
-        for x in probe_rows(moves):
+        for x in probe_rows(moves, base):
             assert not tabu.is_tabu(x)
 
     def test_candidates_subset_of_axial_neighbors(self):
@@ -110,7 +116,7 @@ class TestAxialMoves:
                 x = base.copy()
                 x[i] += sign * step
                 allowed.add(tuple(clamp(x)))
-        for x in probe_rows(moves):
+        for x in probe_rows(moves, base):
             assert tuple(x) in allowed
 
 
@@ -187,34 +193,33 @@ class TestExplore:
 
 class TestPatternMove:
     def test_doubling(self):
-        out = pattern_move(np.array([0.4]), np.array([0.5]), k=1.0)
+        out = _pattern_point(np.array([0.4]), np.array([0.5]), 0, k=1.0)
         assert out[0] == pytest.approx(0.6)
 
     def test_identity_when_no_move(self):
-        out = pattern_move(np.array([0.5]), np.array([0.5]), k=1.0)
-        assert out[0] == 0.5
+        # The pattern point is the move itself, which None stands for.
+        assert _pattern_point(np.array([0.5]), np.array([0.5]), 0, k=1.0) is None
 
     def test_clamped(self):
-        out = pattern_move(np.array([0.2]), np.array([0.8]), k=2.0)
+        out = _pattern_point(np.array([0.2]), np.array([0.8]), 0, k=2.0)
         assert out[0] == 1.0
-
-    def test_rejects_nonpositive_factor(self):
-        with pytest.raises(ValueError):
-            pattern_move(np.array([0.2]), np.array([0.4]), k=0.0)
 
     @given(
         st.lists(st.floats(0.3, 0.7), min_size=2, max_size=2),
-        st.lists(st.floats(0.3, 0.7), min_size=2, max_size=2),
+        st.floats(0.3, 0.7),
         st.floats(0.1, 0.4),
+        st.integers(0, 1),
     )
-    def test_collinearity_before_clamping(self, old, new, k):
+    def test_collinearity_before_clamping(self, old, moved, k, axis):
         # With these ranges the raw pattern point stays inside [0,1],
         # so the clamp is a no-op and the extension formula holds exactly.
         old = np.asarray(old)
-        new = np.asarray(new)
-        out = pattern_move(old, new, k)
-        assert np.array_equal(out, new + k * (new - old))
-        assert np.max(np.abs((out - new) - k * (new - old))) <= 1e-12
+        new = old.copy()
+        new[axis] = moved
+        out = _pattern_point(old, new, axis, k)
+        if out is not None:
+            assert np.array_equal(out, new + k * (new - old))
+            assert np.max(np.abs((out - new) - k * (new - old))) <= 1e-12
 
 
 #: Normalized coordinates, with -0.0, the bounds and their neighbours among them.
@@ -230,14 +235,14 @@ class TestOneCoordinatePatternPoint:
     @given(data=st.data(), n=st.integers(1, 6), k=st.floats(0.0, 4.0, exclude_min=True))
     def test_matches_pattern_move(self, data, n, k):
         # The exploration move changes one coordinate of the base; the
-        # pattern point built from that coordinate alone is pattern_move's,
-        # clamping at 0 and 1 included, and None exactly when
-        # np.array_equal finds it collapsed onto the move.
+        # pattern point built from that coordinate alone is the reference's
+        # whole-vector pattern move, clamping at 0 and 1 included, and None
+        # exactly when np.array_equal finds it collapsed onto the move.
         base = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
         axis = data.draw(st.integers(0, n - 1))
         move = base.copy()
         move[axis] = data.draw(UNIT)
-        full = pattern_move(base, move, k)
+        full = reference.pattern_move(base, move, k)
         point = _pattern_point(base, move, axis, k)
         assert (point is None) == np.array_equal(full, move)
         if point is not None:
@@ -249,7 +254,7 @@ class TestOneCoordinatePatternPoint:
         point = _pattern_point(base, move, 1, k)
         if point is not None:
             assert 0.0 <= point[1] <= 1.0
-            assert point.tobytes() == pattern_move(base, move, k).tobytes()
+            assert point.tobytes() == reference.pattern_move(base, move, k).tobytes()
 
 
 #: Spaces with a negative, a zero and mixed lower bounds, and one whose
@@ -331,7 +336,7 @@ class TestAxialRawBlock:
                 tabu.push(clamp(probe))
         moves = axial_moves(bases[:, np.newaxis], np.full((threads, 1, 1), step), rings, 0.0)
         block = axial_block(space, denormalize(space, bases), moves)
-        want = denormalize(space, probe_rows(moves))
+        want = denormalize(space, probe_rows(moves, bases))
         assert block.shape == want.shape == (moves.axis.size, n)
         assert block.tobytes() == want.tobytes()
 
@@ -378,8 +383,7 @@ class TestHjStep:
         # f = (x-0.3)^2 from 0.5: explore picks 0.4, pattern reaches the
         # optimum at 0.3 and must become the new base.
         obj, state = quadratic_setup([0.5])
-        shared = IntermediateMemory()
-        outcome = hj_step(state, obj, shared)
+        outcome = hj_step(state, obj)
         assert outcome == IMPROVED
         assert state.base.x[0] == pytest.approx(0.3)
         assert state.base.value == pytest.approx(0.0, abs=1e-12)
@@ -392,7 +396,7 @@ class TestHjStep:
             [0.3], fn=lambda raw: (raw[0] - 0.42) ** 2
         )
         before = state.evals
-        outcome = hj_step(state, obj, IntermediateMemory())
+        outcome = hj_step(state, obj)
         assert state.base.x[0] == pytest.approx(0.4)
         assert outcome == IMPROVED
         assert state.evals - before == 3
@@ -404,7 +408,7 @@ class TestHjStep:
         obj, state = quadratic_setup(
             [0.5], fn=lambda raw: (raw[0] - 0.5) ** 2, step=0.25
         )
-        outcome = hj_step(state, obj, IntermediateMemory())
+        outcome = hj_step(state, obj)
         assert outcome == NOT_IMPROVED
         assert state.base.x[0] == pytest.approx(0.75)
         assert state.best.value == 0.0
@@ -415,7 +419,7 @@ class TestHjStep:
         state.tabu.push(np.array([0.6]))
         before = state.evals
         base_before = state.base
-        outcome = hj_step(state, obj, IntermediateMemory())
+        outcome = hj_step(state, obj)
         assert outcome == STALLED
         assert state.evals == before
         assert state.base is base_before
@@ -429,10 +433,9 @@ class TestHjStep:
         base = evaluate(obj, rng.random(dim))
         state = fresh_states([base], SearchConfig())[0]
         state.observe(base)
-        shared = IntermediateMemory()
         for _ in range(30):
             before, calls_before = state.evals, len(calls)
-            hj_step(state, obj, shared)
+            hj_step(state, obj)
             assert state.evals - before == len(calls) - calls_before <= 2 * dim + 1
 
     def test_adopted_point_never_tabu_at_selection(self):
@@ -442,25 +445,22 @@ class TestHjStep:
         state = fresh_states([base], SearchConfig())[0]
         state.tabu.push(base.x)
         state.observe(base)
-        shared = IntermediateMemory()
         for _ in range(40):
             tabu_before = copy.deepcopy(state.tabu)
-            outcome = hj_step(state, obj, shared)
+            outcome = hj_step(state, obj)
             if outcome == STALLED:
                 break
             assert not tabu_before.is_tabu(state.base.x)
 
     def test_adopted_point_recorded_in_tabu_and_elite(self):
         obj, state = quadratic_setup([0.5])
-        shared = IntermediateMemory()
-        hj_step(state, obj, shared)
+        hj_step(state, obj)
         assert state.tabu.is_tabu(state.base.x)
-        assert shared.values()[0] == state.base.value
+        assert state.memory.values()[0] == state.base.value
 
     def test_improvement_tracks_thread_best(self):
         obj, state = quadratic_setup([0.5])
-        shared = IntermediateMemory()
-        hj_step(state, obj, shared)
+        hj_step(state, obj)
         assert state.best.value == state.base.value
         history_values = [v for _, v in state.history]
         assert history_values == sorted(history_values, reverse=True)
@@ -477,11 +477,9 @@ class TestNonFiniteFactorAndStep:
         state = fresh_states([evaluate(obj, np.array([0.5, 0.5]))], SearchConfig())[0]
         match = "^pattern factor must be positive and finite"
         with pytest.raises(ValueError, match=match):
-            hj_step(state, obj, IntermediateMemory(), k_pattern=k)
+            hj_step(state, obj, k_pattern=k)
         with pytest.raises(ValueError, match=match):
-            hj_stage([state], obj, IntermediateMemory(), k_pattern=k)
-        with pytest.raises(ValueError, match=match):
-            pattern_move(np.array([0.4, 0.5]), np.array([0.5, 0.5]), k)
+            hj_stage([state], obj, k_pattern=k)
         assert len(calls) == state.evals == 1
 
     @pytest.mark.parametrize("step", [math.nan, -math.nan, 0.0, -0.1, -math.inf])

@@ -27,7 +27,7 @@ from tabukit.benchmarks import make_schwefel10
 from tabukit.control import SearchConfig, fresh_states, resolved_step_min, run_lockstep, run_single
 from tabukit.core import SearchPoint, clamp, denormalize, evaluate
 from tabukit.hillclimb import _probe_order, axial_moves, hj_stage
-from tabukit.memory import IntermediateMemory, TabuList, screen_axial
+from tabukit.memory import TabuList, screen_axial
 from tabukit.multithread import MultiConfig, run_multi
 
 
@@ -88,18 +88,17 @@ def result_key(r):
 
 
 def seeded_rngs(threads, seed):
-    """Thread i's generator: ``run_single``'s for one thread, else child i
-    of the seed's ``SeedSequence``, as ``run_multi`` draws two."""
+    """Thread i's generator, as ``run_lockstep`` seeds its threads: for one
+    thread ``default_rng(seed)``, else child i of the seed's ``SeedSequence``."""
     if threads == 1:
         return [np.random.default_rng(seed)]
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(threads)]
 
 
 def lockstep_setup(threads, start=None):
-    """(starts, seed_rngs) of ``run_lockstep`` for ``threads`` threads, all
-    starting at ``start``; None draws them at random."""
-    starts = [(f"start (thread {i})", start) for i in range(threads)]
-    return starts, lambda seed: seeded_rngs(threads, seed)
+    """The starts of ``run_lockstep`` for ``threads`` threads, all at
+    ``start``; None draws them at random."""
+    return [(f"start (thread {i})", start) for i in range(threads)]
 
 
 def reference_run(objective, config, threads, start=None, step_ends=None):
@@ -363,8 +362,7 @@ def test_stacked_stage_matches_serial_threads(
     if threads == 2:
         got = run_multi(objective, MultiConfig(config(max_evals), x0, x0))
     else:
-        starts, seed_rngs = lockstep_setup(threads, x0)
-        got = run_lockstep(objective, config(max_evals), starts, seed_rngs)
+        got = run_lockstep(objective, config(max_evals), lockstep_setup(threads, x0))
     assert result_key(got) == result_key(want)
     if threads == 1:
         assert run_key(run_single(objective, config(max_evals), x0)) == run_key(want)
@@ -387,7 +385,7 @@ def test_run_ends_when_the_tolerance_reaches_the_step():
     previous = signal.signal(signal.SIGALRM, stop)
     signal.alarm(2)
     try:
-        run_lockstep(make_schwefel10(), config, *lockstep_setup(2))
+        run_lockstep(make_schwefel10(), config, lockstep_setup(2))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -416,7 +414,7 @@ def test_budget_edge_splits_a_stage(monkeypatch):
     """A thread that the budget bound leaves out of the stacked block
     still steps when the actual total allows it, as a second group."""
     objective = make_schwefel10()
-    starts, seed_rngs = lockstep_setup(2)
+    starts = lockstep_setup(2)
     step_ends = []
     reference_run(objective, SearchConfig(seed=3, max_evals=600), 2, step_ends=step_ends)
     real_stage = control.hj_stage
@@ -433,7 +431,7 @@ def test_budget_edge_splits_a_stage(monkeypatch):
         for offset in (0, 1):
             groups.clear()
             config = SearchConfig(seed=3, max_evals=end + offset)
-            got = run_lockstep(objective, config, starts, seed_rngs)
+            got = run_lockstep(objective, config, starts)
             assert result_key(got) == result_key(reference_run(objective, config, 2))
             split += groups[-2:] == [(2, 1), (1, 1)]
     assert split
@@ -460,9 +458,9 @@ def test_one_axial_moves_call_per_stage_for_the_stepping_threads(monkeypatch):
     monkeypatch.setattr(hillclimb, "axial_moves", axial_moves)
     monkeypatch.setattr(control, "hj_stage", stage)
     objective = make_schwefel10()
-    starts, seed_rngs = lockstep_setup(3)
+    starts = lockstep_setup(3)
     for max_evals in range(300, 400, 9):
-        run_lockstep(objective, SearchConfig(seed=2, max_evals=max_evals), starts, seed_rngs)
+        run_lockstep(objective, SearchConfig(seed=2, max_evals=max_evals), starts)
     assert all(calls == [stepped] for _, stepped, calls in stages)
     assert any(stepped < offered for offered, stepped, _ in stages)
 
@@ -498,12 +496,12 @@ def test_stage_sends_the_reference_points_to_the_objective(problem, threads, bat
     objective = PROBLEMS[problem]()
     if not batch:
         objective = dataclasses.replace(objective, fn_batch=None)
-    starts, seed_rngs = lockstep_setup(threads)
+    starts = lockstep_setup(threads)
     for seed in (0, 1):
         config = SearchConfig(seed=seed, max_evals=1500, intensify_after=1, diversify_after=2, reduce_after=3)
         got_objective, got = recorded(objective)
         want_objective, want = recorded(objective)
-        result = run_lockstep(got_objective, config, starts, seed_rngs)
+        result = run_lockstep(got_objective, config, starts)
         assert result_key(result) == result_key(reference_run(want_objective, config, threads))
         if threads == 1:
             assert got["rows"] == want["rows"]
@@ -525,14 +523,13 @@ def test_every_adopted_point_carries_its_raw_row(problem, threads, monkeypatch):
     adopted = []
     real_adopt = control.ThreadState.adopt
 
-    def adopt(state, point, memory):
+    def adopt(state, point):
         adopted.append(point)
-        real_adopt(state, point, memory)
+        real_adopt(state, point)
 
     monkeypatch.setattr(control.ThreadState, "adopt", adopt)
-    starts, seed_rngs = lockstep_setup(threads)
     config = SearchConfig(seed=0, max_evals=3000, intensify_after=1, diversify_after=2, reduce_after=3)
-    result = run_lockstep(objective, config, starts, seed_rngs)
+    result = run_lockstep(objective, config, lockstep_setup(threads))
     assert len(adopted) > 20
     for point in adopted + [result.best] + [t.best for t in result.threads]:
         assert point.raw.tobytes() == denormalize(space, point.x).tobytes()
@@ -563,31 +560,32 @@ def test_base_without_a_raw_row_is_named():
     # instead of stacking a NaN row for the stage to send to the objective.
     objective, calls = counted(make_schwefel10())
     base = SearchPoint(x=np.full(10, 0.5), value=1.0, feasible=True)
+    good = evaluate(make_schwefel10(), base.x)
     with pytest.raises(ValueError, match="^thread 1's base has no raw row"):
-        fresh_states([evaluate(make_schwefel10(), base.x), base], SearchConfig())
+        fresh_states([good, base], SearchConfig())
     with pytest.raises(ValueError, match="^thread 2's base has no raw row"):
-        fresh_states([base], SearchConfig(), first_id=2)
-    state = fresh_states([evaluate(make_schwefel10(), base.x)], SearchConfig(), first_id=1)[0]
+        fresh_states([good, good, base], SearchConfig())
+    state = fresh_states([good, good], SearchConfig())[1]
     with pytest.raises(ValueError, match="^thread 1's base has no raw row"):
-        state.adopt(base, IntermediateMemory())
+        state.adopt(base)
     assert calls == [0]
 
 
 def test_threads_of_another_stack_are_named():
-    # Threads built one by one do not share their stacked rows, so they
-    # cannot step as one stage.
+    # Threads of two runs do not share their stacked rows, so they cannot
+    # step as one stage, even when their rows are those of one whole stack.
     objective, calls = counted(make_schwefel10())
     points = [evaluate(objective, np.full(10, x)) for x in (0.25, 0.75)]
-    states = [fresh_states([point], SearchConfig(), first_id=i)[0] for i, point in enumerate(points)]
+    states = [fresh_states(points, SearchConfig())[i] for i in range(2)]
     with pytest.raises(ValueError, match="^thread 1 is not on the stage's stack"):
-        hj_stage(states, objective, IntermediateMemory())
+        hj_stage(states, objective)
     assert calls == [2]
 
 
 def test_stage_of_no_states_steps_none():
     objective = make_schwefel10()
-    assert hj_stage([], objective, IntermediateMemory()) == []
-    assert hj_stage([], objective, IntermediateMemory(), budget=0) == []
+    assert hj_stage([], objective) == []
+    assert hj_stage([], objective, budget=0) == []
 
 
 @pytest.mark.parametrize("budget", [0, -5, 0.0, 1])
@@ -596,11 +594,28 @@ def test_first_state_steps_whatever_the_budget(budget):
     # driver's serial rule does: a thread steps while the total spent
     # before it is below the budget.
     objective = make_schwefel10()
-    memory = IntermediateMemory()
     states = fresh_states([evaluate(objective, np.full(10, x)) for x in (0.25, 0.75)], SearchConfig())
     for state in states:
-        state.adopt(state.base, memory)
-    steps = hj_stage(states, objective, memory, budget=budget)
+        state.adopt(state.base)
+    steps = hj_stage(states, objective, budget=budget)
     assert len(steps) == 1
     assert steps[0][1] == states[0].evals - 1 > 0
     assert states[1].evals == 1
+
+
+def test_threads_out_of_row_order_step_in_their_order():
+    # Every row of the stack, but not in row order: the stage steps the
+    # threads in the order given, as stepping them one at a time does.
+    objective = make_schwefel10()
+
+    def threads():
+        states = fresh_states([evaluate(objective, np.full(10, x)) for x in (0.25, 0.75)], SearchConfig())
+        for state in states:
+            state.adopt(state.base)
+        return states
+
+    got, want = threads(), threads()
+    steps = hj_stage(got[::-1], objective)
+    assert steps == hj_stage([want[1]], objective) + hj_stage([want[0]], objective)
+    for g, w in zip(got, want):
+        assert (g.base.x.tobytes(), g.evals, g.step) == (w.base.x.tobytes(), w.evals, w.step)
