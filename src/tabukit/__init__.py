@@ -1,4 +1,8 @@
-"""Tabu search over a pattern-search hill climber, single- and two-thread."""
+"""Tabu search over a pattern-search hill climber, single- and two-thread.
+
+The package exports the problems and the run API. The engine's parts
+stay in their modules: ``control``, ``hillclimb``, ``memory`` and ``core``.
+"""
 
 from .benchmarks import (
     bump_feasible,
@@ -15,11 +19,10 @@ from .control import (
     INTENSIFY,
     REDUCE_STEP,
     STEP_FLOOR,
+    CollisionLog,
+    MultiRunResult,
     RunResult,
     SearchConfig,
-    ThreadState,
-    apply_action,
-    control_decision,
     run_single,
 )
 from .core import (
@@ -29,12 +32,10 @@ from .core import (
     Objective,
     ParameterSpace,
     SearchPoint,
-    clamp,
     denormalize,
     evaluate,
     normalize,
 )
-from .hillclimb import IMPROVED, NOT_IMPROVED, STALLED, explore, hj_step
 from .hydraulic import (
     CircuitParams,
     CircuitState,
@@ -43,33 +44,22 @@ from .hydraulic import (
     make_circuit,
     simulate_steady,
 )
-from .memory import IntermediateMemory, TabuList
-from .multithread import (
-    CollisionLog,
-    MultiConfig,
-    MultiRunResult,
-    detect_collision,
-    run_multi,
-)
+from .multithread import MultiConfig, run_multi
 
 __all__ = [
     "CONTINUE",
     "DIVERSIFY",
     "EVAL_BUDGET",
     "INFEASIBLE_VALUE",
-    "IMPROVED",
     "INTENSIFY",
     "MAXIMIZE",
     "MINIMIZE",
-    "NOT_IMPROVED",
     "REDUCE_STEP",
-    "STALLED",
     "STEP_FLOOR",
     "CircuitParams",
     "CircuitState",
     "CircuitTargets",
     "CollisionLog",
-    "IntermediateMemory",
     "MultiConfig",
     "MultiRunResult",
     "Objective",
@@ -77,19 +67,11 @@ __all__ = [
     "RunResult",
     "SearchConfig",
     "SearchPoint",
-    "TabuList",
-    "ThreadState",
-    "apply_action",
     "bump_feasible",
     "bump_value",
     "circuit_objective",
-    "clamp",
-    "control_decision",
     "denormalize",
-    "detect_collision",
     "evaluate",
-    "explore",
-    "hj_step",
     "keane_bump",
     "make_bump",
     "make_circuit",

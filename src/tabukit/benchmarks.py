@@ -34,14 +34,17 @@ def schwefel(x: np.ndarray) -> float:
     return float(_schwefel_rows(np.asarray(x, dtype=float)))
 
 
-def _bump_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bump_terms(c: np.ndarray, x: np.ndarray, index=...) -> tuple[np.ndarray, np.ndarray]:
     """Bump numerator and denominator along the last axis.
 
     num = sum cos^4 - 2 prod cos^2, den = sum(i * x_i^2), for a vector
-    or for every row of a block.
+    or for every row of a block. ``c`` is cos(x) entry by entry, or the
+    cosines of a block's distinct entries, which ``index`` gathers into
+    the block's shape (see ``_column_runs``). Each power is gathered and
+    reduced before the next is made, so a block holds one gathered
+    temporary at a time.
     """
-    c = np.cos(x)
-    num = np.sum(c**4, axis=-1) - 2.0 * np.prod(c**2, axis=-1)
+    num = np.sum((c**4)[index], axis=-1) - 2.0 * np.prod((c**2)[index], axis=-1)
     den = np.sum(np.arange(1, x.shape[-1] + 1) * x**2, axis=-1)
     return num, den
 
@@ -55,7 +58,8 @@ def _keane_ratio(num, den):
 
 
 def _bump(x: np.ndarray, ratio) -> float:
-    num, den = _bump_terms(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    num, den = _bump_terms(np.cos(x), x)
     if den == 0.0:
         raise ZeroDivisionError("bump ratio undefined at the origin")
     return float(ratio(num, den))
@@ -164,9 +168,7 @@ def make_bump(n: int, variant: str = "keane") -> Objective:
         # bit for bit.
         distinct, index = _column_runs(raw)
         feasible = _bump_feasible_rows(raw, _positive_logs(distinct)[index])
-        c = np.cos(distinct)
-        num = np.sum((c**4)[index], axis=-1) - 2.0 * np.prod((c**2)[index], axis=-1)
-        den = np.sum(np.arange(1, n + 1) * raw**2, axis=-1)
+        num, den = _bump_terms(np.cos(distinct), raw, index)
         values = np.zeros(len(raw))
         values[feasible] = ratio(num[feasible], den[feasible])
         return values, feasible

@@ -178,7 +178,10 @@ def fresh_states(
     the thread's first: thread i on row i of one new ``Stack``, drawing
     from ``rngs[i]`` (``thread_generators(config.seed, K)`` by default),
     all sharing one new archive. Until a feasible point takes over, a
-    thread's best is a sentinel at its start, with its ``x`` and ``raw``."""
+    thread's best is a sentinel at its start, with its ``x`` and ``raw``.
+    Raises ValueError when there are no starts."""
+    if not points:
+        raise ValueError("a run needs at least one start, and got none")
     k, n = len(points), points[0].x.size
     rngs = thread_generators(config.seed, k) if rngs is None else rngs
     memory = IntermediateMemory(config.m_elite, config.match_tol)

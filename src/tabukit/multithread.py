@@ -14,17 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# The result types and collision detection live beside the driver that
-# builds and uses them, and are re-exported here.
-from .control import (  # noqa: F401
-    CollisionLog,
-    MultiRunResult,
-    SearchConfig,
-    ThreadReport,
-    detect_collision,
-    run_lockstep,
-    thread_generators,
-)
+from .control import MultiRunResult, SearchConfig, run_lockstep, thread_generators
+from .control import detect_collision  # noqa: F401  (perfbench/tracer.py resolves it here)
 from .core import Objective
 
 

@@ -1,12 +1,12 @@
-"""The package's public names: each resolves, and the deleted one-thread
-helpers stay deleted. No engine function takes a thread's state beside
-the thread."""
+"""The package's public names: each resolves, the engine's parts are
+imported from their own modules, and the deleted one-thread helpers stay
+deleted. No engine function takes a thread's state beside the thread."""
 import inspect
 
 import pytest
 
 import tabukit
-from tabukit import control, core, hillclimb
+from tabukit import control, core, hillclimb, memory
 from tabukit.hillclimb import MoveSet
 from tabukit.memory import TabuList
 
@@ -25,6 +25,28 @@ DELETED = [
 @pytest.mark.parametrize("name", tabukit.__all__)
 def test_every_exported_name_resolves(name):
     assert getattr(tabukit, name) is not None
+
+
+#: Engine parts that the package does not export, with their modules.
+ENGINE = [
+    (hillclimb, "IMPROVED"),
+    (hillclimb, "NOT_IMPROVED"),
+    (hillclimb, "STALLED"),
+    (hillclimb, "explore"),
+    (hillclimb, "hj_step"),
+    (control, "ThreadState"),
+    (control, "apply_action"),
+    (control, "control_decision"),
+    (control, "detect_collision"),
+    (core, "clamp"),
+    (memory, "TabuList"),
+    (memory, "IntermediateMemory"),
+]
+
+
+def test_engine_parts_are_imported_from_their_modules():
+    assert [name for _, name in ENGINE if name in tabukit.__all__ or hasattr(tabukit, name)] == []
+    assert [name for module, name in ENGINE if not hasattr(module, name)] == []
 
 
 @pytest.mark.parametrize("owner, name", DELETED, ids=[name for _, name in DELETED])

@@ -32,6 +32,7 @@ from tabukit.hillclimb import (
 from tabukit.memory import TabuList
 
 import reference
+from support import moves_around
 
 
 def make_objective(fn, dim=1, record=None):
@@ -44,11 +45,6 @@ def make_objective(fn, dim=1, record=None):
         return float(fn(raw)), True
 
     return Objective(space=space, fn=wrapped)
-
-
-def moves_around(base, step, tabu):
-    """``axial_moves`` of one thread: ``base`` with its step and tabu list."""
-    return axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tabu.match_tol)
 
 
 def probe_rows(moves, bases):

@@ -41,6 +41,7 @@ from tabukit.hydraulic import (
 )
 from tabukit.memory import IntermediateMemory, TabuList
 from tabukit.multithread import MultiConfig, run_multi
+from support import spied
 
 BUILT_IN = {
     "schwefel10": make_schwefel10,
@@ -471,9 +472,9 @@ def test_explore_matches_per_candidate_reference(name):
                 best = point
         tabu = TabuList()
         tabu.push(base.x)
-        counted, calls = counting(objective)
+        counted, spy = spied(objective)
         got, moves = explore(base, step, counted, tabu)
-        assert calls["fn"] + calls["rows"] == len(want_moves)
+        assert spy.evals == len(want_moves)
         if best is None:
             assert got is None
         else:
@@ -496,38 +497,6 @@ def test_explore_infeasible_rows_counted_not_chosen():
 # --- evaluation accounting over the batch and scalar paths ----------------
 
 
-def counting(objective):
-    """The objective with its calls, batch rows and best engine value recorded.
-
-    Every raw input, scalar or batch row, must lie within the bounds.
-    """
-    calls = {"fn": 0, "rows": 0, "best": math.inf}
-    sign = -1.0 if objective.sense == MAXIMIZE else 1.0
-    lower, upper = objective.space.lower, objective.space.upper
-
-    def in_bounds(raw):
-        assert np.all((lower <= raw) & (raw <= upper)), f"raw input outside the bounds: {raw}"
-
-    def fn(raw):
-        in_bounds(raw)
-        calls["fn"] += 1
-        value, ok = objective.fn(raw)
-        if ok:
-            calls["best"] = min(calls["best"], sign * value)
-        return value, ok
-
-    def fn_batch(raw):
-        in_bounds(raw)
-        calls["rows"] += len(raw)
-        values, feasible = objective.fn_batch(raw)
-        for value, ok in zip(values, feasible):
-            if ok:
-                calls["best"] = min(calls["best"], sign * float(value))
-        return values, feasible
-
-    return dataclasses.replace(objective, fn=fn, fn_batch=fn_batch), calls
-
-
 @pytest.mark.parametrize("name", sorted(BUILT_IN))
 @settings(max_examples=4, deadline=None)
 @given(
@@ -537,7 +506,7 @@ def counting(objective):
     schedule=st.sampled_from([(5, 10, 15), (1, 2, 3)]),
 )
 def test_evals_equal_scalar_calls_plus_batch_rows(name, seed, method, max_evals, schedule):
-    objective, calls = counting(BUILT_IN[name]())
+    objective, spy = spied(BUILT_IN[name]())
     # The short schedule makes both threads ask for a restructure in
     # the same stage within these budgets.
     intensify, diversify, reduce = schedule
@@ -556,10 +525,10 @@ def test_evals_equal_scalar_calls_plus_batch_rows(name, seed, method, max_evals,
             counts = [n for n, _ in t.history]
             assert counts == sorted(counts)
             assert all(n <= t.evals for n in counts)
-    assert calls["rows"] > 0
-    assert result.evals == calls["fn"] + calls["rows"]
+    assert sum(spy.blocks) > 0
+    assert result.evals == spy.evals
     # The reported best is the minimum feasible engine value evaluated.
-    assert result.best.value == calls["best"]
+    assert result.best.value == spy.best
 
 
 @pytest.mark.parametrize("name", ["schwefel10", "bump20-keane", "circuit"])
@@ -603,31 +572,16 @@ def test_non_finite_feasible_block_value_is_an_objective_error():
 # --- one point goes to fn, a block to fn_batch ---------------------------------
 
 
-def spied(objective):
-    """``objective`` with its ``fn`` and ``fn_batch`` calls counted."""
-    calls = {"fn": 0, "fn_batch": 0}
-
-    def fn(raw):
-        calls["fn"] += 1
-        return objective.fn(raw)
-
-    def fn_batch(raw):
-        calls["fn_batch"] += 1
-        return objective.fn_batch(raw)
-
-    return dataclasses.replace(objective, fn=fn, fn_batch=fn_batch), calls
-
-
 @pytest.mark.parametrize("name", sorted(BUILT_IN))
 def test_evaluate_calls_fn_once_and_never_fn_batch(name):
-    objective, calls = spied(BUILT_IN[name]())
+    objective, spy = spied(BUILT_IN[name]())
     rng = np.random.default_rng(0)
     for i in range(1, 21):
         x = rng.random(objective.space.dimension)
         point = evaluate(objective, x)
-        assert calls == {"fn": i, "fn_batch": i - 1}
+        assert (spy.fn_calls, spy.batch_calls) == (i, i - 1)
         values, feasible = evaluate_block(objective, x[np.newaxis])
-        assert calls == {"fn": i, "fn_batch": i}
+        assert (spy.fn_calls, spy.batch_calls) == (i, i)
         # The one point's result is the one-row block's, bit for bit.
         assert point.feasible == bool(feasible[0])
         assert np.float64(point.value).tobytes() == values[:1].tobytes()
@@ -674,7 +628,7 @@ def test_objective_calls_per_stage(name, method, monkeypatch):
     # Each hj_stage call with axial rows makes one fn_batch call, and
     # every other evaluation (pattern points, starts and relocations)
     # one fn call, so no one-row block reaches fn_batch.
-    objective, calls = spied(BUILT_IN[name]())
+    objective, spy = spied(BUILT_IN[name]())
     tally = {"stages": 0, "rows": 0, "patterns": 0, "relocations": 0}
     rows: list[int] = []
 
@@ -706,9 +660,9 @@ def test_objective_calls_per_stage(name, method, monkeypatch):
     else:
         result, starts = run_multi(objective, MultiConfig(base=config)), 2
     assert min(tally.values()) > 0
-    assert calls["fn_batch"] == tally["stages"]
-    assert calls["fn"] == tally["patterns"] + starts + tally["relocations"]
-    assert result.evals == calls["fn"] + tally["rows"]
+    assert spy.batch_calls == tally["stages"]
+    assert spy.fn_calls == tally["patterns"] + starts + tally["relocations"]
+    assert result.evals == spy.fn_calls + tally["rows"]
 
 
 def test_tabu_push_rejects_a_vector_of_another_length():
