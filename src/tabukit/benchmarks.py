@@ -5,7 +5,9 @@ instances over their conventional bounds.
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -17,11 +19,16 @@ SCHWEFEL_ARGMIN = 420.9687
 BENCHMARK_MIN_STEP = 1e-4
 
 BUMP_PRODUCT_FLOOR = 0.75
+_LOG_PRODUCT_FLOOR = math.log(BUMP_PRODUCT_FLOOR)
 
 
 def _schwefel_rows(x: np.ndarray) -> np.ndarray:
     """Schwefel values along the last axis of a vector or a row block."""
-    return -(x * np.sin(np.sqrt(np.abs(x)))).sum(axis=-1)
+    terms = np.abs(x)
+    np.sqrt(terms, out=terms)
+    np.sin(terms, out=terms)
+    np.multiply(x, terms, out=terms)
+    return -np.add.reduce(terms, axis=-1)
 
 
 def schwefel(x: np.ndarray) -> float:
@@ -34,19 +41,35 @@ def schwefel(x: np.ndarray) -> float:
     return float(_schwefel_rows(np.asarray(x, dtype=float)))
 
 
-def _bump_terms(c: np.ndarray, x: np.ndarray, index=...) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _bump_weights(n: int) -> np.ndarray:
+    """The bump denominator's weights 1.0 ... n, made once per dimension."""
+    weights = np.arange(1.0, n + 1.0)
+    weights.flags.writeable = False
+    return weights
+
+
+def _gathered(terms: np.ndarray, index) -> np.ndarray:
+    """``terms`` itself, or gathered by a ``_column_runs`` index."""
+    return terms if index is None else terms.take(index)
+
+
+def _bump_terms(c: np.ndarray, x: np.ndarray, index=None) -> tuple[np.ndarray, np.ndarray]:
     """Bump numerator and denominator along the last axis.
 
     num = sum cos^4 - 2 prod cos^2, den = sum(i * x_i^2), for a vector
     or for every row of a block. ``c`` is cos(x) entry by entry, or the
     cosines of a block's distinct entries, which ``index`` gathers into
-    the block's shape (see ``_column_runs``). Each power is gathered and
-    reduced before the next is made, so a block holds one gathered
-    temporary at a time.
+    the block's shape with ``take`` (see ``_column_runs``). Each power
+    is gathered and reduced before the next is made, so a block holds
+    one gathered ``(k, N)`` temporary at a time: holding two put the
+    block path into glibc's heap-trimming state, in which every stage
+    returns its temporaries to the OS and faults them back in.
     """
-    num = np.sum((c**4)[index], axis=-1) - 2.0 * np.prod((c**2)[index], axis=-1)
-    den = np.sum(np.arange(1, x.shape[-1] + 1) * x**2, axis=-1)
-    return num, den
+    num = np.add.reduce(_gathered(c**4, index), axis=-1) - 2.0 * np.multiply.reduce(_gathered(c**2, index), axis=-1)
+    squares = np.square(x)
+    np.multiply(squares, _bump_weights(x.shape[-1]), out=squares)
+    return num, np.add.reduce(squares, axis=-1)
 
 
 def _signed_ratio(num, den):
@@ -80,30 +103,34 @@ def keane_bump(x: np.ndarray) -> float:
     return _bump(x, _keane_ratio)
 
 
-def _positive_logs(x: np.ndarray) -> np.ndarray:
-    """Elementwise log of x, with 0 (the log of 1) for nonpositive entries,
-    so a block with such entries raises no floating-point warning."""
-    return np.log(np.where(x > 0.0, x, 1.0))
+def _product_logs(x: np.ndarray) -> np.ndarray:
+    """Elementwise log of x, with -inf for entries that are not positive
+    and finite, so that a log sum fails the product floor whenever an
+    entry is not positive, with no floating-point warning on the way."""
+    logs = np.empty_like(x)
+    logs.fill(-math.inf)
+    finite_positive = x > 0.0
+    finite_positive &= x < math.inf
+    return np.log(x, out=logs, where=finite_positive)
 
 
-def _bump_feasible_rows(x: np.ndarray, logs: np.ndarray) -> np.ndarray:
+def _bump_feasible_rows(x: np.ndarray, log_sums: np.ndarray) -> np.ndarray:
     """Both bump constraints along the last axis of a vector or a row block.
 
-    ``logs`` is ``_positive_logs(x)``. The product test runs in log space
-    so 50-component products neither overflow nor underflow, and
-    nonpositive components fail the positivity test instead.
+    ``log_sums`` sums ``_product_logs(x)`` along the same axis. The
+    product test runs in log space so 50-component products neither
+    overflow nor underflow; a nonpositive component's -inf fails it,
+    which is the positivity test. (An infinite component fails the sum
+    test; its log is -inf too, so that no sum meets -inf with +inf.)
     """
-    return (
-        (np.sum(x, axis=-1) < 7.5 * x.shape[-1])
-        & np.logical_and.reduce(x > 0.0, axis=-1)
-        & (np.sum(logs, axis=-1) > math.log(BUMP_PRODUCT_FLOOR))
-    )
+    return (np.add.reduce(x, axis=-1) < 7.5 * x.shape[-1]) & (log_sums > _LOG_PRODUCT_FLOOR)
 
 
 def bump_feasible(x: np.ndarray) -> bool:
-    """Both bump constraints: prod(x_i) > 0.75 and sum(x_i) < 7.5 n."""
+    """Both bump constraints: prod(x_i) > 0.75 with every x_i > 0, and
+    sum(x_i) < 7.5 n."""
     x = np.asarray(x, dtype=float)
-    return bool(_bump_feasible_rows(x, _positive_logs(x)))
+    return bool(_bump_feasible_rows(x, np.add.reduce(_product_logs(x), axis=-1)))
 
 
 def _column_runs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,20 +140,34 @@ def _column_runs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in their column (the first row included), in column-major order, and
     a C-contiguous ``(k, N)`` index of the distinct value that each entry
     repeats. ``0.0`` and ``-0.0`` count as equal, so
-    ``term(distinct)[index]`` equals ``term(block)`` for any elementwise
-    term that agrees on them.
+    ``term(distinct).take(index)`` equals ``term(block)`` for any
+    elementwise term that agrees on them. The index is built from the
+    run starts: run r covers the entries from its start to the next
+    run's, so ``arange(runs).repeat(lengths)`` numbers them in
+    column-major order, without a cumulative sum over the whole block.
     """
     k, n = block.shape
-    columns = block.T.copy()
-    new = np.empty((n, k), dtype=bool)
-    new[:, :1] = True
-    np.not_equal(columns[:, 1:], columns[:, :-1], out=new[:, 1:])
-    index = np.cumsum(new) - 1
-    return columns[new], np.ascontiguousarray(index.reshape(n, k).T)
+    new = np.empty((k, n), dtype=bool)
+    new[:1] = True
+    np.not_equal(block[1:], block[:-1], out=new[1:])
+    starts = np.flatnonzero(new.T)
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = new.size - starts[-1:]
+    index = np.arange(len(starts)).repeat(lengths).reshape(n, k).T
+    columns, rows = np.divmod(starts, k)
+    return block[rows, columns], np.ascontiguousarray(index)
 
 
 #: Bump formula per variant name, as a ratio of ``_bump_terms``.
 BUMP_VARIANTS = {"keane": _keane_ratio, "signed": _signed_ratio}
+
+
+def _all_feasible(k: int) -> np.ndarray:
+    """The all-true feasibility mask of a k-row block, without ``np.ones``."""
+    mask = np.empty(k, dtype=bool)
+    mask.fill(True)
+    return mask
 
 
 def make_schwefel10() -> Objective:
@@ -137,7 +178,7 @@ def make_schwefel10() -> Objective:
         fn=lambda raw: (schwefel(raw), True),
         sense=MINIMIZE,
         name="schwefel10",
-        fn_batch=lambda raw: (_schwefel_rows(raw), np.ones(len(raw), dtype=bool)),
+        fn_batch=lambda raw: (_schwefel_rows(np.asarray(raw, dtype=float)), _all_feasible(len(raw))),
     )
 
 
@@ -148,8 +189,11 @@ def make_bump(n: int, variant: str = "keane") -> Objective:
     published shape with a maximum near 0.8) or "signed" (num / den with
     the squared denominator, a much flatter surface).
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"bump dimension must be an integer, got {n!r}")
+    n = int(n)
     if n < 2:
-        raise ValueError("bump needs at least 2 dimensions")
+        raise ValueError(f"bump needs at least 2 dimensions, got {n}")
     try:
         ratio = BUMP_VARIANTS[variant]
     except (KeyError, TypeError):  # TypeError: an unhashable variant
@@ -166,8 +210,10 @@ def make_bump(n: int, variant: str = "keane") -> Objective:
         # -0.0) are computed once per run of equal values down a column.
         # The reductions still run over full rows, so each row matches fn
         # bit for bit.
+        raw = np.asarray(raw, dtype=float)
         distinct, index = _column_runs(raw)
-        feasible = _bump_feasible_rows(raw, _positive_logs(distinct)[index])
+        log_sums = np.add.reduce(_product_logs(distinct).take(index), axis=-1)
+        feasible = _bump_feasible_rows(raw, log_sums)
         num, den = _bump_terms(np.cos(distinct), raw, index)
         values = np.zeros(len(raw))
         values[feasible] = ratio(num[feasible], den[feasible])

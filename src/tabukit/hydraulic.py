@@ -181,12 +181,22 @@ def make_circuit(
     space = ParameterSpace(lower=lower, upper=upper, min_step=np.full(5, 1e-4))
     omega1_target, omega2_target, pump_speed = astuple(targets)
 
+    (pump_lo, pump_hi), (m1_lo, m1_hi), (m2_lo, m2_hi), (d1_lo, d1_hi), (d2_lo, d2_hi) = _FIELD_BOUNDS
+
     def fn(raw: np.ndarray) -> tuple[float, bool]:
         # circuit_objective(CircuitParams(*raw)) in plain floats, without
         # building the params or the state.
         values = raw.tolist()
-        _check_bounds(values)
-        omega1, omega2, q_pump, _, _, q_rv = _steady(*values, pump_speed, policy, min, _pick)
+        pump, motor1, motor2, d1, d2 = values
+        if not (
+            pump_lo <= pump <= pump_hi
+            and m1_lo <= motor1 <= m1_hi
+            and m2_lo <= motor2 <= m2_hi
+            and d1_lo <= d1 <= d1_hi
+            and d2_lo <= d2 <= d2_hi
+        ):
+            _check_bounds(values)  # raises, naming the first field out of bounds (or NaN)
+        omega1, omega2, q_pump, _, _, q_rv = _steady(pump, motor1, motor2, d1, d2, pump_speed, policy, min, _pick)
         return _sizing_error(omega1, omega2, q_pump, q_rv, omega1_target, omega2_target), True
 
     def fn_batch(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,6 +204,8 @@ def make_circuit(
         if np.count_nonzero(in_bounds) != in_bounds.size:
             _check_bounds(raw[np.argmin(in_bounds.all(axis=1))].tolist())  # raises fn's error for that row
         omega1, omega2, q_pump, _, _, q_rv = _steady(*raw.T, pump_speed, policy, np.minimum, np.where)
-        return _sizing_error(omega1, omega2, q_pump, q_rv, omega1_target, omega2_target), np.ones(len(raw), dtype=bool)
+        feasible = np.empty(len(raw), dtype=bool)  # all true, without np.ones' Python wrapper
+        feasible.fill(True)
+        return _sizing_error(omega1, omega2, q_pump, q_rv, omega1_target, omega2_target), feasible
 
     return Objective(space=space, fn=fn, sense=MINIMIZE, name="circuit", fn_batch=fn_batch)

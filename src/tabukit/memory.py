@@ -152,8 +152,10 @@ class IntermediateMemory:
             raise ValueError(f"archived vectors have shape {self._rows.shape[1:]}, got {x.shape}")
         if n >= self.capacity and p.value >= self._values[-1]:
             return False
-        if n and np.count_nonzero(np.abs(self._rows[:n] - x).max(axis=1) <= self.match_tol):
-            return False
+        if n:
+            diff = self._rows[:n] - x
+            if np.count_nonzero(np.maximum.reduce(np.abs(diff, out=diff), axis=1) <= self.match_tol):
+                return False
         if self._rows is None:
             self._rows = np.empty((self.capacity, x.size))
         idx = bisect.bisect_right(self._values, p.value)
@@ -186,20 +188,20 @@ class IntermediateMemory:
         found for one parameter get tried in every other position. No
         arithmetic is performed on the copied values.
         """
-        rows = self.rows()
-        if not len(rows):
+        k = len(self._values)
+        if not k:
             raise ValueError("cannot diversify from an empty archive")
-        k, n = rows.shape
-        out = np.empty(n)
-        for j in range(n):
-            r = int(rng.integers(k))
-            c = int(rng.integers(n))
-            out[j] = rows[r, c]
-        return out
+        n = self._rows.shape[1]
+        # One call draws the entry and the coordinate of each output
+        # coordinate in turn, r_0, c_0, r_1, c_1, ...: the same stream as
+        # two scalar draws per coordinate.
+        draws = rng.integers((k, n), size=(n, 2))
+        return self._rows[draws[:, 0], draws[:, 1]]
 
     def intensify(self) -> np.ndarray:
         """Componentwise mean of the archived vectors, clamped to [0, 1]."""
-        rows = self.rows()
-        if not len(rows):
+        k = len(self._values)
+        if not k:
             raise ValueError("cannot intensify from an empty archive")
-        return clamp(np.mean(rows, axis=0))
+        # np.mean's own operations, without its Python wrapper.
+        return clamp(np.add.reduce(self._rows[:k], axis=0) / k)

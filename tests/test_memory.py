@@ -209,6 +209,30 @@ class TestDiversify:
             assert abs(freq - 0.5) <= 0.02
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+@pytest.mark.parametrize("n", [1, 5, 10, 50])
+@pytest.mark.parametrize("seed", range(5))
+def test_diversify_draws_as_two_scalar_draws_per_coordinate(seed, k, n):
+    # Coordinate j copies coordinate integers(n) of entry integers(k),
+    # drawn in that order; after the call the generator stands where that
+    # loop leaves it (k = 1 draws nothing for the entry on either path).
+    mem = IntermediateMemory(capacity=k)
+    rows = np.random.default_rng(100 + seed).random((k, n))
+    for i, row in enumerate(rows):
+        assert mem.offer(point(row, float(i)))
+    loop = np.random.default_rng(seed)
+    expected = []
+    for _ in range(n):
+        r = int(loop.integers(k))
+        c = int(loop.integers(n))
+        expected.append(rows[r, c])
+    rng = np.random.default_rng(seed)
+    out = mem.diversify(rng)
+    assert out.tolist() == expected
+    assert rng.bit_generator.state == loop.bit_generator.state
+    assert rng.integers(2**62) == loop.integers(2**62)
+
+
 class TestIntensify:
     def test_single_entry_is_identity(self):
         mem = IntermediateMemory()

@@ -671,3 +671,35 @@ def test_tabu_push_rejects_a_vector_of_another_length():
     with pytest.raises(ValueError, match="tabu entries have shape"):
         tabu.push(np.array([0.25]))
     assert len(tabu) == 1 and tabu.is_tabu(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("name", [name for name in BUILT_IN if name.startswith("bump")])
+def test_bump_fn_batch_matches_fn_on_stacked_axial_blocks_with_signed_zeros(name):
+    # Three stacked bases, as a K = 3 stage builds them: one with a column
+    # at 0.0 and one at -0.0 (every row non-positive, so infeasible), one
+    # whose only zero, 0.0 under the first base's -0.0 at their run
+    # boundary, is lifted by its own upward probe alone, and one feasible
+    # base. Checked whole and one row at a time.
+    objective = BUILT_IN[name]()
+    space, n = objective.space, objective.space.dimension
+    x = np.full((3, 1, n), 0.5)
+    x[0, 0, :2] = 0.0
+    x[1, 0, 1] = 0.0
+    x[2, 0, :] = 0.42
+    raw = denormalize(space, x[:, 0])
+    raw[0, 1] = -0.0
+    tabu = np.full((3, 1, n), math.inf)
+    moves = axial_moves(x, np.full((3, 1, 1), 0.05), tabu, 1e-6)
+    block = axial_block(space, raw, moves)
+    first, second = moves.counts[0], moves.counts[0] + moves.counts[1]
+    assert len(block) == second + moves.counts[2]
+    assert np.signbit(block[first - 1, 1]) and block[first, 1] == 0.0 and not np.signbit(block[first, 1])
+    for rows in [block, *(block[r : r + 1] for r in range(len(block)))]:
+        values, feasible = objective.fn_batch(rows.copy())
+        expected = [objective.fn(row.copy()) for row in rows]
+        assert feasible.tolist() == [ok for _, ok in expected]
+        assert [v.hex() for v, ok in zip(values.tolist(), feasible) if ok] == [v.hex() for v, ok in expected if ok]
+    _, feasible = objective.fn_batch(block)
+    assert not feasible[:first].any()
+    assert feasible[first:second].tolist() == (moves.axis[first:second] == 1).tolist()
+    assert feasible[second:].all()
