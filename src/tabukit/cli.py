@@ -237,7 +237,7 @@ def emit_table(rows: list[ResultRow], summary: Summary) -> str:
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a `key = value` file; # starts a comment, blank lines skipped."""
     settings: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not part of the first key
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.split("#", 1)[0].strip()
             if not line:

@@ -283,7 +283,8 @@ def detect_collision(
     eval_count: int = 0,
 ) -> bool:
     """True when the two bases agree within ``tol`` in every coordinate."""
-    dist = float(np.abs(state_a.base.x - state_b.base.x).max())
+    diff = np.abs(state_a.base.x - state_b.base.x)
+    dist = diff.item(diff.argmax())  # the max, without the reduction's wrapper
     hit = dist <= tol
     if hit and log is not None:
         log.events.append((eval_count, dist))

@@ -70,7 +70,7 @@ class ParameterSpace:
         return cls(lower * ones, upper * ones, min_step * ones)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SearchPoint:
     """A normalized parameter vector with its engine objective value.
 
@@ -122,7 +122,7 @@ class Objective:
 def check_finite(x: np.ndarray, name: str) -> None:
     """Raise ValueError naming ``name`` and the non-finite coordinates of ``x``, if any."""
     finite = np.isfinite(x)
-    if not finite.all():
+    if np.count_nonzero(finite) != finite.size:
         bad = np.flatnonzero(~finite)
         raise ValueError(f"{name} has non-finite coordinates at indices {bad.tolist()}: {x[bad].tolist()}")
 
@@ -174,10 +174,10 @@ def denormalize_coordinates(space: ParameterSpace, axis: np.ndarray, x: np.ndarr
     """Entry ``axis[r]`` of ``denormalize`` at normalized value ``x[r]``,
     for each r: the same operations on the same operands, so the same
     bits."""
-    lower = space.lower[axis]
-    raw = lower + x * space.span[axis]
+    lower = space.lower.take(axis)
+    raw = lower + x * space.span.take(axis)
     np.maximum(raw, lower, out=raw)
-    return np.minimum(raw, space.upper[axis], out=raw)
+    return np.minimum(raw, space.upper.take(axis), out=raw)
 
 
 def _checked(objective: Objective, value: float) -> float:
@@ -235,8 +235,10 @@ def evaluate_raw(objective: Objective, x: np.ndarray, raw: np.ndarray) -> Search
     same ValueError as ``evaluate_raw_block`` for a non-finite feasible
     value. The returned point holds ``x`` and ``raw`` themselves.
     """
-    value, ok = _evaluate_fn(objective, raw)
-    return SearchPoint(x=x, value=value, feasible=ok, raw=raw)
+    value, ok = objective.fn(raw)
+    if not ok:
+        return SearchPoint(x=x, value=INFEASIBLE_VALUE, feasible=False, raw=raw)
+    return SearchPoint(x=x, value=_checked(objective, float(value)), feasible=True, raw=raw)
 
 
 def evaluate(objective: Objective, x: np.ndarray) -> SearchPoint:

@@ -27,13 +27,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import (
+    INFEASIBLE_VALUE,
     Objective,
     ParameterSpace,
     SearchPoint,
+    _checked,
     denormalize,
     denormalize_coordinate,
     denormalize_coordinates,
-    evaluate_raw,
     evaluate_raw_block,
 )
 from .memory import TabuList, screen_axial
@@ -134,19 +135,6 @@ def axial_block(space: ParameterSpace, raw: np.ndarray, moves: MoveSet) -> np.nd
     return block
 
 
-def _select(moves: MoveSet, values: np.ndarray, feasible: np.ndarray) -> int | None:
-    """Row index of the best of one thread's evaluated rows of ``moves``:
-    lowest value, first on ties.
-
-    Adds to the infeasible tally; None when no row is feasible.
-    """
-    infeasible = len(feasible) - int(np.count_nonzero(feasible))
-    moves.infeasible_rejected += infeasible
-    if infeasible == len(feasible):
-        return None
-    return int(values.argmin())
-
-
 def explore(
     base: SearchPoint,
     step: float,
@@ -169,30 +157,31 @@ def explore(
         return None, moves
     raw = axial_block(objective.space, denormalize(objective.space, base.x)[np.newaxis], moves)
     values, feasible = evaluate_raw_block(objective, raw)
-    w = _select(moves, values, feasible)
-    if w is None:
+    moves.infeasible_rejected = len(feasible) - int(np.count_nonzero(feasible))
+    w = int(values.argmin())
+    value = values.item(w)
+    if value == INFEASIBLE_VALUE:  # no feasible row; a feasible value is finite
         return None, moves
     x = base.x.copy()
     x[moves.axis[w]] = moves.moved[w]
-    return SearchPoint(x=x, value=float(values[w]), feasible=True, raw=raw[w].copy()), moves
+    return SearchPoint(x=x, value=value, feasible=True, raw=raw[w].copy()), moves
 
 
-def _pattern_point(base_x: np.ndarray, move_x: np.ndarray, axis: int, k: float) -> np.ndarray | None:
-    """The pattern point of the move ``base_x -> move_x``, which changed
-    only coordinate ``axis``: the move extended by the factor ``k`` and
+def _pattern_point(base_x: np.ndarray, axis: int, m: float, k: float) -> np.ndarray | None:
+    """The pattern point of the move that sets coordinate ``axis`` of
+    ``base_x`` to ``m``: the move extended by the factor ``k`` and
     clamped into the unit cube, or None when clamping collapses it onto
-    ``move_x``.
+    the move.
 
     Only that coordinate is computed, in Python floats with the same
     rounding and clamp as numpy's. Every other one is ``x + 0.0``, as
     ``x + k * (x - x)`` is, which turns -0.0 into 0.0.
     """
-    m = float(move_x[axis])
-    p = m + k * (m - float(base_x[axis]))
+    p = m + k * (m - base_x.item(axis))
     p = 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
     if p == m:
         return None
-    x = move_x + 0.0
+    x = base_x + 0.0
     x[axis] = p
     return x
 
@@ -218,13 +207,15 @@ def hj_stage(
     when the states are all its rows in order, else copies of their rows.
     The axial rows are built from the bases' raw rows (``axial_block``)
     and evaluated in one ``evaluate_raw_block`` call; the winner takes a
-    copy of its block row.
+    copy of its block row. A thread's winner is the first lowest of its
+    rows; when that row is infeasible, so are all of them.
     Then, thread by thread, the pattern point, when it is new and not
-    tabu, is evaluated alone through ``evaluate_raw``, and the adopted
-    point (the pattern point if strictly better than the exploration
-    point, else the exploration point) becomes the new base, goes on the
-    tabu list and is offered to the thread's elite archive. The pattern
-    point differs from the base in the winner's coordinate only, as the
+    tabu, is evaluated alone by ``objective.fn`` with ``evaluate_raw``'s
+    checks, and the adopted point (the pattern point if strictly better
+    than the exploration point, else the exploration point) becomes the
+    new base, goes on the tabu list and is offered to the thread's elite
+    archive. Only the adopted point is built as a ``SearchPoint``. The
+    pattern point differs from the base in the winner's coordinate only, as the
     winner does, so it is screened against the thread's tabu list with
     the mask of its axial screen and its raw row is the winner's with
     that one coordinate denormalized.
@@ -251,37 +242,43 @@ def hj_stage(
     raw = axial_block(space, raw, moves)
     if len(raw):
         values, feasible = evaluate_raw_block(objective, raw)
-    else:
-        values = feasible = np.empty(0)
+        moves.infeasible_rejected = len(feasible) - int(np.count_nonzero(feasible))
+    axes, moved, rest_near = moves.axis, moves.moved, moves.rest_near
 
     steps: list[tuple[str, int]] = []
     stop = 0
     for t, (state, count) in enumerate(zip(states, moves.counts)):
         start, stop = stop, stop + count
         spent = count
-        w = _select(moves, values[start:stop], feasible[start:stop])
-        if w is None:
+        if count:
+            # The first lowest row; +inf there means no feasible row, as
+            # infeasible rows carry INFEASIBLE_VALUE and feasible ones are finite.
+            w = start + int(values[start:stop].argmin())
+            value = values.item(w)
+        if not count or value == INFEASIBLE_VALUE:
             state.evals += spent
             steps.append((STALLED, spent))
             continue
-        w += start
-        a, value = moves.axis.item(w), values.item(w)
-        move_x = state.base.x.copy()
-        move_x[a] = moves.moved[w]
+        a, m = axes.item(w), moved.item(w)
+        base_x = state.base.x
         adopted = None
         # No pattern evaluation when clamping collapsed the pattern point
         # onto the exploration point, and never adopt a tabu one.
-        p_x = _pattern_point(state.base.x, move_x, a, k)
+        p_x = _pattern_point(base_x, a, m, k)
         if p_x is not None:
             p = p_x.item(a)
-            if not state.tabu.axial_is_tabu(moves.rest_near[t], a, p):
+            if not state.tabu.axial_is_tabu(rest_near[t], a, p):
                 p_raw = raw[w].copy()
                 p_raw[a] = denormalize_coordinate(space, a, p)
-                pattern = evaluate_raw(objective, p_x, p_raw)
+                p_value, ok = objective.fn(p_raw)  # evaluate_raw's call and checks, no point unless adopted
                 spent += 1
-                if pattern.feasible and pattern.value < value:
-                    adopted = pattern
+                if ok:
+                    p_value = _checked(objective, float(p_value))
+                    if p_value < value:
+                        adopted = SearchPoint(x=p_x, value=p_value, feasible=True, raw=p_raw)
         if adopted is None:
+            move_x = base_x.copy()
+            move_x[a] = m
             adopted = SearchPoint(x=move_x, value=value, feasible=True, raw=raw[w].copy())
         state.evals += spent
         best_before = state.best.value

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,15 @@ def screen_axial(
     hit = np.abs(own, out=own) <= match_tol
     hit &= rest_near.take(axis, axis=2)
     return np.logical_or.reduce(hit, axis=1, keepdims=True), rest_near
+
+
+@lru_cache(maxsize=None)
+def _draw_bounds(k: int, n: int) -> np.ndarray:
+    """The read-only int64 vector ``[k, n, k, n, ...]`` of length 2n: the
+    exclusive upper bounds of ``diversify``'s draws."""
+    bounds = np.tile(np.array([k, n], dtype=np.int64), n)
+    bounds.flags.writeable = False
+    return bounds
 
 
 class TabuList:
@@ -139,8 +149,9 @@ class IntermediateMemory:
         current worst entry. Vectors already present (within the match
         tolerance, max norm) are rejected so the archive cannot collapse
         onto copies of one solution. A vector of another length than
-        the archived ones, or a feasible point with a non-finite value,
-        raises ValueError.
+        the archived ones, a vector that is not 1-D (checked at every
+        offer, the first included) or a feasible point with a non-finite
+        value raises ValueError.
         """
         if not p.feasible:
             return False
@@ -148,8 +159,9 @@ class IntermediateMemory:
             raise ValueError(f"cannot archive a feasible point with non-finite value {p.value!r}")
         x = np.asarray(p.x, dtype=float)
         n = len(self._values)
-        if self._rows is not None and x.shape != self._rows.shape[1:]:
-            raise ValueError(f"archived vectors have shape {self._rows.shape[1:]}, got {x.shape}")
+        if x.ndim != 1 or (self._rows is not None and x.shape != self._rows.shape[1:]):
+            expected = "(N,)" if self._rows is None else self._rows.shape[1:]
+            raise ValueError(f"archived vectors have shape {expected}, got {x.shape}")
         if n >= self.capacity and p.value >= self._values[-1]:
             return False
         if n:
@@ -195,8 +207,8 @@ class IntermediateMemory:
         # One call draws the entry and the coordinate of each output
         # coordinate in turn, r_0, c_0, r_1, c_1, ...: the same stream as
         # two scalar draws per coordinate.
-        draws = rng.integers((k, n), size=(n, 2))
-        return self._rows[draws[:, 0], draws[:, 1]]
+        draws = rng.integers(_draw_bounds(k, n))
+        return self._rows[draws[0::2], draws[1::2]]
 
     def intensify(self) -> np.ndarray:
         """Componentwise mean of the archived vectors, clamped to [0, 1]."""

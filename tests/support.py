@@ -1,12 +1,17 @@
-"""Helpers that several test modules share: one thread's axial moves, and
-a spy on what reaches an objective."""
+"""Helpers that several test modules share: one thread's axial moves, a
+strategy of normalized coordinates, and a spy on what reaches an objective."""
 import dataclasses
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tabukit.core import MAXIMIZE
 from tabukit.hillclimb import axial_moves
+
+
+#: Normalized coordinates, with -0.0, the bounds and their neighbours among them.
+UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0 - 2**-53, 1.0]))
 
 
 def moves_around(base, step, tabu):

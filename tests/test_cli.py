@@ -375,6 +375,17 @@ class TestMain:
         out_lines = capsys.readouterr().out.strip().split("\n")
         assert len(out_lines) == 3
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_config_file_with_or_without_bom_runs(self, capsys, tmp_path, bom):
+        # Editors that save UTF-8 with a byte-order mark put it before the first key.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(bom + b"problem = schwefel10\nruns = 1\nmax_evals = 300\n")
+        assert read_config_file(str(cfg)) == {"problem": "schwefel10", "runs": "1", "max_evals": "300"}
+        code = main(["--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert len(captured.out.strip().split("\n")) == 3
+
     def test_set_beats_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("problem = schwefel10\nruns = 3\nmax_evals = 300\n")

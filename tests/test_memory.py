@@ -126,6 +126,18 @@ class TestIntermediateMemory:
         assert not mem.offer(bad)
         assert len(mem) == 0
 
+    def test_vector_that_is_not_1d_rejected_at_every_offer(self):
+        # The first offer fixes N; it must not store a (1, N) row either.
+        mem = IntermediateMemory(capacity=3)
+        with pytest.raises(ValueError, match=r"got \(1, 3\)"):
+            mem.offer(point([[0.1, 0.2, 0.3]], 1.0))
+        assert len(mem) == 0 and mem.values() == [] and mem.rows().size == 0
+        assert mem.offer(point([0.1, 0.2, 0.3], 1.0))
+        for bad in ([[0.4, 0.5, 0.6]], 0.4):
+            with pytest.raises(ValueError, match="archived vectors have shape"):
+                mem.offer(point(bad, 0.5))
+        assert mem.values() == [1.0]
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_feasible_non_finite_value_rejected(self, bad):
         # Archived, such a value would break the best-first order that

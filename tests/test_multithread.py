@@ -21,6 +21,7 @@ from tabukit.core import Objective, ParameterSpace, denormalize, evaluate
 from tabukit.multithread import MultiConfig, run_multi, thread_rngs
 
 from reference import Tabu, axial_probes
+from support import UNIT
 
 
 def small_objective(dim=2, seed_fn=None):
@@ -69,6 +70,21 @@ class TestDetectCollision:
         log = CollisionLog()
         detect_collision(sa, sb, tol=1e-6, log=log, eval_count=1)
         assert log.events == []
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+def test_collision_distance_is_the_max_abs_difference_bit_for_bit(data, n):
+    # The logged distance has the bits of float(np.abs(a - b).max()),
+    # whichever entry attains it and whatever the signs of zeros.
+    xa = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
+    xb = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
+    sa, sb = states_at(xa, xb, small_objective(dim=n))
+    log = CollisionLog()
+    assert detect_collision(sa, sb, tol=2.0, log=log, eval_count=7)
+    [(count, dist)] = log.events
+    assert count == 7
+    assert type(dist) is float
+    assert dist.hex() == float(np.abs(xa - xb).max()).hex()
 
 
 class TestThreadSeeds:

@@ -569,6 +569,22 @@ def test_non_finite_feasible_block_value_is_an_objective_error():
         explore(base, 0.1, objective, TabuList())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sense", [MINIMIZE, MAXIMIZE])
+def test_non_finite_feasible_pattern_value_is_an_objective_error(bad, sense):
+    # The block is finite; the pattern point, which hj_stage sends to fn
+    # alone, is not: the step raises evaluate's error, not a search outcome.
+    space = ParameterSpace.cube(0.0, 1.0, 1, min_step=1e-6)
+    sign = 1.0 if sense == MINIMIZE else -1.0
+    fn = lambda raw: (bad if raw[0] < 0.35 else sign * raw[0], True)  # noqa: E731
+    fn_batch = lambda raw: (sign * raw[:, 0], np.ones(len(raw), dtype=bool))  # noqa: E731
+    objective = Objective(space, fn, sense, "broken", fn_batch)
+    [state] = control.fresh_states([evaluate(objective, np.array([0.5]))], SearchConfig())
+    state.adopt(state.base)
+    with pytest.raises(ValueError, match=re.escape(f"'broken' returned non-finite value {bad!r} for a feasible point")):
+        hillclimb.hj_stage([state], objective)  # the winner is 0.4, its pattern point 0.3
+
+
 # --- one point goes to fn, a block to fn_batch ---------------------------------
 
 

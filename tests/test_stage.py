@@ -24,7 +24,7 @@ from reference import PROBLEMS, Tabu, axial_probes
 from tabukit import control, hillclimb
 from tabukit.benchmarks import make_schwefel10
 from tabukit.control import SearchConfig, fresh_states, resolved_step_min, run_lockstep, run_single
-from tabukit.core import SearchPoint, clamp, denormalize, evaluate
+from tabukit.core import Objective, ParameterSpace, SearchPoint, clamp, denormalize, evaluate
 from tabukit.hillclimb import _probe_order, axial_moves, hj_stage
 from tabukit.memory import TabuList, screen_axial
 from tabukit.multithread import MultiConfig, run_multi
@@ -546,6 +546,46 @@ def test_threads_of_another_stack_are_named():
     with pytest.raises(ValueError, match="^thread 1 is not on the stage's stack"):
         hj_stage(states, objective)
     assert spy.evals == 2
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["fn_batch", "fn-only"])
+def test_stage_winner_is_the_first_feasible_minimum_and_infeasible_rows_are_counted(batch, monkeypatch):
+    # Thread 0's rows are all infeasible: it stalls and spends them.
+    # Thread 1's are mixed: its infeasible row reports a lower value than
+    # any feasible one and must not win; its feasible rows tie, so the
+    # first of them wins. The block's infeasible rows are counted once.
+    space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
+
+    def fn_batch(raw):
+        return np.where(raw[:, 0] > 0.8, -5.0, 1.0), (0.5 <= raw[:, 0]) & (raw[:, 0] <= 0.8)
+
+    def fn(raw):
+        values, feasible = fn_batch(raw[np.newaxis])
+        return values.item(), bool(feasible[0])
+
+    objective = Objective(space, fn, fn_batch=fn_batch if batch else None)
+    real_moves, made = hillclimb.axial_moves, []
+
+    def axial_moves(*args):
+        made.append(real_moves(*args))
+        return made[-1]
+
+    monkeypatch.setattr(hillclimb, "axial_moves", axial_moves)
+    states = fresh_states([evaluate(objective, np.full(2, x)) for x in (0.25, 0.75)], SearchConfig())
+    for state in states:
+        state.adopt(state.base)
+    stalled_base = states[0].base
+
+    steps = hj_stage(states, objective)
+
+    [moves] = made
+    assert moves.counts == [4, 4]
+    assert moves.infeasible_rejected == 4 + 1
+    assert steps == [(hillclimb.STALLED, 4), (hillclimb.NOT_IMPROVED, 4 + 1)]  # thread 1's pattern point ties
+    assert states[0].base is stalled_base and states[0].evals == 1 + 4
+    assert states[1].base.x.tolist() == [0.75 - 0.1, 0.75]  # the second row; the first moved past 0.8
+    assert (states[1].base.value, states[1].base.feasible, states[1].evals) == (1.0, True, 1 + 5)
+    assert states[1].base.raw.tobytes() == denormalize(space, states[1].base.x).tobytes()
 
 
 def test_stage_of_no_states_steps_none():
