@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
-from .core import MAXIMIZE, MINIMIZE, Objective, ParameterSpace
+from .core import MAXIMIZE, MINIMIZE, Objective, ParameterSpace, check_integer
 
 #: Location of the Schwefel minimum along every axis.
 SCHWEFEL_ARGMIN = 420.9687
@@ -49,24 +48,13 @@ def _bump_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _gathered(terms: np.ndarray, index) -> np.ndarray:
-    """``terms`` itself, or gathered by a ``_column_runs`` index."""
-    return terms if index is None else terms.take(index)
-
-
-def _bump_terms(c: np.ndarray, x: np.ndarray, index=None) -> tuple[np.ndarray, np.ndarray]:
+def _bump_terms(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bump numerator and denominator along the last axis.
 
     num = sum cos^4 - 2 prod cos^2, den = sum(i * x_i^2), for a vector
-    or for every row of a block. ``c`` is cos(x) entry by entry, or the
-    cosines of a block's distinct entries, which ``index`` gathers into
-    the block's shape with ``take`` (see ``_column_runs``). Each power
-    is gathered and reduced before the next is made, so a block holds
-    one gathered ``(k, N)`` temporary at a time: holding two put the
-    block path into glibc's heap-trimming state, in which every stage
-    returns its temporaries to the OS and faults them back in.
+    or for every row of a block, where ``c`` is cos(x).
     """
-    num = np.add.reduce(_gathered(c**4, index), axis=-1) - 2.0 * np.multiply.reduce(_gathered(c**2, index), axis=-1)
+    num = np.add.reduce(c**4, axis=-1) - 2.0 * np.multiply.reduce(c**2, axis=-1)
     squares = np.square(x)
     np.multiply(squares, _bump_weights(x.shape[-1]), out=squares)
     return num, np.add.reduce(squares, axis=-1)
@@ -133,30 +121,50 @@ def bump_feasible(x: np.ndarray) -> bool:
     return bool(_bump_feasible_rows(x, np.add.reduce(_product_logs(x), axis=-1)))
 
 
-def _column_runs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of equal values down the columns of a ``(k, N)`` block.
+def _bump_values(ratio, num: np.ndarray, den: np.ndarray, feasible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block's ``(values, feasible)``: the ratio on feasible rows, 0.0 elsewhere."""
+    values = np.zeros(len(feasible))
+    values[feasible] = ratio(num[feasible], den[feasible])
+    return values, feasible
 
-    Returns ``distinct``, the entries that differ from the one above them
-    in their column (the first row included), in column-major order, and
-    a C-contiguous ``(k, N)`` index of the distinct value that each entry
-    repeats. ``0.0`` and ``-0.0`` count as equal, so
-    ``term(distinct).take(index)`` equals ``term(block)`` for any
-    elementwise term that agrees on them. The index is built from the
-    run starts: run r covers the entries from its start to the next
-    run's, so ``arange(runs).repeat(lengths)`` numbers them in
-    column-major order, without a cumulative sum over the whole block.
+
+def _bump_axial(ratio, raw: np.ndarray, bases: np.ndarray, counts, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bump's ``fn_axial``: ``fn_batch`` of an axial block, from its structure.
+
+    Each elementwise term (the feasibility log, cos, its fourth and
+    second powers, and i * x_i^2) is computed only on the T * N base
+    entries and the k moved entries. Each term is then spread into a
+    ``(k, N)`` block: the base rows repeated by their counts, with each
+    row's moved entry set. An entry off the moved one has its base's
+    bits, so every entry of the block is the term of ``raw``'s entry in
+    its place. Each block is reduced over full rows, as ``fn`` reduces
+    its one row, so every row matches ``fn`` bit for bit. Each block is
+    reduced before the next one is built, so that the kernel holds one
+    ``(k, N)`` temporary at a time: holding two put the block path into
+    glibc's heap-trimming state, in which every stage returns its
+    temporaries to the OS and faults them back in.
     """
-    k, n = block.shape
-    new = np.empty((k, n), dtype=bool)
-    new[:1] = True
-    np.not_equal(block[1:], block[:-1], out=new[1:])
-    starts = np.flatnonzero(new.T)
-    lengths = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
-    lengths[-1:] = new.size - starts[-1:]
-    index = np.arange(len(starts)).repeat(lengths).reshape(n, k).T
-    columns, rows = np.divmod(starts, k)
-    return block[rows, columns], np.ascontiguousarray(index)
+    raw = np.asarray(raw, dtype=float)
+    k, n = raw.shape
+    t_n = bases.size
+    flat = np.arange(0, k * n, n)
+    flat += axis  # the flat index of each row's moved entry
+    entries = np.concatenate((bases.reshape(-1), raw.take(flat)))
+
+    def spread(terms):
+        block = terms[:t_n].reshape(-1, n).repeat(counts, axis=0)
+        block.put(flat, terms[t_n:])
+        return block
+
+    feasible = _bump_feasible_rows(raw, np.add.reduce(spread(_product_logs(entries)), axis=-1))
+    c = np.cos(entries)
+    num = np.add.reduce(spread(c**4), axis=-1) - 2.0 * np.multiply.reduce(spread(c**2), axis=-1)
+    squares = np.square(entries)
+    weights = _bump_weights(n)
+    base_squares = squares[:t_n].reshape(-1, n)
+    base_squares *= weights
+    squares[t_n:] *= weights.take(axis)
+    return _bump_values(ratio, num, np.add.reduce(spread(squares), axis=-1), feasible)
 
 
 #: Bump formula per variant name, as a ratio of ``_bump_terms``.
@@ -189,9 +197,7 @@ def make_bump(n: int, variant: str = "keane") -> Objective:
     published shape with a maximum near 0.8) or "signed" (num / den with
     the squared denominator, a much flatter surface).
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"bump dimension must be an integer, got {n!r}")
-    n = int(n)
+    n = check_integer(n, "bump dimension")
     if n < 2:
         raise ValueError(f"bump needs at least 2 dimensions, got {n}")
     try:
@@ -205,19 +211,10 @@ def make_bump(n: int, variant: str = "keane") -> Objective:
         return _bump(raw, ratio), True
 
     def fn_batch(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The rows of a stacked axial block repeat their base in all but
-        # one coordinate, so the elementwise terms (all equal at 0.0 and
-        # -0.0) are computed once per run of equal values down a column.
-        # The reductions still run over full rows, so each row matches fn
-        # bit for bit.
         raw = np.asarray(raw, dtype=float)
-        distinct, index = _column_runs(raw)
-        log_sums = np.add.reduce(_product_logs(distinct).take(index), axis=-1)
-        feasible = _bump_feasible_rows(raw, log_sums)
-        num, den = _bump_terms(np.cos(distinct), raw, index)
-        values = np.zeros(len(raw))
-        values[feasible] = ratio(num[feasible], den[feasible])
-        return values, feasible
+        feasible = _bump_feasible_rows(raw, np.add.reduce(_product_logs(raw), axis=-1))
+        return _bump_values(ratio, *_bump_terms(np.cos(raw), raw), feasible)
 
     space = ParameterSpace.cube(0.0, 10.0, n, min_step=BENCHMARK_MIN_STEP)
-    return Objective(space=space, fn=fn, sense=MAXIMIZE, name=f"bump{n}", fn_batch=fn_batch)
+    fn_axial = functools.partial(_bump_axial, ratio)
+    return Objective(space=space, fn=fn, sense=MAXIMIZE, name=f"bump{n}", fn_batch=fn_batch, fn_axial=fn_axial)

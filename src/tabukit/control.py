@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Objective, ParameterSpace, SearchPoint, check_finite, clamp, evaluate
+from .core import Objective, ParameterSpace, SearchPoint, check_finite, check_integer, clamp, evaluate
 from .hillclimb import IMPROVED, hj_stage
 from .memory import (
     DEFAULT_ELITE_CAPACITY,
@@ -46,9 +46,8 @@ def check_integer_fields(settings) -> None:
     """Raise ValueError naming the first int-default field of ``settings``
     holding a non-integer; a bool is not taken for one."""
     for f in fields(settings):
-        value = getattr(settings, f.name)
-        if type(f.default) is int and (isinstance(value, bool) or not hasattr(value, "__index__")):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if type(f.default) is int:
+            check_integer(getattr(settings, f.name), f.name)
 
 
 @dataclass

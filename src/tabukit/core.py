@@ -9,8 +9,9 @@ evaluation boundary.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,6 +22,17 @@ MAXIMIZE = "maximize"
 #: selected as moves, never become a thread best and are never archived,
 #: so their raw objective value is irrelevant to the search.
 INFEASIBLE_VALUE = math.inf
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int, by ``operator.index``: numpy integers pass, and
+    a bool, a float or a string is a ValueError that names ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +78,7 @@ class ParameterSpace:
     @classmethod
     def cube(cls, lower: float, upper: float, dimension: int, min_step: float) -> "ParameterSpace":
         """Space with identical bounds and resolution in every variable."""
-        ones = np.ones(dimension)
+        ones = np.ones(check_integer(dimension, "dimension"))
         return cls(lower * ones, upper * ones, min_step * ones)
 
 
@@ -100,8 +112,15 @@ class Objective:
     are ignored. Without it, blocks are evaluated by calling ``fn`` on
     each row in order.
 
+    ``fn_axial`` is optional too: ``fn_axial(raw, bases, counts, axis)``
+    returns what ``fn_batch(raw)`` would, for an axial block whose
+    structure the engine guarantees. Thread t owns the next ``counts[t]``
+    rows of ``raw``, in thread order (a count may be 0), and each of
+    them is ``bases[t]`` with at most coordinate ``axis[r]`` changed.
+
     One point always goes to ``fn`` (``evaluate``, ``evaluate_raw``), a
-    block to ``fn_batch`` when there is one (``evaluate_raw_block``).
+    block to ``fn_axial`` when it comes with its structure and there is
+    one, else to ``fn_batch`` when there is one (``evaluate_raw_block``).
     """
 
     space: ParameterSpace
@@ -109,6 +128,7 @@ class Objective:
     sense: str = MINIMIZE
     name: str = ""
     fn_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    fn_axial: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.sense not in (MINIMIZE, MAXIMIZE):
@@ -196,24 +216,36 @@ def _evaluate_fn(objective: Objective, raw: np.ndarray) -> tuple[float, bool]:
     return _checked(objective, float(value)), True
 
 
-def evaluate_raw_block(objective: Objective, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_raw_block(
+    objective: Objective,
+    raw: np.ndarray,
+    axial: tuple[np.ndarray, Sequence[int], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a ``(k, N)`` block of denormalized rows: k evaluations.
 
-    Returns engine values (infeasible rows carry ``INFEASIBLE_VALUE``)
-    and the feasibility mask. Uses ``objective.fn_batch`` when present,
-    else ``objective.fn`` on each row in order. Raises ValueError if the
-    objective reports a non-finite value for a feasible row.
+    ``axial`` is the block's structure as ``Objective.fn_axial`` states
+    it, ``(bases, counts, axis)``, or None. Returns engine values
+    (infeasible rows carry ``INFEASIBLE_VALUE``) and the feasibility
+    mask. Uses ``objective.fn_axial`` for a block with its structure,
+    else ``objective.fn_batch``, else ``objective.fn`` on each row in
+    order. Raises ValueError if the objective returns arrays of another
+    shape, or a non-finite value for a feasible row.
     """
     k = len(raw)
-    if objective.fn_batch is None:
+    if axial is not None and objective.fn_axial is not None:
+        method = "fn_axial"
+        values, feasible = objective.fn_axial(raw, *axial)
+    elif objective.fn_batch is not None:
+        method = "fn_batch"
+        values, feasible = objective.fn_batch(raw)
+    else:
         points = [_evaluate_fn(objective, row) for row in raw]
         return np.array([v for v, _ in points], dtype=float), np.array([ok for _, ok in points], dtype=bool)
-    values, feasible = objective.fn_batch(raw)
     values = np.asarray(values, dtype=float)
     feasible = np.asarray(feasible, dtype=bool)
     if values.shape != (k,) or feasible.shape != (k,):
         raise ValueError(
-            f"objective {objective.name!r}: fn_batch returned shapes {values.shape} and {feasible.shape} for {k} rows"
+            f"objective {objective.name!r}: {method} returned shapes {values.shape} and {feasible.shape} for {k} rows"
         )
     finite = np.isfinite(values)
     if np.count_nonzero(finite) != k:

@@ -121,15 +121,14 @@ def axial_moves(
 
 def axial_block(space: ParameterSpace, raw: np.ndarray, moves: MoveSet) -> np.ndarray:
     """The raw rows of ``moves``, whose thread t's base has the raw row
-    ``raw[t]``.
+    ``raw[t]``, one row per thread of ``moves``.
 
     Each row is its base's raw row with the moved coordinate
     denormalized, which is ``denormalize`` of the normalized row bit
     for bit when the base's raw row is ``denormalize`` of its ``x``.
+    This is the structure that ``Objective.fn_axial`` is promised.
     """
     counts = moves.counts
-    if len(counts) < len(raw):
-        raw = raw[: len(counts)]
     block = raw.repeat(counts[0] if len(counts) == 1 else counts, axis=0)
     block[np.arange(len(block)), moves.axis] = denormalize_coordinates(space, moves.axis, moves.moved)
     return block
@@ -155,8 +154,9 @@ def explore(
     moves = axial_moves(base.x.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.x.size), tabu.match_tol)
     if moves.axis.size == 0:
         return None, moves
-    raw = axial_block(objective.space, denormalize(objective.space, base.x)[np.newaxis], moves)
-    values, feasible = evaluate_raw_block(objective, raw)
+    bases = denormalize(objective.space, base.x)[np.newaxis]
+    raw = axial_block(objective.space, bases, moves)
+    values, feasible = evaluate_raw_block(objective, raw, (bases, moves.counts, moves.axis))
     moves.infeasible_rejected = len(feasible) - int(np.count_nonzero(feasible))
     w = int(values.argmin())
     value = values.item(w)
@@ -206,8 +206,9 @@ def hj_stage(
     ``axial_moves`` reads for all of them at once: its arrays themselves
     when the states are all its rows in order, else copies of their rows.
     The axial rows are built from the bases' raw rows (``axial_block``)
-    and evaluated in one ``evaluate_raw_block`` call; the winner takes a
-    copy of its block row. A thread's winner is the first lowest of its
+    and evaluated in one ``evaluate_raw_block`` call, with the block's
+    structure for ``Objective.fn_axial``; the winner takes a copy of its
+    block row. A thread's winner is the first lowest of its
     rows; when that row is infeasible, so are all of them.
     Then, thread by thread, the pattern point, when it is new and not
     tabu, is evaluated alone by ``objective.fn`` with ``evaluate_raw``'s
@@ -239,9 +240,10 @@ def hj_stage(
         x, step, tabu, raw = x[rows], step[rows], tabu[rows], raw[rows]
     moves = axial_moves(x, step, tabu, states[0].tabu.match_tol, budget)
     space = objective.space
-    raw = axial_block(space, raw, moves)
+    bases = raw[: len(moves.counts)]
+    raw = axial_block(space, bases, moves)
     if len(raw):
-        values, feasible = evaluate_raw_block(objective, raw)
+        values, feasible = evaluate_raw_block(objective, raw, (bases, moves.counts, moves.axis))
         moves.infeasible_rejected = len(feasible) - int(np.count_nonzero(feasible))
     axes, moved, rest_near = moves.axis, moves.moved, moves.rest_near
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import SearchPoint, clamp
+from .core import SearchPoint, check_integer, clamp
 
 DEFAULT_TABU_CAPACITY = 7
 DEFAULT_ELITE_CAPACITY = 10
@@ -67,6 +67,7 @@ class TabuList:
     """
 
     def __init__(self, capacity: int = DEFAULT_TABU_CAPACITY, match_tol: float = DEFAULT_MATCH_TOL, ring=None):
+        capacity = check_integer(capacity, "tabu capacity")
         if capacity < 1:
             raise ValueError("tabu capacity must be positive")
         if not 0.0 <= match_tol < math.inf:  # also rejects NaN
@@ -133,6 +134,7 @@ class IntermediateMemory:
     """
 
     def __init__(self, capacity: int = DEFAULT_ELITE_CAPACITY, match_tol: float = DEFAULT_MATCH_TOL):
+        capacity = check_integer(capacity, "elite capacity")
         if capacity < 1:
             raise ValueError("elite capacity must be positive")
         if not 0.0 <= match_tol < math.inf:

@@ -3,12 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from tabukit.benchmarks import (
     BENCHMARK_MIN_STEP,
     SCHWEFEL_ARGMIN,
-    _column_runs,
     bump_feasible,
     bump_value,
     keane_bump,
@@ -241,45 +239,3 @@ class TestBumpDimension:
     def test_names_a_dimension_below_two(self, n):
         with pytest.raises(ValueError, match=f"bump needs at least 2 dimensions, got {int(n)}$"):
             make_bump(n)
-
-
-def _signless(a):
-    """``a`` with -0.0 made 0.0, so that equal values have equal bits."""
-    return np.where(a == 0.0, 0.0, a)
-
-
-@st.composite
-def run_blocks(draw):
-    """(k, N) blocks whose columns repeat values down runs, with 0.0 and
-    -0.0 among them, as the stacked axial blocks of the engine do."""
-    k, n = draw(st.integers(0, 12)), draw(st.integers(1, 8))
-    pool = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 7.5, 10.0]) | st.floats(0.0, 10.0), min_size=1, max_size=4))
-    block = np.empty((k, n))
-    for j in range(n):
-        column = [draw(st.sampled_from(pool))]
-        for _ in range(k - 1):
-            column.append(column[-1] if draw(st.booleans()) else draw(st.sampled_from(pool)))
-        block[:, j] = column[:k]
-    return block
-
-
-@settings(max_examples=200, deadline=None)
-@given(block=run_blocks())
-def test_column_runs_index_the_block(block):
-    distinct, index = _column_runs(block)
-    k, n = block.shape
-    assert index.shape == (k, n) and index.dtype == np.intp and index.flags.c_contiguous
-    # Entry by entry, 0.0 and -0.0 counted equal.
-    assert np.array_equal(_signless(distinct.take(index)), _signless(block))
-    # Runs are numbered in column-major order, and each one lies in one
-    # column, its rows contiguous: down a column the index keeps its value
-    # or steps up by one, and the next column starts one above.
-    ids = index.T.reshape(-1)
-    assert set(np.diff(ids).tolist()) <= {0, 1}
-    if k:
-        assert ids[0] == 0 and ids[-1] == len(distinct) - 1
-        assert np.array_equal(index[0, 1:], index[-1, :-1] + 1)
-    # A run starts exactly where an entry differs from the one above it.
-    starts = np.ones((k, n), dtype=bool)
-    starts[1:] = block[1:] != block[:-1]
-    assert np.array_equal(np.diff(index, axis=0) == 1, starts[1:])

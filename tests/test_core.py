@@ -40,6 +40,12 @@ class TestParameterSpace:
         assert np.all(space.upper == 500.0)
         assert np.all(space.min_step == 1e-4)
 
+    @pytest.mark.parametrize("dimension", [2.5, math.nan, True, "3"])
+    def test_cube_names_a_dimension_that_is_not_an_integer(self, dimension):
+        with pytest.raises(ValueError, match=f"^dimension must be an integer, got {re.escape(repr(dimension))}$"):
+            ParameterSpace.cube(0.0, 1.0, dimension, 0.1)
+        assert ParameterSpace.cube(0.0, 1.0, np.int64(3), 0.1).dimension == 3
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             ParameterSpace(np.array([1.0]), np.array([0.0]), np.array([0.1]))

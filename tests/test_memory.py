@@ -1,9 +1,16 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tabukit.core import SearchPoint
 from tabukit.memory import IntermediateMemory, TabuList
+
+
+#: Capacities that are not integers, the bool among them.
+NOT_INTEGERS = [2.5, math.nan, True, "3"]
 
 
 def point(values, value):
@@ -71,6 +78,14 @@ class TestTabuList:
         assert tabu.is_tabu(np.array([0.4]))
         assert not tabu.is_tabu(np.array([0.9]))
 
+    @pytest.mark.parametrize("capacity", NOT_INTEGERS)
+    def test_names_a_capacity_that_is_not_an_integer(self, capacity):
+        with pytest.raises(ValueError, match=f"^tabu capacity must be an integer, got {re.escape(repr(capacity))}$"):
+            TabuList(capacity)
+        tabu = TabuList(np.int64(2))
+        tabu.push(np.array([0.5]))
+        assert tabu.capacity == 2 and tabu.is_tabu(np.array([0.5]))
+
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
             TabuList(capacity=0)
@@ -79,6 +94,14 @@ class TestTabuList:
 
 
 class TestIntermediateMemory:
+    @pytest.mark.parametrize("capacity", NOT_INTEGERS)
+    def test_names_a_capacity_that_is_not_an_integer(self, capacity):
+        with pytest.raises(ValueError, match=f"^elite capacity must be an integer, got {re.escape(repr(capacity))}$"):
+            IntermediateMemory(capacity)
+        memory = IntermediateMemory(np.int32(2))
+        assert memory.offer(point([0.5], 1.0))
+        assert memory.capacity == 2 and memory.values() == [1.0]
+
     @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_rejects_bad_tolerance_like_tabu_list(self, tol):
         with pytest.raises(ValueError, match="match tolerance must be non-negative"):

@@ -1,11 +1,13 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tabukit import control, multithread
-from tabukit.benchmarks import make_schwefel10
+from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit.control import (
     CONTINUE,
     EVAL_BUDGET,
@@ -237,6 +239,14 @@ class TestStartValidation:
         assert calls == []
 
 
+def run_method(objective, method, seed=0):
+    """``run_single`` or ``run_multi`` of ``objective`` at 5,000 evaluations."""
+    config = SearchConfig(seed=seed, max_evals=5000)
+    if method == "single":
+        return run_single(objective, config)
+    return run_multi(objective, MultiConfig(base=config))
+
+
 def failing_run(method, m, seed=0):
     """Run schwefel10 through a scalar-only objective that raises on its
     m-th call; returns the raw vectors it was called with."""
@@ -251,13 +261,9 @@ def failing_run(method, m, seed=0):
 
     # Scalar fn only, so evaluation m is one call.
     objective = dataclasses.replace(schwefel, fn=fn, fn_batch=None)
-    config = SearchConfig(seed=seed, max_evals=5000)
     result = None
     with pytest.raises(RuntimeError, match=f"call {m}$"):
-        if method == "single":
-            result = run_single(objective, config)
-        else:
-            result = run_multi(objective, MultiConfig(base=config))
+        result = run_method(objective, method, seed)
     assert result is None
     return calls
 
@@ -288,6 +294,54 @@ class TestErrorPropagation:
         calls = failing_run("multi", m)
         assert len(calls) == m
         assert calls[-1].tobytes() == denormalize(space, first[1][row]).tobytes()
+
+
+class TestFnAxialErrorPropagation:
+    # Every engine block comes with its structure, so these runs send each
+    # axial block to fn_axial.
+    @pytest.mark.parametrize("method", ["single", "multi"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_objective_error_propagates(self, method, m):
+        bump = make_bump(20)
+        blocks = []
+
+        def fn_axial(raw, bases, counts, axis):
+            blocks.append(len(raw))
+            if len(blocks) == m:
+                raise RuntimeError(f"fn_axial failed on block {m}")
+            return bump.fn_axial(raw, bases, counts, axis)
+
+        result = None
+        with pytest.raises(RuntimeError, match=f"block {m}$"):
+            result = run_method(dataclasses.replace(bump, fn_axial=fn_axial), method)
+        assert result is None
+        assert len(blocks) == m
+
+    @pytest.mark.parametrize("method", ["single", "multi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feasible_value_raises_the_fn_batch_error(self, method, bad):
+        # schwefel10 has fn_batch and no fn_axial; each broken path is the
+        # only block path that the engine takes.
+        schwefel = make_schwefel10()
+
+        def broken(raw, *structure):
+            return np.full(len(raw), bad), np.ones(len(raw), dtype=bool)
+
+        messages = set()
+        for field in ("fn_batch", "fn_axial"):
+            with pytest.raises(ValueError) as raised:
+                run_method(dataclasses.replace(schwefel, **{field: broken}), method)
+            messages.add(str(raised.value))
+        assert messages == {f"objective 'schwefel10' returned non-finite value {bad!r} for a feasible point"}
+
+    @pytest.mark.parametrize("method", ["single", "multi"])
+    def test_wrong_shape_names_fn_axial(self, method):
+        def long(raw, bases, counts, axis):
+            return np.zeros(len(raw) + 1), np.ones(len(raw) + 1, dtype=bool)
+
+        objective = dataclasses.replace(make_schwefel10(), fn_axial=long)
+        with pytest.raises(ValueError, match=re.escape("objective 'schwefel10': fn_axial returned shapes")):
+            run_method(objective, method)
 
 
 class TestAllInfeasible:

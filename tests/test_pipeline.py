@@ -41,7 +41,7 @@ from tabukit.hydraulic import (
 )
 from tabukit.memory import IntermediateMemory, TabuList
 from tabukit.multithread import MultiConfig, run_multi
-from support import spied
+from support import check_axial_structure, spied
 
 BUILT_IN = {
     "schwefel10": make_schwefel10,
@@ -122,21 +122,26 @@ def bump_edge_rows(draw, n):
 
 @st.composite
 def axial_blocks(draw, objective, specials=()):
-    """Raw blocks built the way a lockstep stage builds them.
+    """Raw blocks built the way a lockstep stage builds them, with their
+    structure: ``(raw, bases, counts, axis)`` as ``Objective.fn_axial``
+    takes them.
 
-    One or two bases each give their ``axial_moves`` against their own
-    tabu list (the base and some of its neighbours pushed), stacked and
-    denormalized, so the columns hold runs of equal values. Then some of:
-    a row repeated, an entry set equal to the one two rows up but not the
-    one directly above, a 0.0 over a -0.0 or the reverse, and one row
+    One to three bases each give their ``axial_moves`` against their own
+    tabu list (the base and some of its neighbours pushed), stacked from
+    the bases' raw rows, so every row is its base with one coordinate
+    moved. A thread may keep none of its rows, as when all its probes are
+    tabu. Then some of these edits, each of which keeps the structure: a
+    row repeated, a row whose moved entry is its base's, a base entry of
+    0.0 made -0.0 across its rows, a moved entry of -0.0, and one row
     kept alone. Bases with a zero or a large coordinate mix feasible and
-    infeasible rows.
+    infeasible rows, and entries on the bounds come from the drawn bases
+    and the clamped probes.
     """
     space = objective.space
     n = space.dimension
     unit_specials = [float(v) for v in (np.asarray(specials) - space.lower[0]) / space.span[0]]
-    parts = []
-    for _ in range(draw(st.integers(1, 2))):
+    bases, parts, axes = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
         base = np.full(n, draw(st.floats(0.05, 0.75)))
         for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
             base[j] = draw(coordinate(0.0, 1.0, unit_specials))
@@ -148,25 +153,37 @@ def axial_blocks(draw, objective, specials=()):
             neighbour[j] += sign * step
             tabu.push(clamp(neighbour))
         moves = axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(n), tabu.match_tol)
-        parts.append(axial_block(space, denormalize(space, base)[np.newaxis], moves))
-    raw = np.concatenate(parts)
+        base_raw = denormalize(space, base)
+        kept = 0 if draw(st.integers(0, 4)) == 0 else len(moves.axis)  # 0: every probe tabu
+        bases.append(base_raw)
+        parts.append(axial_block(space, base_raw[np.newaxis], moves)[:kept])
+        axes.append(moves.axis[:kept])
+    bases = np.array(bases)
+    counts = [len(part) for part in parts]
+    raw, axis = np.concatenate(parts), np.concatenate(axes)
     assume(len(raw))
-    edits = draw(st.sets(st.sampled_from(["repeat", "two-up", "signed-zero", "one-row"])))
+    owner = np.arange(len(counts)).repeat(counts)
+    edits = draw(st.sets(st.sampled_from(["repeat", "unmoved", "signed-zero", "moved-zero", "one-row"])))
     if "repeat" in edits:
         r = draw(st.integers(0, len(raw) - 1))
-        raw = np.insert(raw, r, raw[r], axis=0)
-    if "two-up" in edits and len(raw) >= 3:
-        r, j = draw(st.integers(2, len(raw) - 1)), draw(st.integers(0, n - 1))
-        raw[r, j] = raw[r - 2, j]
-        if raw[r - 1, j] == raw[r, j]:
-            raw[r - 1, j] = space.upper[j] if raw[r, j] != space.upper[j] else space.lower[j]
-    if "signed-zero" in edits and len(raw) >= 2:
-        r, j = draw(st.integers(0, len(raw) - 2)), draw(st.integers(0, n - 1))
-        raw[r : r + 2, j] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+        raw, axis, owner = (np.insert(a, r, a[r], axis=0) for a in (raw, axis, owner))
+    if "unmoved" in edits:
+        r = draw(st.integers(0, len(raw) - 1))
+        raw[r, axis[r]] = bases[owner[r], axis[r]]
+    zeros = np.argwhere(bases == 0.0)
+    if "signed-zero" in edits and len(zeros):
+        t, j = zeros[draw(st.integers(0, len(zeros) - 1))]
+        bases[t, j] = -0.0
+        raw[(owner == t) & (axis != j), j] = -0.0
+    if "moved-zero" in edits:
+        r = draw(st.integers(0, len(raw) - 1))
+        if space.lower[axis[r]] == 0.0:
+            raw[r, axis[r]] = -0.0
     if "one-row" in edits:
         r = draw(st.integers(0, len(raw) - 1))
-        raw = raw[r : r + 1]
-    return raw
+        raw, axis, owner = raw[r : r + 1], axis[r : r + 1], owner[r : r + 1]
+    counts = np.bincount(owner, minlength=len(bases)).tolist()
+    return raw, bases, counts, axis
 
 
 @st.composite
@@ -195,16 +212,38 @@ def circuit_edge_rows(draw, pump_speed):
     return [pump, motor1, motor2, d1, d2]
 
 
-#: The bump objectives again, on blocks built as the engine builds them.
+#: The bump objectives again, on blocks built as the engine builds them:
+#: their fn_batch, and their fn_axial given each block's structure.
 AXIAL_CASES = [f"{name}-axial" for name in BUILT_IN if name.startswith("bump")]
+FN_AXIAL_CASES = [f"{name}-fn_axial" for name in BUILT_IN if name.startswith("bump")]
+
+
+def fn_axial_case(objective):
+    """(objective, raw-block strategy) whose ``fn_batch`` is the
+    objective's ``fn_axial``, given the structure of the block that the
+    strategy drew last, which it checks first."""
+    drawn = {}
+
+    def remember(block):
+        raw, *drawn["structure"] = block
+        return raw
+
+    def fn_batch(raw):
+        check_axial_structure(raw, *drawn["structure"])
+        return objective.fn_axial(raw, *drawn["structure"])
+
+    blocks = axial_blocks(objective, BUMP_SPECIALS).map(remember)
+    return dataclasses.replace(objective, fn_batch=fn_batch), blocks
 
 
 def block_case(name):
     """(objective, raw-block strategy) for a built-in name, a circuit
-    variant or an axial case."""
+    variant, an axial case or an ``fn_axial`` case."""
+    if name in FN_AXIAL_CASES:
+        return fn_axial_case(BUILT_IN[name.removesuffix("-fn_axial")]())
     if name in AXIAL_CASES:
         objective = BUILT_IN[name.removesuffix("-axial")]()
-        return objective, axial_blocks(objective, BUMP_SPECIALS)
+        return objective, axial_blocks(objective, BUMP_SPECIALS).map(lambda block: block[0])
     if name in CIRCUITS:
         policy, pump_speed = CIRCUITS[name]
         objective = make_circuit(CircuitTargets(pump_speed=pump_speed), policy)
@@ -216,7 +255,10 @@ def block_case(name):
     return objective, raw_blocks(objective)
 
 
-@pytest.mark.parametrize("name", sorted(BUILT_IN.keys() - {"circuit"} | CIRCUITS.keys()) + AXIAL_CASES)
+BLOCK_CASES = sorted(BUILT_IN.keys() - {"circuit"} | CIRCUITS.keys()) + AXIAL_CASES + FN_AXIAL_CASES
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fn_batch_matches_fn_bit_for_bit(name, data):
@@ -534,7 +576,7 @@ def test_evals_equal_scalar_calls_plus_batch_rows(name, seed, method, max_evals,
 @pytest.mark.parametrize("name", ["schwefel10", "bump20-keane", "circuit"])
 def test_scalar_fallback_gives_the_same_run(name):
     objective = BUILT_IN[name]()
-    scalar_only = dataclasses.replace(objective, fn_batch=None)
+    scalar_only = dataclasses.replace(objective, fn_batch=None, fn_axial=None)
     for seed in (0, 1):
         config = SearchConfig(seed=seed, max_evals=1500)
         a = run_multi(objective, MultiConfig(base=config))
@@ -554,6 +596,23 @@ def test_fn_batch_wrong_shape_is_reported():
     base = SearchPoint(x=np.array([0.5, 0.5]), value=0.0, feasible=True)
     with pytest.raises(ValueError, match="'short': fn_batch returned shapes"):
         explore(base, 0.1, objective, TabuList())
+
+
+def test_fn_axial_wrong_shape_is_reported():
+    space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
+    objective = Objective(
+        space,
+        fn=lambda raw: (0.0, True),
+        name="short",
+        fn_batch=lambda raw: (np.zeros(len(raw)), np.ones(len(raw), dtype=bool)),
+        fn_axial=lambda raw, bases, counts, axis: (np.zeros(1), np.ones(1, dtype=bool)),
+    )
+    base = SearchPoint(x=np.array([0.5, 0.5]), value=0.0, feasible=True)
+    with pytest.raises(ValueError, match="'short': fn_axial returned shapes"):
+        explore(base, 0.1, objective, TabuList())
+    # Without its structure a block goes to fn_batch, whose shapes are right.
+    values, feasible = evaluate_raw_block(objective, np.full((3, 2), 0.5))
+    assert values.tolist() == [0.0] * 3 and feasible.all()
 
 
 def test_non_finite_feasible_block_value_is_an_objective_error():
@@ -583,6 +642,26 @@ def test_non_finite_feasible_pattern_value_is_an_objective_error(bad, sense):
     state.adopt(state.base)
     with pytest.raises(ValueError, match=re.escape(f"'broken' returned non-finite value {bad!r} for a feasible point")):
         hillclimb.hj_stage([state], objective)  # the winner is 0.4, its pattern point 0.3
+
+
+def test_spy_checks_the_axial_structure_and_refuses_an_entry_point_it_does_not_wrap():
+    objective, spy = spied(make_bump(4))
+    bases = np.full((2, 4), 5.0)
+    raw = np.full((3, 4), 5.0)
+    raw[:, 0] = [5.5, 4.5, 6.0]
+    objective.fn_axial(raw, bases, [2, 1], np.array([0, 0, 0]))
+    assert spy.blocks == [3] and spy.axial_calls == 1 and spy.evals == 3
+    with pytest.raises(AssertionError, match="differs from its base off its axis"):
+        objective.fn_axial(raw, bases, [2, 1], np.array([0, 1, 0]))
+
+    @dataclasses.dataclass(frozen=True)
+    class Wider(Objective):
+        fn_more: object = None
+
+    wider = Wider(objective.space, fn=objective.fn, fn_more=objective.fn)
+    with pytest.raises(TypeError, match="spied does not wrap Objective.fn_more"):
+        spied(wider)
+    spied(dataclasses.replace(wider, fn_more=None))
 
 
 # --- one point goes to fn, a block to fn_batch ---------------------------------
@@ -624,6 +703,20 @@ def test_objective_exception_propagates_unchanged_from_both_paths():
         assert raised.value is bug
 
 
+def test_objective_exception_propagates_unchanged_from_fn_axial():
+    bug = ObjectiveBug("boom")
+
+    def fail(*args):
+        raise bug
+
+    space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
+    objective = Objective(space, fn=lambda raw: (0.0, True), fn_axial=fail)
+    base = SearchPoint(x=np.array([0.25, 0.5]), value=0.0, feasible=True)
+    with pytest.raises(ObjectiveBug) as raised:
+        explore(base, 0.1, objective, TabuList())
+    assert raised.value is bug
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("sense", [MINIMIZE, MAXIMIZE])
 def test_non_finite_feasible_value_same_error_from_both_paths(bad, sense):
@@ -636,6 +729,11 @@ def test_non_finite_feasible_value_same_error_from_both_paths(bad, sense):
             with pytest.raises(ValueError) as raised:
                 call()
             messages.add(str(raised.value))
+    # An axial block goes to fn_axial, which raises the same error.
+    objective = Objective(space, fn, sense, "broken", fn_axial=lambda raw, *structure: fn_batch(raw))
+    with pytest.raises(ValueError) as raised:
+        explore(SearchPoint(x=np.array([0.5]), value=0.0, feasible=True), 0.1, objective, TabuList())
+    messages.add(str(raised.value))
     assert messages == {f"objective 'broken' returned non-finite value {bad!r} for a feasible point"}
 
 
@@ -715,7 +813,12 @@ def test_bump_fn_batch_matches_fn_on_stacked_axial_blocks_with_signed_zeros(name
         expected = [objective.fn(row.copy()) for row in rows]
         assert feasible.tolist() == [ok for _, ok in expected]
         assert [v.hex() for v, ok in zip(values.tolist(), feasible) if ok] == [v.hex() for v, ok in expected if ok]
-    _, feasible = objective.fn_batch(block)
+    # fn_axial, given the block's structure, agrees with fn_batch bit for bit.
+    check_axial_structure(block, raw, moves.counts, moves.axis)
+    values, feasible = objective.fn_batch(block)
+    axial_values, axial_feasible = objective.fn_axial(block.copy(), raw, moves.counts, moves.axis)
+    assert axial_feasible.tolist() == feasible.tolist()
+    assert axial_values.tobytes() == values.tobytes()
     assert not feasible[:first].any()
     assert feasible[first:second].tolist() == (moves.axis[first:second] == 1).tolist()
     assert feasible[second:].all()

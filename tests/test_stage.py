@@ -461,7 +461,7 @@ def test_stage_sends_the_reference_points_to_the_objective(problem, threads, bat
     # the order differs.
     objective = PROBLEMS[problem]()
     if not batch:
-        objective = dataclasses.replace(objective, fn_batch=None)
+        objective = dataclasses.replace(objective, fn_batch=None, fn_axial=None)
     starts = lockstep_setup(threads)
     for seed in (0, 1):
         config = SearchConfig(seed=seed, max_evals=1500, intensify_after=1, diversify_after=2, reduce_after=3)
@@ -475,6 +475,9 @@ def test_stage_sends_the_reference_points_to_the_objective(problem, threads, bat
             assert sorted(got.rows) == sorted(want.rows)
         assert len(got.rows) == result.evals
         assert (got.batch_calls > 0) == batch
+        # Every engine block comes with its structure, so an objective with
+        # fn_axial receives no fn_batch call.
+        assert got.axial_calls == (got.batch_calls if objective.fn_axial else 0)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
