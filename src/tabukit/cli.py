@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .benchmarks import make_bump, make_schwefel10
-from .control import RunResult, SearchConfig, check_integer_fields, run_single
+from .control import RunResult, SearchConfig, check_number_fields, run_single
 from .core import Objective, normalize
 from .hydraulic import CircuitTargets, make_circuit
 from .multithread import MultiConfig, run_multi
@@ -71,7 +71,7 @@ class ExperimentSpec:
             raise ValueError(f"method must be {SINGLE!r} or {MULTI!r}")
         if self.start not in (START_FIXED, START_RANDOM):
             raise ValueError(f"start must be {START_FIXED!r} or {START_RANDOM!r}")
-        check_integer_fields(self)
+        check_number_fields(self)
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         for key in self.overrides:

@@ -8,12 +8,14 @@ the resolution floor or the evaluation budget is spent.
 
 One lockstep driver, ``run_lockstep``, runs K threads and returns a
 ``MultiRunResult``; ``run_single`` is its K = 1 case and returns the
-plain ``RunResult`` part. Each thread's state, a reference to the run's
-shared archive included, is one ``ThreadState``. Each stage steps the
-live threads through one ``hillclimb.hj_stage`` call, which screens all
-their probes at once (their state is stacked, ``Stack``), evaluates all
-their axial candidates in one objective call and each pattern point
-alone, and the result is the same as stepping them one after another.
+plain ``RunResult`` part. The run's threads are one table, ``Threads``:
+thread i is row i of every column, its base, step, tabu ring, generator,
+best point and counters alike, and the table holds the one archive that
+the threads share. Each stage steps the live rows through one
+``hillclimb.hj_stage`` call, which screens all their probes at once,
+evaluates all their axial candidates in one objective call and each
+pattern point alone, and the result is the same as stepping them one
+after another.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Objective, ParameterSpace, SearchPoint, check_finite, check_integer, clamp, evaluate
+from .core import Objective, ParameterSpace, SearchPoint, check_finite, check_integer, check_real, clamp, evaluate
 from .hillclimb import IMPROVED, hj_stage
 from .memory import (
     DEFAULT_ELITE_CAPACITY,
@@ -42,12 +44,14 @@ STEP_FLOOR = "step_floor"
 EVAL_BUDGET = "eval_budget"
 
 
-def check_integer_fields(settings) -> None:
+def check_number_fields(settings) -> None:
     """Raise ValueError naming the first int-default field of ``settings``
-    holding a non-integer; a bool is not taken for one."""
+    holding no integer, or float-default one holding no real number; a bool is neither."""
     for f in fields(settings):
         if type(f.default) is int:
             check_integer(getattr(settings, f.name), f.name)
+        elif type(f.default) is float:
+            check_real(getattr(settings, f.name), f.name)
 
 
 @dataclass
@@ -68,7 +72,9 @@ class SearchConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        check_integer_fields(self)
+        check_number_fields(self)
+        if self.step_min is not None:
+            check_real(self.step_min, "step_min")
         if not (0 < self.intensify_after < self.diversify_after < self.reduce_after):
             raise ValueError("thresholds must satisfy 0 < intensify < diversify < reduce")
         if not (0.0 < self.step_reduce_factor < 1.0):
@@ -90,76 +96,47 @@ class SearchConfig:
 
 
 @dataclass(eq=False)
-class Stack:
-    """A run's per-thread state with one row per thread, which a stage reads
-    for all its threads at once: bases ``x`` ``(K, 1, N)`` and ``raw``
-    ``(K, N)``, steps ``(K, 1, 1)`` and tabu rings ``(K, capacity, N)``;
-    thread i owns row i."""
+class Threads:
+    """A run's threads as one table: thread i is row i of every column.
+    The bases ``x`` ``(K, 1, N)`` and ``raw`` ``(K, N)``, the steps
+    ``(K, 1, 1)`` and the tabu rings ``(K, capacity, N)`` are arrays that
+    a stage reads at once. The other columns are lists: tabu list (over
+    its ring), generator, best point, evaluations, consecutive failures,
+    pending restructure (None while it continues) and ``(evaluations,
+    best value)`` at each improvement. ``memory`` is the archive that all
+    the threads share. ``rebase`` and ``adopt`` move a base."""
 
     x: np.ndarray
     raw: np.ndarray
     step: np.ndarray
     tabu: np.ndarray
-
-
-@dataclass(eq=False)
-class ThreadState:
-    """Mutable state of thread ``row``: its tabu list, generator and pending
-    request, and ``memory``, the elite archive that all the run's threads
-    share. The step, the tabu ring (``tabu`` is a view) and copies of the
-    base live in row ``row`` of ``stack``; move the base with ``rebase``
-    or ``adopt``, which keep them in step."""
-
-    base: SearchPoint
-    best: SearchPoint
-    tabu: TabuList
+    tabu_lists: list[TabuList]
+    rngs: list[np.random.Generator]
+    best: list[SearchPoint]
+    evals: list[int]
+    fail_count: list[int]
+    pending: list[str | None]
+    history: list[list[tuple[int, float]]]
     memory: IntermediateMemory
-    rng: np.random.Generator
-    stack: Stack
-    row: int
-    fail_count: int = 0
-    #: The restructure this thread asks for, None while it continues.
-    pending: str | None = None
-    #: Objective evaluations this thread has spent.
-    evals: int = 0
-    #: (evaluation count, best value) at each improvement, oldest first.
-    history: list[tuple[int, float]] = field(default_factory=list)
 
-    def __post_init__(self):
-        self._x, self._raw = self.stack.x[self.row, 0], self.stack.raw[self.row]
-        self.rebase(self.base)
-
-    @property
-    def step(self) -> float:
-        return self.stack.step.item(self.row)
-
-    @step.setter
-    def step(self, value: float) -> None:
-        self.stack.step[self.row] = value
-
-    def observe(self, point: SearchPoint) -> bool:
-        """Track the incumbent best. Returns True when ``point`` takes over."""
-        if point.feasible and point.value < self.best.value:
-            self.best = point
-            self.history.append((self.evals, point.value))
-            return True
-        return False
-
-    def rebase(self, point: SearchPoint) -> None:
-        """Move the base to ``point`` and its rows to the stack; ``point``
-        must carry its raw row, as every evaluated point does."""
+    def rebase(self, i: int, point: SearchPoint) -> None:
+        """Copy ``point`` into thread i's base rows; ``point`` must carry
+        its raw row, as every evaluated point does."""
         if point.raw is None:
-            raise ValueError(f"thread {self.row}'s base has no raw row; evaluate it with core.evaluate")
-        self.base = point
-        self._x[...] = point.x
-        self._raw[...] = point.raw
+            raise ValueError(f"thread {i}'s base has no raw row; evaluate it with core.evaluate")
+        self.x[i, 0] = point.x
+        self.raw[i] = point.raw
 
-    def adopt(self, point: SearchPoint) -> None:
-        """Move the base to ``point``: tabu it, offer it to the archive and observe it."""
-        self.rebase(point)
-        self.tabu.push(point.x)
+    def adopt(self, i: int, point: SearchPoint) -> None:
+        """Move thread i's base to ``point``: tabu it, offer it to the
+        archive, and make it the thread's best when it is feasible and
+        strictly better."""
+        self.rebase(i, point)
+        self.tabu_lists[i].push(point.x)
         self.memory.offer(point)
-        self.observe(point)
+        if point.feasible and point.value < self.best[i].value:
+            self.best[i] = point
+            self.history[i].append((self.evals[i], point.value))
 
 
 def thread_generators(seed: int, k: int) -> list[np.random.Generator]:
@@ -170,28 +147,30 @@ def thread_generators(seed: int, k: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(k)]
 
 
-def fresh_states(
+def fresh_threads(
     points: Sequence[SearchPoint], config: SearchConfig, rngs: Sequence[np.random.Generator] | None = None
-) -> list[ThreadState]:
-    """One thread around each already-evaluated start, whose evaluation is
-    the thread's first: thread i on row i of one new ``Stack``, drawing
-    from ``rngs[i]`` (``thread_generators(config.seed, K)`` by default),
-    all sharing one new archive. Until a feasible point takes over, a
-    thread's best is a sentinel at its start, with its ``x`` and ``raw``.
-    Raises ValueError when there are no starts."""
+) -> Threads:
+    """One thread on each already-evaluated start, whose evaluation is the
+    thread's first: thread i based at ``points[i]``, drawing from
+    ``rngs[i]`` (``thread_generators(config.seed, K)`` by default), all
+    sharing one new archive. Nothing is tabu or archived yet. Until a
+    feasible point takes over, a thread's best is a sentinel at its start,
+    with its ``x`` and ``raw``. Raises ValueError when there are no starts."""
     if not points:
         raise ValueError("a run needs at least one start, and got none")
     k, n = len(points), points[0].x.size
-    rngs = thread_generators(config.seed, k) if rngs is None else rngs
-    memory = IntermediateMemory(config.m_elite, config.match_tol)
-    step, rings = np.full((k, 1, 1), config.step_initial), np.full((k, config.n_tabu, n), math.inf)
-    stack = Stack(np.empty((k, 1, n)), np.empty((k, n)), step, rings)
-    states = []
-    for i, (point, rng) in enumerate(zip(points, rngs)):
-        sentinel = SearchPoint(x=point.x, value=math.inf, feasible=False, raw=point.raw)
-        tabu = TabuList(config.n_tabu, config.match_tol, stack.tabu[i])
-        states.append(ThreadState(point, sentinel, tabu, memory, rng, stack, i, evals=1))
-    return states
+    rings = np.full((k, config.n_tabu, n), math.inf)
+    threads = Threads(
+        np.empty((k, 1, n)), np.empty((k, n)), np.full((k, 1, 1), config.step_initial), rings,
+        tabu_lists=[TabuList(config.n_tabu, config.match_tol, ring) for ring in rings],
+        rngs=list(thread_generators(config.seed, k) if rngs is None else rngs),
+        best=[SearchPoint(x=point.x, value=math.inf, feasible=False, raw=point.raw) for point in points],
+        evals=[1] * k, fail_count=[0] * k, pending=[None] * k, history=[[] for _ in points],
+        memory=IntermediateMemory(config.m_elite, config.match_tol),
+    )
+    for i, point in enumerate(points):
+        threads.rebase(i, point)
+    return threads
 
 
 def resolved_step_min(config: SearchConfig, space: ParameterSpace) -> float:
@@ -233,38 +212,40 @@ def control_decision(fail_count: int, config: SearchConfig) -> str:
     return CONTINUE
 
 
-def apply_action(state: ThreadState, action: str, objective: Objective, config: SearchConfig) -> None:
-    """Carry out a control action, mutating ``state`` in place.
+def apply_action(threads: Threads, action: str, i: int, objective: Objective, config: SearchConfig) -> int:
+    """Carry out a control action on thread i of ``threads``, in place.
+    Returns the evaluations spent, which are added to its ``evals``.
 
     Intensify and diversify relocate the base, which costs one
-    evaluation, added to ``state.evals``; reduce_step halves the step,
-    restarts from the incumbent best and resets the failure counter.
-    With an empty elite archive intensify is a no-op and diversify
-    falls back to a uniform random point.
+    evaluation; reduce_step halves the step, restarts from the
+    incumbent best and resets the failure counter. With an empty elite
+    archive intensify is a no-op and diversify falls back to a uniform
+    random point.
     """
     if action == CONTINUE:
-        return
+        return 0
     if action == REDUCE_STEP:
-        state.step *= config.step_reduce_factor
-        state.rebase(state.best)
-        state.fail_count = 0
-        return
-    memory = state.memory
+        threads.step[i] *= config.step_reduce_factor
+        threads.rebase(i, threads.best[i])
+        threads.fail_count[i] = 0
+        return 0
+    memory = threads.memory
     if action == INTENSIFY:
         if len(memory) == 0:
-            return
+            return 0
         x = memory.intensify()
     elif action == DIVERSIFY:
         if len(memory) == 0:
-            x = state.rng.random(state.base.x.size)
+            x = threads.rngs[i].random(threads.x.shape[2])
         else:
-            x = memory.diversify(state.rng)
+            x = memory.diversify(threads.rngs[i])
     else:
         raise ValueError(f"unknown control action: {action!r}")
 
     point = evaluate(objective, x)
-    state.evals += 1
-    state.adopt(point)
+    threads.evals[i] += 1
+    threads.adopt(i, point)
+    return 1
 
 
 @dataclass
@@ -275,14 +256,10 @@ class CollisionLog:
 
 
 def detect_collision(
-    state_a: ThreadState,
-    state_b: ThreadState,
-    tol: float,
-    log: CollisionLog | None = None,
-    eval_count: int = 0,
+    x_a: np.ndarray, x_b: np.ndarray, tol: float, log: CollisionLog | None = None, eval_count: int = 0
 ) -> bool:
-    """True when the two bases agree within ``tol`` in every coordinate."""
-    diff = np.abs(state_a.base.x - state_b.base.x)
+    """True when the two base vectors agree within ``tol`` in every coordinate."""
+    diff = np.abs(x_a - x_b)
     dist = diff.item(diff.argmax())  # the max, without the reduction's wrapper
     hit = dist <= tol
     if hit and log is not None:
@@ -340,8 +317,8 @@ def run_lockstep(
     start is a uniform random point from it. The config, then the
     starts (named in errors by ``name``) are checked before anything is
     evaluated. The threads share the elite archive and the evaluation
-    budget, and each has its own tabu list and evaluation count, in one
-    ``Stack`` allocated for the run.
+    budget, and each has its own tabu list and evaluation count, as its
+    row of the run's ``Threads`` table.
 
     Each stage steps every thread whose step is at or above the floor,
     with the result of stepping them one by one in index order: a
@@ -368,24 +345,25 @@ def run_lockstep(
     xs = [None if x is None else start_point(x, dim, name) for name, x in starts]
     rngs = thread_generators(config.seed, len(xs))
     points = [evaluate(objective, rng.random(dim) if x0 is None else x0) for rng, x0 in zip(rngs, xs)]
-    states = fresh_states(points, config, rngs)
-    best = states[0].best  # thread 0's sentinel, at its start
+    threads = fresh_threads(points, config, rngs)
+    bests, evals, fail_count, pending = threads.best, threads.evals, threads.fail_count, threads.pending
+    best = bests[0]  # thread 0's sentinel, at its start
     history: list[tuple[int, float]] = []
-    # Thread i's start was evaluation i + 1.
-    for total, state in enumerate(states, 1):
-        state.adopt(state.base)
-        if state.best.value < best.value:
-            best = state.best
-            history.append((total, best.value))
+    for i, point in enumerate(points):
+        threads.adopt(i, point)
+        if bests[i].value < best.value:
+            best = bests[i]
+            history.append((i + 1, best.value))  # thread i's start was evaluation i + 1
 
     # Plain loops below: at K = 1 this is the whole per-step overhead
     # of run_single.
-    k = len(states)
+    k = total = len(points)
+    bases = list(threads.x[:, 0])  # views of the base rows
     stages: list[tuple[str, ...]] = []
     idle = (CONTINUE,) * k
     collisions = CollisionLog()
     terminated_by = EVAL_BUDGET
-    live = [state for state in states if state.step >= step_floor]  # only a restructure changes a step
+    live = [i for i in range(k) if threads.step.item(i) >= step_floor]  # only a restructure changes a step
     while total < config.max_evals:
         # Every live thread steps while the budget lasts. One hj_stage
         # call steps as many of them as the budget surely admits; a
@@ -395,19 +373,19 @@ def run_lockstep(
             break
         stepping = live
         while stepping and total < config.max_evals:
-            steps = hj_stage(stepping, objective, config.k_pattern, config.max_evals - total)
-            for state, (outcome, spent) in zip(stepping, steps):
+            steps = hj_stage(threads, stepping, objective, config.k_pattern, config.max_evals - total)
+            for i, (outcome, spent) in zip(stepping, steps):
                 if outcome == IMPROVED:
-                    state.fail_count = 0
-                    state.pending = None
+                    fail_count[i] = 0
+                    pending[i] = None
                 else:
-                    state.fail_count += 1
+                    fail_count[i] += 1
                 total += spent
-                if state.best.value < best.value:
-                    best = state.best
+                if bests[i].value < best.value:
+                    best = bests[i]
                     history.append((total, best.value))
-                request = state.pending or control_decision(state.fail_count, config)
-                state.pending = None if request == CONTINUE else request
+                request = pending[i] or control_decision(fail_count[i], config)
+                pending[i] = None if request == CONTINUE else request
             stepping = stepping[len(steps) :]
         if total >= config.max_evals:
             break
@@ -416,29 +394,25 @@ def run_lockstep(
         # worst best goes (the lowest index on ties) and the others keep
         # their request pending.
         actions = idle
-        performer = None
-        for state in states:
-            if state.pending is not None and (performer is None or state.best.value > performer.best.value):
-                performer = state
-        if performer is not None:
-            i, action, performer.pending = performer.row, performer.pending, None
+        asking = [i for i in range(k) if pending[i] is not None]
+        if asking:
+            i = max(asking, key=lambda j: bests[j].value)  # max keeps the first of equals
+            action, pending[i] = pending[i], None
             actions = idle[:i] + (action,) + idle[i + 1 :]
-            before = performer.evals
-            apply_action(performer, action, objective, config)
-            total += performer.evals - before
-            if performer.best.value < best.value:
-                best = performer.best
+            total += apply_action(threads, action, i, objective, config)
+            if bests[i].value < best.value:
+                best = bests[i]
                 history.append((total, best.value))
-            live = [state for state in states if state.step >= step_floor]
+            live = [i for i in range(k) if threads.step.item(i) >= step_floor]
 
         stages.append(actions)
         for i in range(k):
             for j in range(i + 1, k):
-                detect_collision(states[i], states[j], config.match_tol, collisions, total)
+                detect_collision(bases[i], bases[j], config.match_tol, collisions, total)
 
-    threads = [
-        ThreadReport(state.row, state.best, state.best.raw.copy(), state.evals, state.step, list(state.history))
-        for state in states
+    reports = [
+        ThreadReport(i, bests[i], bests[i].raw.copy(), evals[i], threads.step.item(i), list(threads.history[i]))
+        for i in range(k)
     ]
     return MultiRunResult(
         best=best,
@@ -446,7 +420,7 @@ def run_lockstep(
         evals=total,
         terminated_by=terminated_by,
         history=history,
-        threads=threads,
+        threads=reports,
         collisions=collisions,
         stages=stages,
     )

@@ -9,6 +9,7 @@ evaluation boundary.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -33,6 +34,14 @@ def check_integer(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a float: any ``numbers.Real`` but a bool passes, and
+    anything else is a ValueError that names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

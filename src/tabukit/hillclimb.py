@@ -10,8 +10,9 @@ built and screened from the base and the moved coordinates alone: an
 entry of the tabu list can match a neighbor only when no other
 coordinate of the base lies farther from it than the tolerance.
 
-The driver steps every thread of a stage through one ``hj_stage`` call,
-with the result of stepping them one by one; its docstring says how.
+A thread is a row of the run's ``control.Threads`` table. The driver
+steps the live rows of a stage through one ``hj_stage`` call, with the
+result of stepping them one by one; its docstring says how.
 ``explore`` and ``hj_step`` are not called by the engine; they stay as
 the boundaries that ``perfbench/tracer.py`` wraps.
 """
@@ -40,7 +41,7 @@ from .core import (
 from .memory import TabuList, screen_axial
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .control import ThreadState
+    from .control import Threads
 
 IMPROVED = "improved"
 NOT_IMPROVED = "not_improved"
@@ -187,24 +188,24 @@ def _pattern_point(base_x: np.ndarray, axis: int, m: float, k: float) -> np.ndar
 
 
 def hj_stage(
-    states: Sequence["ThreadState"],
+    threads: "Threads",
+    rows: Sequence[int],
     objective: Objective,
     k_pattern: float = 1.0,
     budget: float = math.inf,
 ) -> list[tuple[str, int]]:
     """One exploration + pattern-move cycle for each of several threads.
 
-    Steps the leading threads of ``states`` as one batched operation,
-    with the result of stepping them one by one in order. A thread takes
-    part only while the evaluations that the threads before it may
-    spend, at most their rows plus one pattern point each, stay below
-    ``budget``; the first always does. Each stepping thread adds what it
-    spent to its ``evals``. Returns ``(outcome, evaluations)`` for each
-    thread that stepped, in order; no states step none.
+    Steps the leading ``rows`` of the ``control.Threads`` table as one
+    batched operation, with the result of stepping them one by one in
+    that order. A thread takes part only while the evaluations that the
+    threads before it may spend, at most their rows plus one pattern
+    point each, stay below ``budget``; the first always does. Each
+    stepping thread adds what it spent to its ``evals``. Returns
+    ``(outcome, evaluations)`` for each thread that stepped; no rows step none.
 
-    The states must share one ``control.Stack`` (else ValueError), which
-    ``axial_moves`` reads for all of them at once: its arrays themselves
-    when the states are all its rows in order, else copies of their rows.
+    ``axial_moves`` reads the table's arrays for all the rows at once:
+    the arrays themselves when ``rows`` is every row in order, else copies.
     The axial rows are built from the bases' raw rows (``axial_block``)
     and evaluated in one ``evaluate_raw_block`` call, with the block's
     structure for ``Objective.fn_axial``; the winner takes a copy of its
@@ -214,10 +215,11 @@ def hj_stage(
     tabu, is evaluated alone by ``objective.fn`` with ``evaluate_raw``'s
     checks, and the adopted point (the pattern point if strictly better
     than the exploration point, else the exploration point) becomes the
-    new base, goes on the tabu list and is offered to the thread's elite
-    archive. Only the adopted point is built as a ``SearchPoint``. The
-    pattern point differs from the base in the winner's coordinate only, as the
-    winner does, so it is screened against the thread's tabu list with
+    new base, goes on the tabu list and is offered to the shared elite
+    archive (``Threads.adopt``). Only the adopted point is built as a
+    ``SearchPoint``, on a copy of the base row. The pattern point differs
+    from the base in the winner's coordinate only, as the winner does,
+    so it is screened against the thread's tabu list with
     the mask of its axial screen and its raw row is the winner's with
     that one coordinate denormalized.
     The outcome is IMPROVED when the adopted point beats the thread's
@@ -225,20 +227,14 @@ def hj_stage(
     """
     if not 0.0 < k_pattern < math.inf:  # also rejects NaN, as SearchConfig.validate does
         raise ValueError(f"pattern factor must be positive and finite, got {k_pattern!r}")
-    if not states:
+    if not rows:
         return []
     k = float(k_pattern)
-    stack = states[0].stack
-    x, step, tabu, raw = stack.x, stack.step, stack.tabu, stack.raw
-    whole = len(states) == len(x)  # every row of the stack, in order
-    for t, state in enumerate(states):
-        if state.stack is not stack:
-            raise ValueError(f"thread {state.row} is not on the stage's stack; build the threads with fresh_states")
-        whole = whole and state.row == t
-    if not whole:  # some threads, or out of row order: copies
-        rows = [state.row for state in states]
+    x, step, tabu, raw = threads.x, threads.step, threads.tabu, threads.raw
+    if list(rows) != list(range(len(x))):  # some threads, or out of row order: copies
         x, step, tabu, raw = x[rows], step[rows], tabu[rows], raw[rows]
-    moves = axial_moves(x, step, tabu, states[0].tabu.match_tol, budget)
+    tabu_lists, evals = threads.tabu_lists, threads.evals
+    moves = axial_moves(x, step, tabu, tabu_lists[0].match_tol, budget)
     space = objective.space
     bases = raw[: len(moves.counts)]
     raw = axial_block(space, bases, moves)
@@ -249,7 +245,7 @@ def hj_stage(
 
     steps: list[tuple[str, int]] = []
     stop = 0
-    for t, (state, count) in enumerate(zip(states, moves.counts)):
+    for t, (i, count) in enumerate(zip(rows, moves.counts)):
         start, stop = stop, stop + count
         spent = count
         if count:
@@ -258,18 +254,18 @@ def hj_stage(
             w = start + int(values[start:stop].argmin())
             value = values.item(w)
         if not count or value == INFEASIBLE_VALUE:
-            state.evals += spent
+            evals[i] += spent
             steps.append((STALLED, spent))
             continue
         a, m = axes.item(w), moved.item(w)
-        base_x = state.base.x
+        base_x = x[t, 0]
         adopted = None
         # No pattern evaluation when clamping collapsed the pattern point
         # onto the exploration point, and never adopt a tabu one.
         p_x = _pattern_point(base_x, a, m, k)
         if p_x is not None:
             p = p_x.item(a)
-            if not state.tabu.axial_is_tabu(rest_near[t], a, p):
+            if not tabu_lists[i].axial_is_tabu(rest_near[t], a, p):
                 p_raw = raw[w].copy()
                 p_raw[a] = denormalize_coordinate(space, a, p)
                 p_value, ok = objective.fn(p_raw)  # evaluate_raw's call and checks, no point unless adopted
@@ -282,15 +278,15 @@ def hj_stage(
             move_x = base_x.copy()
             move_x[a] = m
             adopted = SearchPoint(x=move_x, value=value, feasible=True, raw=raw[w].copy())
-        state.evals += spent
-        best_before = state.best.value
-        state.adopt(adopted)
+        evals[i] += spent
+        best_before = threads.best[i].value
+        threads.adopt(i, adopted)
         steps.append((IMPROVED if adopted.value < best_before - IMPROVE_TOL else NOT_IMPROVED, spent))
     return steps
 
 
-def hj_step(state: "ThreadState", objective: Objective, k_pattern: float = 1.0) -> str:
-    """One exploration + pattern-move cycle from the thread's base point:
-    ``hj_stage`` for one thread. Returns the outcome. The engine does not
-    call it; it stays as a ``perfbench/tracer.py`` boundary."""
-    return hj_stage([state], objective, k_pattern)[0][0]
+def hj_step(state: "Threads", objective: Objective, k_pattern: float = 1.0) -> str:
+    """One exploration + pattern-move cycle from the base of a one-thread
+    table ``state``: ``hj_stage`` for its row. Returns the outcome. The
+    engine does not call it; it stays as a ``perfbench/tracer.py`` boundary."""
+    return hj_stage(state, [0], objective, k_pattern)[0][0]

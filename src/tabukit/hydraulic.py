@@ -10,12 +10,11 @@ flow wasted over the relief valve.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .core import MINIMIZE, Objective, ParameterSpace
+from .core import MINIMIZE, Objective, ParameterSpace, check_real
 
 PROPORTIONAL = "proportional"
 PRIORITY = "priority"
@@ -64,10 +63,7 @@ class CircuitTargets:
         # Each field is stored as a float; a value of another type is
         # named here rather than failing later inside a comparison.
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
-            object.__setattr__(self, f.name, float(value))
+            object.__setattr__(self, f.name, check_real(getattr(self, f.name), f.name))
         for name in ("omega1_target", "omega2_target"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -1,13 +1,14 @@
 """Helpers that several test modules share: one thread's axial moves, a
-strategy of normalized coordinates, a spy on what reaches an objective, and
-the structure check of an axial block."""
+table of adopted threads, a strategy of normalized coordinates, a spy on
+what reaches an objective, and the structure check of an axial block."""
 import dataclasses
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from tabukit.core import MAXIMIZE
+from tabukit.control import SearchConfig, fresh_threads
+from tabukit.core import MAXIMIZE, evaluate
 from tabukit.hillclimb import axial_moves
 
 
@@ -18,6 +19,17 @@ UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1
 def moves_around(base, step, tabu):
     """``axial_moves`` of one thread: ``base`` with its step and tabu list."""
     return axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tabu.match_tol)
+
+
+def adopted_threads(objective, starts, config=None):
+    """A ``control.Threads`` table with one thread at each normalized start,
+    each start evaluated and adopted as ``run_lockstep`` adopts it: tabu,
+    offered to the archive and the thread's best when feasible."""
+    points = [evaluate(objective, np.asarray(x, dtype=float)) for x in starts]
+    threads = fresh_threads(points, config or SearchConfig())
+    for i, point in enumerate(points):
+        threads.adopt(i, point)
+    return threads
 
 
 @dataclasses.dataclass

@@ -19,6 +19,9 @@ DELETED = [
     (MoveSet, "x"),
     (MoveSet, "sign"),
     (hillclimb, "pattern_move"),
+    (control, "ThreadState"),
+    (control, "Stack"),
+    (control, "fresh_states"),
 ]
 
 
@@ -34,7 +37,7 @@ ENGINE = [
     (hillclimb, "STALLED"),
     (hillclimb, "explore"),
     (hillclimb, "hj_step"),
-    (control, "ThreadState"),
+    (control, "Threads"),
     (control, "apply_action"),
     (control, "control_decision"),
     (control, "detect_collision"),
@@ -56,15 +59,15 @@ def test_deleted_helper_stays_deleted(owner, name):
     assert not hasattr(tabukit, name)
 
 
-#: Parameter names for what a thread holds itself (``ThreadState.memory``
-#: and ``rng``) and for the generator factory that runs no longer take.
+#: Parameter names for what the thread table holds itself (its ``memory`` and
+#: a thread's ``rng``) and for the generator factory that runs no longer take.
 THREAD_STATE = {"memory", "shared", "rng", "seed_rngs"}
 
 
 def defined_functions(module):
     """(name, function) of each function that ``module`` defines, and of
     each method of the classes that it defines but their constructors:
-    ``ThreadState``'s takes the state that the thread then holds."""
+    ``Threads``'s takes the state that the table then holds."""
     for name, value in vars(module).items():
         if getattr(value, "__module__", None) != module.__name__:
             continue
@@ -78,7 +81,7 @@ def defined_functions(module):
 @pytest.mark.parametrize("module", [control, hillclimb], ids=lambda module: module.__name__)
 def test_no_function_takes_thread_state_as_a_parameter(module):
     functions = dict(defined_functions(module))
-    assert {"hj_stage", "apply_action", "ThreadState.adopt"} & functions.keys()
+    assert {"hj_stage", "apply_action", "Threads.adopt"} & functions.keys()
     taking = {
         f"{name}({parameter})"
         for name, fn in functions.items()

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from tabukit.cli import ExperimentSpec, run_experiment
 from tabukit.control import (
     CONTINUE,
     DIVERSIFY,
@@ -14,12 +16,14 @@ from tabukit.control import (
     SearchConfig,
     apply_action,
     control_decision,
-    fresh_states,
+    fresh_threads,
     resolved_step_min,
     run_single,
 )
 from tabukit.core import Objective, ParameterSpace, evaluate
 from tabukit.multithread import MultiConfig, run_multi
+
+from support import adopted_threads
 
 
 def interval_objective(fn, lower=-1.0, upper=1.0, min_step=1e-4, dim=1):
@@ -125,6 +129,28 @@ class TestConfigValidation:
             run_multi(obj, MultiConfig(base=cfg))
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("k_pattern", "2"),
+            ("k_pattern", True),
+            ("step_initial", None),
+            ("step_initial", np.array([0.1])),
+            ("step_reduce_factor", [0.5]),
+            ("step_min", "0.01"),
+            ("match_tol", "1e-6"),
+        ],
+    )
+    def test_float_setting_that_is_no_real_number_named(self, name, value):
+        message = f"^{name} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SearchConfig(**{name: value}).validate()
+        with pytest.raises(ValueError, match=message):
+            run_experiment(ExperimentSpec("schwefel10", overrides={name: value}))
+
+    def test_integers_and_numpy_reals_accepted_as_float_settings(self):
+        SearchConfig(k_pattern=2, step_initial=np.float64(0.5), step_min=np.float32(0.25), match_tol=0).validate()
+
     def test_step_min_derived_from_space(self):
         space = ParameterSpace(
             lower=np.array([0.0, 0.0]),
@@ -136,45 +162,37 @@ class TestConfigValidation:
         assert resolved_step_min(SearchConfig(step_min=0.01), space) == 0.01
 
 
-def seeded_state(obj, x0, config):
-    base = evaluate(obj, np.asarray(x0, dtype=float))
-    state = fresh_states([base], config)[0]
-    state.tabu.push(base.x)
-    state.observe(base)
-    return state
-
-
 class TestApplyAction:
     def test_continue_is_noop(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state = seeded_state(obj, [0.7], cfg)
-        before = state.evals
-        base_before = state.base
-        apply_action(state, CONTINUE, obj, cfg)
-        assert state.evals == before
-        assert state.base is base_before
+        threads = adopted_threads(obj, [[0.7]], cfg)
+        base_before = threads.x.tobytes()
+        assert apply_action(threads, CONTINUE, 0, obj, cfg) == 0
+        assert threads.evals == [1]
+        assert threads.x.tobytes() == base_before
 
     def test_reduce_step(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig(step_initial=0.1, step_reduce_factor=0.5)
-        state = seeded_state(obj, [0.7], cfg)
-        state.fail_count = 15
-        before = state.evals
-        apply_action(state, REDUCE_STEP, obj, cfg)
-        assert state.step == 0.05
-        assert state.fail_count == 0
-        assert state.base is state.best
-        assert state.evals == before  # no evaluation consumed
+        threads = adopted_threads(obj, [[0.7]], cfg)
+        threads.fail_count[0] = 15
+        threads.x[0, 0] = 0.2  # moved off the best, which the restart returns to
+        assert apply_action(threads, REDUCE_STEP, 0, obj, cfg) == 0
+        assert threads.step.item(0) == 0.05
+        assert threads.fail_count == [0]
+        assert threads.x[0, 0].tobytes() == threads.best[0].x.tobytes()
+        assert threads.raw[0].tobytes() == threads.best[0].raw.tobytes()
+        assert threads.evals == [1]  # no evaluation consumed
 
     def test_reduce_step_factor_exact(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state = seeded_state(obj, [0.7], cfg)
-        steps = [state.step]
+        threads = adopted_threads(obj, [[0.7]], cfg)
+        steps = [threads.step.item(0)]
         for _ in range(4):
-            apply_action(state, REDUCE_STEP, obj, cfg)
-            steps.append(state.step)
+            apply_action(threads, REDUCE_STEP, 0, obj, cfg)
+            steps.append(threads.step.item(0))
         for prev, cur in zip(steps, steps[1:]):
             assert cur == prev * cfg.step_reduce_factor
             assert cur < prev
@@ -182,65 +200,59 @@ class TestApplyAction:
     def test_intensify_moves_to_centroid(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state = seeded_state(obj, [0.7], cfg)
-        mem = state.memory
-        for x, v in (([0.2], 2.0), ([0.4], 1.0)):
-            mem.offer(evaluate(obj, np.array(x)))
-        before = state.evals
-        apply_action(state, INTENSIFY, obj, cfg)
-        assert state.evals == before + 1
-        assert state.base.x[0] == pytest.approx(0.3)
-        assert state.tabu.is_tabu(state.base.x)
+        threads = adopted_threads(obj, [[0.7]], cfg)
+        for x in ([0.2], [0.6]):
+            threads.memory.offer(evaluate(obj, np.array(x)))
+        assert apply_action(threads, INTENSIFY, 0, obj, cfg) == 1
+        assert threads.evals == [2]
+        assert threads.x[0, 0, 0] == pytest.approx(0.5)  # the centroid of 0.7, 0.2 and 0.6
+        assert threads.tabu_lists[0].is_tabu(threads.x[0, 0])
 
     def test_intensify_empty_memory_noop(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state = seeded_state(obj, [0.7], cfg)
-        before = state.evals
-        base_before = state.base
-        apply_action(state, INTENSIFY, obj, cfg)
-        assert state.evals == before
-        assert state.base is base_before
+        threads = fresh_threads([evaluate(obj, np.array([0.7]))], cfg)  # nothing archived yet
+        base_before = threads.x.tobytes()
+        assert apply_action(threads, INTENSIFY, 0, obj, cfg) == 0
+        assert threads.evals == [1]
+        assert threads.x.tobytes() == base_before
 
     def test_diversify_consumes_one_eval(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state = seeded_state(obj, [0.7], cfg)
-        mem = state.memory
-        mem.offer(evaluate(obj, np.array([0.25])))
-        before = state.evals
-        apply_action(state, DIVERSIFY, obj, cfg)
-        assert state.evals == before + 1
+        threads = fresh_threads([evaluate(obj, np.array([0.7]))], cfg)
+        threads.memory.offer(evaluate(obj, np.array([0.25])))
+        assert apply_action(threads, DIVERSIFY, 0, obj, cfg) == 1
+        assert threads.evals == [2]
         # Single elite entry: the diversified point must copy its value.
-        assert state.base.x[0] == 0.25
+        assert threads.x[0, 0, 0] == 0.25
 
     def test_diversify_empty_memory_uses_random_point(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state = seeded_state(obj, [0.7], cfg)
-        before = state.evals
-        apply_action(state, DIVERSIFY, obj, cfg)
-        assert state.evals == before + 1
-        assert 0.0 <= state.base.x[0] <= 1.0
+        threads = fresh_threads([evaluate(obj, np.array([0.7]))], cfg)
+        assert apply_action(threads, DIVERSIFY, 0, obj, cfg) == 1
+        assert threads.evals == [2]
+        assert 0.0 <= threads.x[0, 0, 0] <= 1.0
 
     def test_relocations_offered_to_memory(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state = seeded_state(obj, [0.7], cfg)
-        mem = state.memory
-        # Two entries so the centroid (0.25) is a genuinely new point.
+        threads = adopted_threads(obj, [[0.7]], cfg)
+        mem = threads.memory
+        # The centroid of 0.7, 0.2 and 0.3 (0.4) is a genuinely new point.
         mem.offer(evaluate(obj, np.array([0.2])))
         mem.offer(evaluate(obj, np.array([0.3])))
-        apply_action(state, INTENSIFY, obj, cfg)
-        assert len(mem) == 3
-        assert any(x[0] == pytest.approx(0.25) for x in mem.rows())
+        apply_action(threads, INTENSIFY, 0, obj, cfg)
+        assert len(mem) == 4
+        assert any(x[0] == pytest.approx(0.4) for x in mem.rows())
 
     def test_unknown_action_rejected(self):
         obj = interval_objective(lambda raw: raw[0] ** 2)
         cfg = SearchConfig()
-        state = seeded_state(obj, [0.7], cfg)
+        threads = adopted_threads(obj, [[0.7]], cfg)
         with pytest.raises(ValueError):
-            apply_action(state, "restart", obj, cfg)
+            apply_action(threads, "restart", 0, obj, cfg)
 
 
 class TestRunSingle:

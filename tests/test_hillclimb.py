@@ -16,7 +16,7 @@ from tabukit.core import (
     denormalize_coordinates,
     evaluate,
 )
-from tabukit.control import SearchConfig, fresh_states
+from tabukit.control import SearchConfig, fresh_threads
 from tabukit.hydraulic import make_circuit
 from tabukit.hillclimb import (
     IMPROVED,
@@ -32,7 +32,7 @@ from tabukit.hillclimb import (
 from tabukit.memory import TabuList
 
 import reference
-from support import UNIT, moves_around
+from support import UNIT, adopted_threads, moves_around
 
 
 def make_objective(fn, dim=1, record=None):
@@ -365,11 +365,7 @@ class TestUfuncClamps:
 def quadratic_setup(base_x, fn=None, step=0.1):
     fn = fn or (lambda raw: (raw[0] - 0.3) ** 2)
     obj = make_objective(fn)
-    base = evaluate(obj, np.asarray(base_x, dtype=float))
-    state = fresh_states([base], SearchConfig(step_initial=step))[0]
-    state.tabu.push(base.x)
-    state.observe(base)
-    return obj, state
+    return obj, adopted_threads(obj, [base_x], SearchConfig(step_initial=step))
 
 
 class TestHjStep:
@@ -379,8 +375,9 @@ class TestHjStep:
         obj, state = quadratic_setup([0.5])
         outcome = hj_step(state, obj)
         assert outcome == IMPROVED
-        assert state.base.x[0] == pytest.approx(0.3)
-        assert state.base.value == pytest.approx(0.0, abs=1e-12)
+        assert state.x[0, 0, 0] == pytest.approx(0.3)
+        assert state.best[0].value == pytest.approx(0.0, abs=1e-12)
+        assert state.best[0].x.tobytes() == state.x[0, 0].tobytes()
 
     def test_exploration_point_kept_when_pattern_worse(self):
         # f = (x-0.42)^2 from 0.3: explore picks 0.4; its pattern
@@ -389,11 +386,10 @@ class TestHjStep:
         obj, state = quadratic_setup(
             [0.3], fn=lambda raw: (raw[0] - 0.42) ** 2
         )
-        before = state.evals
         outcome = hj_step(state, obj)
-        assert state.base.x[0] == pytest.approx(0.4)
+        assert state.x[0, 0, 0] == pytest.approx(0.4)
         assert outcome == IMPROVED
-        assert state.evals - before == 3
+        assert state.evals == [1 + 3]
 
     def test_uphill_move_adopted_when_base_is_optimal(self):
         # From the optimum every neighbor is worse; the least-bad one is
@@ -404,19 +400,18 @@ class TestHjStep:
         )
         outcome = hj_step(state, obj)
         assert outcome == NOT_IMPROVED
-        assert state.base.x[0] == pytest.approx(0.75)
-        assert state.best.value == 0.0
+        assert state.x[0, 0, 0] == pytest.approx(0.75)
+        assert state.best[0].value == 0.0
 
     def test_stalled_when_all_neighbors_tabu(self):
         obj, state = quadratic_setup([0.5])
-        state.tabu.push(np.array([0.4]))
-        state.tabu.push(np.array([0.6]))
-        before = state.evals
-        base_before = state.base
+        state.tabu_lists[0].push(np.array([0.4]))
+        state.tabu_lists[0].push(np.array([0.6]))
+        base_before = state.x.tobytes(), state.raw.tobytes()
         outcome = hj_step(state, obj)
         assert outcome == STALLED
-        assert state.evals == before
-        assert state.base is base_before
+        assert state.evals == [1]
+        assert (state.x.tobytes(), state.raw.tobytes()) == base_before
 
     def test_eval_economy(self):
         # Never more than 2N+1 evaluations per step (2N neighbors + pattern).
@@ -424,39 +419,34 @@ class TestHjStep:
         dim = 4
         calls = []
         obj = make_objective(lambda raw: float(np.sum((raw - 0.37) ** 2)), dim=dim, record=calls)
-        base = evaluate(obj, rng.random(dim))
-        state = fresh_states([base], SearchConfig())[0]
-        state.observe(base)
+        state = fresh_threads([evaluate(obj, rng.random(dim))], SearchConfig())
         for _ in range(30):
-            before, calls_before = state.evals, len(calls)
+            before, calls_before = state.evals[0], len(calls)
             hj_step(state, obj)
-            assert state.evals - before == len(calls) - calls_before <= 2 * dim + 1
+            assert state.evals[0] - before == len(calls) - calls_before <= 2 * dim + 1
 
     def test_adopted_point_never_tabu_at_selection(self):
         rng = np.random.default_rng(13)
         obj = make_objective(lambda raw: float(np.sum(np.sin(7 * raw))), dim=3)
-        base = evaluate(obj, rng.random(3))
-        state = fresh_states([base], SearchConfig())[0]
-        state.tabu.push(base.x)
-        state.observe(base)
+        state = adopted_threads(obj, [rng.random(3)])
         for _ in range(40):
-            tabu_before = copy.deepcopy(state.tabu)
+            tabu_before = copy.deepcopy(state.tabu_lists[0])
             outcome = hj_step(state, obj)
             if outcome == STALLED:
                 break
-            assert not tabu_before.is_tabu(state.base.x)
+            assert not tabu_before.is_tabu(state.x[0, 0])
 
     def test_adopted_point_recorded_in_tabu_and_elite(self):
         obj, state = quadratic_setup([0.5])
         hj_step(state, obj)
-        assert state.tabu.is_tabu(state.base.x)
-        assert state.memory.values()[0] == state.base.value
+        assert state.tabu_lists[0].is_tabu(state.x[0, 0])
+        assert state.memory.rows()[0].tobytes() == state.x[0, 0].tobytes()
 
     def test_improvement_tracks_thread_best(self):
         obj, state = quadratic_setup([0.5])
         hj_step(state, obj)
-        assert state.best.value == state.base.value
-        history_values = [v for _, v in state.history]
+        assert state.best[0].x.tobytes() == state.x[0, 0].tobytes()
+        history_values = [v for _, v in state.history[0]]
         assert history_values == sorted(history_values, reverse=True)
 
 
@@ -468,13 +458,13 @@ class TestNonFiniteFactorAndStep:
     def test_pattern_factor_outside_zero_to_inf(self, k):
         calls = []
         obj = make_objective(lambda raw: raw[0], dim=2, record=calls)
-        state = fresh_states([evaluate(obj, np.array([0.5, 0.5]))], SearchConfig())[0]
+        state = fresh_threads([evaluate(obj, np.array([0.5, 0.5]))], SearchConfig())
         match = "^pattern factor must be positive and finite"
         with pytest.raises(ValueError, match=match):
             hj_step(state, obj, k_pattern=k)
         with pytest.raises(ValueError, match=match):
-            hj_stage([state], obj, k_pattern=k)
-        assert len(calls) == state.evals == 1
+            hj_stage(state, [0], obj, k_pattern=k)
+        assert len(calls) == 1 and state.evals == [1]
 
     @pytest.mark.parametrize("step", [math.nan, -math.nan, 0.0, -0.1, -math.inf])
     def test_explore_step_not_positive(self, step):

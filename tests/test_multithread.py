@@ -16,10 +16,10 @@ from tabukit.control import (
     RunResult,
     SearchConfig,
     detect_collision,
-    fresh_states,
+    fresh_threads,
     run_single,
 )
-from tabukit.core import Objective, ParameterSpace, denormalize, evaluate
+from tabukit.core import Objective, ParameterSpace, denormalize
 from tabukit.multithread import MultiConfig, run_multi, thread_rngs
 
 from reference import Tabu, axial_probes
@@ -32,45 +32,30 @@ def small_objective(dim=2, seed_fn=None):
     return Objective(space=space, fn=fn)
 
 
-def states_at(xa, xb, objective):
-    points = [evaluate(objective, np.asarray(x, float)) for x in (xa, xb)]
-    return fresh_states(points, SearchConfig())
-
-
 class TestDetectCollision:
     def test_identical_bases_collide(self):
-        obj = small_objective()
-        sa, sb = states_at([0.5, 0.5], [0.5, 0.5], obj)
-        assert detect_collision(sa, sb, tol=1e-6)
+        assert detect_collision(np.array([0.5, 0.5]), np.array([0.5, 0.5]), tol=1e-6)
 
     def test_distant_bases_do_not(self):
-        obj = small_objective()
-        sa, sb = states_at([0.0, 0.5], [1.0, 0.5], obj)
-        assert not detect_collision(sa, sb, tol=1e-6)
+        assert not detect_collision(np.array([0.0, 0.5]), np.array([1.0, 0.5]), tol=1e-6)
 
     def test_boundary_is_inclusive(self):
-        obj = small_objective()
         # Power-of-two tolerance and offset so the distance is exact.
         tol = 2.0**-20
-        sa, sb = states_at([0.5, 0.5], [0.5 + tol, 0.5 + tol], obj)
-        assert detect_collision(sa, sb, tol=tol)
-        sa, sb = states_at([0.5, 0.5], [0.5 + 2 * tol, 0.5], obj)
-        assert not detect_collision(sa, sb, tol=tol)
+        assert detect_collision(np.array([0.5, 0.5]), np.array([0.5 + tol, 0.5 + tol]), tol=tol)
+        assert not detect_collision(np.array([0.5, 0.5]), np.array([0.5 + 2 * tol, 0.5]), tol=tol)
 
     def test_appends_to_log(self):
-        obj = small_objective()
-        sa, sb = states_at([0.5, 0.5], [0.5, 0.5], obj)
+        xa, xb = np.array([0.5, 0.5]), np.array([0.5, 0.5])
         log = CollisionLog()
-        detect_collision(sa, sb, tol=1e-6, log=log, eval_count=42)
-        detect_collision(sa, sb, tol=1e-6, log=log, eval_count=43)
+        detect_collision(xa, xb, tol=1e-6, log=log, eval_count=42)
+        detect_collision(xa, xb, tol=1e-6, log=log, eval_count=43)
         assert [c for c, _ in log.events] == [42, 43]
         assert all(d <= 1e-6 for _, d in log.events)
 
     def test_miss_not_logged(self):
-        obj = small_objective()
-        sa, sb = states_at([0.0, 0.5], [1.0, 0.5], obj)
         log = CollisionLog()
-        detect_collision(sa, sb, tol=1e-6, log=log, eval_count=1)
+        detect_collision(np.array([0.0, 0.5]), np.array([1.0, 0.5]), tol=1e-6, log=log, eval_count=1)
         assert log.events == []
 
 
@@ -80,9 +65,8 @@ def test_collision_distance_is_the_max_abs_difference_bit_for_bit(data, n):
     # whichever entry attains it and whatever the signs of zeros.
     xa = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
     xb = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
-    sa, sb = states_at(xa, xb, small_objective(dim=n))
     log = CollisionLog()
-    assert detect_collision(sa, sb, tol=2.0, log=log, eval_count=7)
+    assert detect_collision(xa, xb, tol=2.0, log=log, eval_count=7)
     [(count, dist)] = log.events
     assert count == 7
     assert type(dist) is float
@@ -222,7 +206,7 @@ class TestStartValidation:
         with pytest.raises(ValueError, match="^a run needs at least one start"):
             control.run_lockstep(obj, SearchConfig(), [])
         with pytest.raises(ValueError, match="^a run needs at least one start"):
-            fresh_states([], SearchConfig())
+            fresh_threads([], SearchConfig())
         assert calls == []
 
     @pytest.mark.parametrize("method", ["single", "multi"])

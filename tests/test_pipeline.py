@@ -41,7 +41,7 @@ from tabukit.hydraulic import (
 )
 from tabukit.memory import IntermediateMemory, TabuList
 from tabukit.multithread import MultiConfig, run_multi
-from support import check_axial_structure, spied
+from support import adopted_threads, check_axial_structure, spied
 
 BUILT_IN = {
     "schwefel10": make_schwefel10,
@@ -638,10 +638,9 @@ def test_non_finite_feasible_pattern_value_is_an_objective_error(bad, sense):
     fn = lambda raw: (bad if raw[0] < 0.35 else sign * raw[0], True)  # noqa: E731
     fn_batch = lambda raw: (sign * raw[:, 0], np.ones(len(raw), dtype=bool))  # noqa: E731
     objective = Objective(space, fn, sense, "broken", fn_batch)
-    [state] = control.fresh_states([evaluate(objective, np.array([0.5]))], SearchConfig())
-    state.adopt(state.base)
+    threads = adopted_threads(objective, [[0.5]])
     with pytest.raises(ValueError, match=re.escape(f"'broken' returned non-finite value {bad!r} for a feasible point")):
-        hillclimb.hj_stage([state], objective)  # the winner is 0.4, its pattern point 0.3
+        hillclimb.hj_stage(threads, [0], objective)  # the winner is 0.4, its pattern point 0.3
 
 
 def test_spy_checks_the_axial_structure_and_refuses_an_entry_point_it_does_not_wrap():
@@ -759,10 +758,10 @@ def test_objective_calls_per_stage(name, method, monkeypatch):
         tally["patterns"] += sum(spent for _, spent in steps) - sum(rows)
         return steps
 
-    def apply_action(state, *args):
-        before = state.evals
-        real_apply_action(state, *args)
-        tally["relocations"] += state.evals - before
+    def apply_action(*args):
+        spent = real_apply_action(*args)
+        tally["relocations"] += spent
+        return spent
 
     real_axial_moves, real_hj_stage, real_apply_action = hillclimb.axial_moves, control.hj_stage, control.apply_action
     monkeypatch.setattr(hillclimb, "axial_moves", axial_moves)

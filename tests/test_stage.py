@@ -23,12 +23,12 @@ import reference
 from reference import PROBLEMS, Tabu, axial_probes
 from tabukit import control, hillclimb
 from tabukit.benchmarks import make_schwefel10
-from tabukit.control import SearchConfig, fresh_states, resolved_step_min, run_lockstep, run_single
+from tabukit.control import SearchConfig, fresh_threads, resolved_step_min, run_lockstep, run_single
 from tabukit.core import Objective, ParameterSpace, SearchPoint, clamp, denormalize, evaluate
 from tabukit.hillclimb import _probe_order, axial_moves, hj_stage
 from tabukit.memory import TabuList, screen_axial
 from tabukit.multithread import MultiConfig, run_multi
-from support import moves_around, spied
+from support import adopted_threads, moves_around, spied
 
 
 def reference_moves(base_x, step, tabu):
@@ -405,9 +405,9 @@ def test_budget_edge_splits_a_stage(monkeypatch):
     real_stage = control.hj_stage
     groups = []
 
-    def stage(states, *args):
-        steps = real_stage(states, *args)
-        groups.append((len(states), len(steps)))
+    def stage(threads, rows, *args):
+        steps = real_stage(threads, rows, *args)
+        groups.append((len(rows), len(steps)))
         return steps
 
     monkeypatch.setattr(control, "hj_stage", stage)
@@ -434,10 +434,10 @@ def test_one_axial_moves_call_per_stage_for_the_stepping_threads(monkeypatch):
         calls.append(len(moves.counts))
         return moves
 
-    def stage(states, *args):
+    def stage(threads, rows, *args):
         calls.clear()
-        steps = real_stage(states, *args)
-        stages.append((len(states), len(steps), list(calls)))
+        steps = real_stage(threads, rows, *args)
+        stages.append((len(rows), len(steps), list(calls)))
         return steps
 
     monkeypatch.setattr(hillclimb, "axial_moves", axial_moves)
@@ -484,19 +484,19 @@ def test_stage_sends_the_reference_points_to_the_objective(problem, threads, bat
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_every_adopted_point_carries_its_raw_row(problem, threads, monkeypatch):
     # Starts, exploration and pattern points and relocations all reach
-    # ThreadState.adopt; each carries denormalize of its x, as do the
+    # Threads.adopt; each carries denormalize of its x, as do the
     # thread bests and the global best, and the reported best_raw is a
     # copy of the best's raw row.
     objective = PROBLEMS[problem]()
     space = objective.space
     adopted = []
-    real_adopt = control.ThreadState.adopt
+    real_adopt = control.Threads.adopt
 
-    def adopt(state, point):
+    def adopt(threads, i, point):
         adopted.append(point)
-        real_adopt(state, point)
+        real_adopt(threads, i, point)
 
-    monkeypatch.setattr(control.ThreadState, "adopt", adopt)
+    monkeypatch.setattr(control.Threads, "adopt", adopt)
     config = SearchConfig(seed=0, max_evals=3000, intensify_after=1, diversify_after=2, reduce_after=3)
     result = run_lockstep(objective, config, lockstep_setup(threads))
     assert len(adopted) > 20
@@ -519,36 +519,25 @@ def test_sentinel_best_carries_the_start_raw_row():
     # start; a step reduction restarts from it, so it needs the raw row.
     objective = make_schwefel10()
     point = evaluate(objective, np.full(10, 0.25))
-    state = fresh_states([point], SearchConfig())[0]
-    assert state.best.raw is point.raw and state.best.x is point.x
-    assert not state.best.feasible
+    [best] = fresh_threads([point], SearchConfig()).best
+    assert best.raw is point.raw and best.x is point.x
+    assert not best.feasible
 
 
 def test_base_without_a_raw_row_is_named():
-    # A hand-built base has no raw row; the threads' constructor says so
-    # instead of stacking a NaN row for the stage to send to the objective.
+    # A hand-built base has no raw row; the table says so instead of
+    # holding a NaN row for the stage to send to the objective.
     objective, spy = spied(make_schwefel10())
     base = SearchPoint(x=np.full(10, 0.5), value=1.0, feasible=True)
     good = evaluate(make_schwefel10(), base.x)
     with pytest.raises(ValueError, match="^thread 1's base has no raw row"):
-        fresh_states([good, base], SearchConfig())
+        fresh_threads([good, base], SearchConfig())
     with pytest.raises(ValueError, match="^thread 2's base has no raw row"):
-        fresh_states([good, good, base], SearchConfig())
-    state = fresh_states([good, good], SearchConfig())[1]
+        fresh_threads([good, good, base], SearchConfig())
+    threads = fresh_threads([good, good], SearchConfig())
     with pytest.raises(ValueError, match="^thread 1's base has no raw row"):
-        state.adopt(base)
+        threads.adopt(1, base)
     assert spy.evals == 0
-
-
-def test_threads_of_another_stack_are_named():
-    # Threads of two runs do not share their stacked rows, so they cannot
-    # step as one stage, even when their rows are those of one whole stack.
-    objective, spy = spied(make_schwefel10())
-    points = [evaluate(objective, np.full(10, x)) for x in (0.25, 0.75)]
-    states = [fresh_states(points, SearchConfig())[i] for i in range(2)]
-    with pytest.raises(ValueError, match="^thread 1 is not on the stage's stack"):
-        hj_stage(states, objective)
-    assert spy.evals == 2
 
 
 @pytest.mark.parametrize("batch", [True, False], ids=["fn_batch", "fn-only"])
@@ -574,27 +563,28 @@ def test_stage_winner_is_the_first_feasible_minimum_and_infeasible_rows_are_coun
         return made[-1]
 
     monkeypatch.setattr(hillclimb, "axial_moves", axial_moves)
-    states = fresh_states([evaluate(objective, np.full(2, x)) for x in (0.25, 0.75)], SearchConfig())
-    for state in states:
-        state.adopt(state.base)
-    stalled_base = states[0].base
+    threads = adopted_threads(objective, [np.full(2, x) for x in (0.25, 0.75)])
+    stalled_base = threads.x[0].tobytes(), threads.raw[0].tobytes()
 
-    steps = hj_stage(states, objective)
+    steps = hj_stage(threads, [0, 1], objective)
 
     [moves] = made
     assert moves.counts == [4, 4]
     assert moves.infeasible_rejected == 4 + 1
     assert steps == [(hillclimb.STALLED, 4), (hillclimb.NOT_IMPROVED, 4 + 1)]  # thread 1's pattern point ties
-    assert states[0].base is stalled_base and states[0].evals == 1 + 4
-    assert states[1].base.x.tolist() == [0.75 - 0.1, 0.75]  # the second row; the first moved past 0.8
-    assert (states[1].base.value, states[1].base.feasible, states[1].evals) == (1.0, True, 1 + 5)
-    assert states[1].base.raw.tobytes() == denormalize(space, states[1].base.x).tobytes()
+    assert (threads.x[0].tobytes(), threads.raw[0].tobytes()) == stalled_base
+    assert threads.evals == [1 + 4, 1 + 5]
+    assert threads.x[1, 0].tolist() == [0.75 - 0.1, 0.75]  # the second row; the first moved past 0.8
+    assert threads.raw[1].tobytes() == denormalize(space, threads.x[1, 0]).tobytes()
+    assert threads.best[1].value == 1.0  # the start, which the tie does not replace
 
 
 def test_stage_of_no_states_steps_none():
     objective = make_schwefel10()
-    assert hj_stage([], objective) == []
-    assert hj_stage([], objective, budget=0) == []
+    threads = adopted_threads(objective, [np.full(10, 0.25)])
+    assert hj_stage(threads, [], objective) == []
+    assert hj_stage(threads, [], objective, budget=0) == []
+    assert threads.evals == [1]
 
 
 @pytest.mark.parametrize("budget", [0, -5, 0.0, 1])
@@ -603,28 +593,25 @@ def test_first_state_steps_whatever_the_budget(budget):
     # driver's serial rule does: a thread steps while the total spent
     # before it is below the budget.
     objective = make_schwefel10()
-    states = fresh_states([evaluate(objective, np.full(10, x)) for x in (0.25, 0.75)], SearchConfig())
-    for state in states:
-        state.adopt(state.base)
-    steps = hj_stage(states, objective, budget=budget)
+    threads = adopted_threads(objective, [np.full(10, x) for x in (0.25, 0.75)])
+    steps = hj_stage(threads, [0, 1], objective, budget=budget)
     assert len(steps) == 1
-    assert steps[0][1] == states[0].evals - 1 > 0
-    assert states[1].evals == 1
+    assert steps[0][1] == threads.evals[0] - 1 > 0
+    assert threads.evals[1] == 1
 
 
 def test_threads_out_of_row_order_step_in_their_order():
-    # Every row of the stack, but not in row order: the stage steps the
+    # Every row of the table, but not in row order: the stage steps the
     # threads in the order given, as stepping them one at a time does.
     objective = make_schwefel10()
 
     def threads():
-        states = fresh_states([evaluate(objective, np.full(10, x)) for x in (0.25, 0.75)], SearchConfig())
-        for state in states:
-            state.adopt(state.base)
-        return states
+        return adopted_threads(objective, [np.full(10, x) for x in (0.25, 0.75)])
 
     got, want = threads(), threads()
-    steps = hj_stage(got[::-1], objective)
-    assert steps == hj_stage([want[1]], objective) + hj_stage([want[0]], objective)
-    for g, w in zip(got, want):
-        assert (g.base.x.tobytes(), g.evals, g.step) == (w.base.x.tobytes(), w.evals, w.step)
+    steps = hj_stage(got, [1, 0], objective)
+    assert steps == hj_stage(want, [1], objective) + hj_stage(want, [0], objective)
+    for column in ("x", "raw", "step", "tabu"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+    assert got.evals == want.evals
+    assert got.memory.rows().tobytes() == want.memory.rows().tobytes()
