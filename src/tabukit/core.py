@@ -217,8 +217,11 @@ def _checked(objective: Objective, value: float) -> float:
     return -value if objective.sense == MAXIMIZE else value
 
 
-def _evaluate_fn(objective: Objective, raw: np.ndarray) -> tuple[float, bool]:
-    """(engine value, feasible) of ``objective.fn`` at one raw point."""
+def evaluate_raw(objective: Objective, raw: np.ndarray) -> tuple[float, bool]:
+    """(engine value, feasible) of ``objective.fn`` at one denormalized
+    point, never ``fn_batch``: an infeasible point carries
+    ``INFEASIBLE_VALUE``, and a non-finite feasible value raises the same
+    ValueError as ``evaluate_raw_block``."""
     value, ok = objective.fn(raw)
     if not ok:
         return INFEASIBLE_VALUE, False
@@ -237,10 +240,14 @@ def evaluate_raw_block(
     (infeasible rows carry ``INFEASIBLE_VALUE``) and the feasibility
     mask. Uses ``objective.fn_axial`` for a block with its structure,
     else ``objective.fn_batch``, else ``objective.fn`` on each row in
-    order. Raises ValueError if the objective returns arrays of another
-    shape, or a non-finite value for a feasible row.
+    order. Raises ValueError, before any call, for a block that is not
+    ``(k, N)``; and if the objective returns arrays of another shape, or
+    a non-finite value for a feasible row.
     """
-    k = len(raw)
+    shape, n = np.shape(raw), objective.space.dimension
+    if len(shape) != 2 or shape[1] != n:
+        raise ValueError(f"objective {objective.name!r}: expected a (k, {n}) block of raw rows, got shape {shape}")
+    k = shape[0]
     if axial is not None and objective.fn_axial is not None:
         method = "fn_axial"
         values, feasible = objective.fn_axial(raw, *axial)
@@ -248,7 +255,7 @@ def evaluate_raw_block(
         method = "fn_batch"
         values, feasible = objective.fn_batch(raw)
     else:
-        points = [_evaluate_fn(objective, row) for row in raw]
+        points = [evaluate_raw(objective, row) for row in raw]
         return np.array([v for v, _ in points], dtype=float), np.array([ok for _, ok in points], dtype=bool)
     values = np.asarray(values, dtype=float)
     feasible = np.asarray(feasible, dtype=bool)
@@ -268,25 +275,14 @@ def evaluate_raw_block(
     return np.where(feasible, values, INFEASIBLE_VALUE), feasible
 
 
-def evaluate_raw(objective: Objective, x: np.ndarray, raw: np.ndarray) -> SearchPoint:
-    """Evaluate the normalized point ``x``, whose denormalized form is
-    ``raw``: exactly one evaluation.
-
-    Calls ``objective.fn`` on ``raw``, never ``fn_batch``, and raises the
-    same ValueError as ``evaluate_raw_block`` for a non-finite feasible
-    value. The returned point holds ``x`` and ``raw`` themselves.
-    """
-    value, ok = objective.fn(raw)
-    if not ok:
-        return SearchPoint(x=x, value=INFEASIBLE_VALUE, feasible=False, raw=raw)
-    return SearchPoint(x=x, value=_checked(objective, float(value)), feasible=True, raw=raw)
-
-
 def evaluate(objective: Objective, x: np.ndarray) -> SearchPoint:
-    """Evaluate one finite normalized point: ``evaluate_raw`` of a copy of
-    ``x`` and its denormalized form."""
+    """Evaluate one finite normalized point: ``evaluate_raw`` of its
+    denormalized form, in a point that holds a copy of ``x`` and that
+    raw row."""
     x = np.array(x, dtype=float, copy=True)
     if x.ndim != 1:  # denormalize would take a block
         raise ValueError(f"expected {objective.space.dimension} components, got {x.shape}")
     check_finite(x, "point")
-    return evaluate_raw(objective, x, denormalize(objective.space, x))
+    raw = denormalize(objective.space, x)
+    value, feasible = evaluate_raw(objective, raw)
+    return SearchPoint(x=x, value=value, feasible=feasible, raw=raw)

@@ -13,8 +13,10 @@ coordinate of the base lies farther from it than the tolerance.
 A thread is a row of the run's ``control.Threads`` table. The driver
 steps the live rows of a stage through one ``hj_stage`` call, with the
 result of stepping them one by one; its docstring says how.
-``explore`` and ``hj_step`` are not called by the engine; they stay as
-the boundaries that ``perfbench/tracer.py`` wraps.
+``explore`` is the stage's exploration half, and ``hj_stage`` keeps the
+winner rule, the pattern point and the adoption. Only ``hj_step`` and
+``memory.TabuList.is_tabu`` are not called by the engine; they stay as
+boundaries that ``perfbench/tracer.py`` wraps.
 """
 from __future__ import annotations
 
@@ -32,13 +34,12 @@ from .core import (
     Objective,
     ParameterSpace,
     SearchPoint,
-    _checked,
-    denormalize,
     denormalize_coordinate,
     denormalize_coordinates,
+    evaluate_raw,
     evaluate_raw_block,
 )
-from .memory import TabuList, screen_axial
+from .memory import screen_axial
 
 if TYPE_CHECKING:  # pragma: no cover
     from .control import Threads
@@ -136,36 +137,27 @@ def axial_block(space: ParameterSpace, raw: np.ndarray, moves: MoveSet) -> np.nd
 
 
 def explore(
-    base: SearchPoint,
-    step: float,
+    x: np.ndarray,
+    raw: np.ndarray,
+    step: np.ndarray,
+    tabu: np.ndarray,
     objective: Objective,
-    tabu: TabuList,
-) -> tuple[SearchPoint | None, MoveSet]:
-    """Evaluate the allowable neighbors as one block and return the best one.
-
-    The best move is returned even when it is worse than the base: when
-    nothing improves, the smallest increase wins, and ties go to the
-    first generated candidate. Returns None only when every neighbor was
-    degenerate, tabu or infeasible. Only ``base.x`` is read, so the base
-    need not carry its raw row. The engine does not call it; it stays
-    as a ``perfbench/tracer.py`` boundary.
-    """
-    if not step > 0:  # also rejects NaN
-        raise ValueError(f"step must be positive, got {step!r}")
-    moves = axial_moves(base.x.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.x.size), tabu.match_tol)
-    if moves.axis.size == 0:
-        return None, moves
-    bases = denormalize(objective.space, base.x)[np.newaxis]
-    raw = axial_block(objective.space, bases, moves)
-    values, feasible = evaluate_raw_block(objective, raw, (bases, moves.counts, moves.axis))
+    match_tol: float,
+    budget: float = math.inf,
+) -> tuple[MoveSet, np.ndarray, np.ndarray]:
+    """A stage's exploration: ``axial_moves`` of the bases ``x`` (with
+    its arguments), their raw rows (``axial_block`` of the raw bases
+    ``raw``) and the rows' engine values from one ``evaluate_raw_block``
+    call with the block's structure, which also sets the move set's
+    ``infeasible_rejected``. An empty block reaches no objective."""
+    moves = axial_moves(x, step, tabu, match_tol, budget)
+    bases = raw[: len(moves.counts)]
+    block = axial_block(objective.space, bases, moves)
+    if not len(block):
+        return moves, block, np.empty(0)
+    values, feasible = evaluate_raw_block(objective, block, (bases, moves.counts, moves.axis))
     moves.infeasible_rejected = len(feasible) - int(np.count_nonzero(feasible))
-    w = int(values.argmin())
-    value = values.item(w)
-    if value == INFEASIBLE_VALUE:  # no feasible row; a feasible value is finite
-        return None, moves
-    x = base.x.copy()
-    x[moves.axis[w]] = moves.moved[w]
-    return SearchPoint(x=x, value=value, feasible=True, raw=raw[w].copy()), moves
+    return moves, block, values
 
 
 def _pattern_point(base_x: np.ndarray, axis: int, m: float, k: float) -> np.ndarray | None:
@@ -204,24 +196,24 @@ def hj_stage(
     stepping thread adds what it spent to its ``evals``. Returns
     ``(outcome, evaluations)`` for each thread that stepped; no rows step none.
 
-    ``axial_moves`` reads the table's arrays for all the rows at once:
-    the arrays themselves when ``rows`` is every row in order, else copies.
-    The axial rows are built from the bases' raw rows (``axial_block``)
-    and evaluated in one ``evaluate_raw_block`` call, with the block's
-    structure for ``Objective.fn_axial``; the winner takes a copy of its
-    block row. A thread's winner is the first lowest of its
-    rows; when that row is infeasible, so are all of them.
-    Then, thread by thread, the pattern point, when it is new and not
-    tabu, is evaluated alone by ``objective.fn`` with ``evaluate_raw``'s
-    checks, and the adopted point (the pattern point if strictly better
-    than the exploration point, else the exploration point) becomes the
-    new base, goes on the tabu list and is offered to the shared elite
-    archive (``Threads.adopt``). Only the adopted point is built as a
-    ``SearchPoint``, on a copy of the base row. The pattern point differs
-    from the base in the winner's coordinate only, as the winner does,
-    so it is screened against the thread's tabu list with
-    the mask of its axial screen and its raw row is the winner's with
-    that one coordinate denormalized.
+    ``explore`` is the stage's exploration: it reads the table's arrays
+    for all the rows at once (the arrays themselves when ``rows`` is
+    every row in order, else copies) and evaluates their axial block in
+    one call. This function keeps the rest. A thread's winner is the
+    first lowest of its rows; when that row is infeasible, so are all of
+    them. Then, thread by thread, the pattern point, when it is new and
+    not tabu, is evaluated alone by ``evaluate_raw``, and the adopted
+    point (the pattern point if strictly better than the exploration
+    point, else the exploration point; an infeasible pattern point never
+    is) becomes the new base, goes on the tabu list and is offered to the
+    shared elite archive (``Threads.adopt``). Only the adopted point is
+    built as a ``SearchPoint``, from copies of the base row and the
+    winner's block row. The pattern point differs from the base in the
+    winner's coordinate only, as the winner does, so it is screened
+    against the thread's tabu list with the mask of its axial screen and
+    its raw row is the winner's with that one coordinate denormalized.
+    The engine steps every thread here; only ``hj_step`` and
+    ``memory.TabuList.is_tabu`` are left for ``perfbench/tracer.py``.
     The outcome is IMPROVED when the adopted point beats the thread's
     best from before the step, STALLED when no allowable move existed.
     """
@@ -234,13 +226,8 @@ def hj_stage(
     if list(rows) != list(range(len(x))):  # some threads, or out of row order: copies
         x, step, tabu, raw = x[rows], step[rows], tabu[rows], raw[rows]
     tabu_lists, evals = threads.tabu_lists, threads.evals
-    moves = axial_moves(x, step, tabu, tabu_lists[0].match_tol, budget)
+    moves, block, values = explore(x, raw, step, tabu, objective, tabu_lists[0].match_tol, budget)
     space = objective.space
-    bases = raw[: len(moves.counts)]
-    raw = axial_block(space, bases, moves)
-    if len(raw):
-        values, feasible = evaluate_raw_block(objective, raw, (bases, moves.counts, moves.axis))
-        moves.infeasible_rejected = len(feasible) - int(np.count_nonzero(feasible))
     axes, moved, rest_near = moves.axis, moves.moved, moves.rest_near
 
     steps: list[tuple[str, int]] = []
@@ -266,18 +253,17 @@ def hj_stage(
         if p_x is not None:
             p = p_x.item(a)
             if not tabu_lists[i].axial_is_tabu(rest_near[t], a, p):
-                p_raw = raw[w].copy()
+                p_raw = block[w].copy()
                 p_raw[a] = denormalize_coordinate(space, a, p)
-                p_value, ok = objective.fn(p_raw)  # evaluate_raw's call and checks, no point unless adopted
+                p_value, _ = evaluate_raw(objective, p_raw)
                 spent += 1
-                if ok:
-                    p_value = _checked(objective, float(p_value))
-                    if p_value < value:
-                        adopted = SearchPoint(x=p_x, value=p_value, feasible=True, raw=p_raw)
+                # An infeasible pattern point's INFEASIBLE_VALUE is never below the finite winner's.
+                if p_value < value:
+                    adopted = SearchPoint(x=p_x, value=p_value, feasible=True, raw=p_raw)
         if adopted is None:
             move_x = base_x.copy()
             move_x[a] = m
-            adopted = SearchPoint(x=move_x, value=value, feasible=True, raw=raw[w].copy())
+            adopted = SearchPoint(x=move_x, value=value, feasible=True, raw=block[w].copy())
         evals[i] += spent
         best_before = threads.best[i].value
         threads.adopt(i, adopted)

@@ -4,9 +4,8 @@ Two threads share the intermediate memory, one evaluation budget and a
 restructure token; each has a private tabu list and generator. The
 lockstep driver in ``control`` runs them, interleaved deterministically
 in one OS thread, so a seeded run is bit-reproducible. It seeds its
-threads itself, and ``thread_rngs`` is the K = 2 case of its rule
-(``control.thread_generators``). This module holds only what is
-particular to two threads: the starts, ``thread_rngs`` and ``run_multi``.
+threads itself (``control.thread_generators``). This module holds only
+what is particular to two threads: the starts and ``run_multi``.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import MultiRunResult, SearchConfig, run_lockstep, thread_generators
+from .control import MultiRunResult, SearchConfig, run_lockstep
 from .control import detect_collision  # noqa: F401  (perfbench/tracer.py resolves it here)
 from .core import Objective
 
@@ -30,11 +29,6 @@ class MultiConfig:
     base: SearchConfig = field(default_factory=SearchConfig)
     start_a: np.ndarray | None = None
     start_b: np.ndarray | None = None
-
-
-def thread_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The two generators that a two-thread run with this seed draws from."""
-    return tuple(thread_generators(seed, 2))
 
 
 def run_multi(objective: Objective, config: MultiConfig | None = None) -> MultiRunResult:

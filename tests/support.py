@@ -1,6 +1,7 @@
-"""Helpers that several test modules share: one thread's axial moves, a
-table of adopted threads, a strategy of normalized coordinates, a spy on
-what reaches an objective, and the structure check of an axial block."""
+"""Helpers that several test modules share: one thread's axial moves and
+exploration, a table of adopted threads, a strategy of normalized
+coordinates, a spy on what reaches an objective, and the structure
+check of an axial block."""
 import dataclasses
 import math
 
@@ -8,8 +9,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tabukit.control import SearchConfig, fresh_threads
-from tabukit.core import MAXIMIZE, evaluate
-from tabukit.hillclimb import axial_moves
+from tabukit.core import INFEASIBLE_VALUE, MAXIMIZE, SearchPoint, denormalize, evaluate
+from tabukit.hillclimb import axial_moves, explore
 
 
 #: Normalized coordinates, with -0.0, the bounds and their neighbours among them.
@@ -19,6 +20,30 @@ UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1
 def moves_around(base, step, tabu):
     """``axial_moves`` of one thread: ``base`` with its step and tabu list."""
     return axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tabu.match_tol)
+
+
+def explore_one(base, step, objective, tabu):
+    """``explore`` of one thread: ``base`` (a point; only its ``x`` is read)
+    with its step and tabu list. Returns the first lowest row as a point,
+    or None when there are no rows or that row is infeasible, and the
+    move set."""
+    x = base.x
+    moves, block, values = explore(
+        x.reshape(1, 1, -1),
+        denormalize(objective.space, x)[np.newaxis],
+        np.full((1, 1, 1), step),
+        tabu.block(x.size),
+        objective,
+        tabu.match_tol,
+    )
+    if not len(block):
+        return None, moves
+    w = int(values.argmin())
+    if values[w] == INFEASIBLE_VALUE:
+        return None, moves
+    best = x.copy()
+    best[moves.axis[w]] = moves.moved[w]
+    return SearchPoint(x=best, value=values.item(w), feasible=True, raw=block[w].copy()), moves
 
 
 def adopted_threads(objective, starts, config=None):

@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 import tabukit
-from tabukit import control, core, hillclimb, memory
+from tabukit import control, core, hillclimb, memory, multithread
 from tabukit.hillclimb import MoveSet
 from tabukit.memory import TabuList
 
@@ -22,6 +22,8 @@ DELETED = [
     (control, "ThreadState"),
     (control, "Stack"),
     (control, "fresh_states"),
+    (core, "_evaluate_fn"),
+    (multithread, "thread_rngs"),
 ]
 
 

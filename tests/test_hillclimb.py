@@ -24,7 +24,6 @@ from tabukit.hillclimb import (
     STALLED,
     axial_block,
     axial_moves,
-    explore,
     _pattern_point,
     hj_stage,
     hj_step,
@@ -32,7 +31,7 @@ from tabukit.hillclimb import (
 from tabukit.memory import TabuList
 
 import reference
-from support import UNIT, adopted_threads, moves_around
+from support import UNIT, adopted_threads, explore_one, moves_around
 
 
 def make_objective(fn, dim=1, record=None):
@@ -120,7 +119,7 @@ class TestExplore:
     def test_picks_lowest_value(self):
         obj = make_objective(lambda raw: raw[0])
         base = eval_point(obj, [0.5], lambda x: x[0])
-        best, moves = explore(base, 0.25, obj, TabuList())
+        best, moves = explore_one(base, 0.25, obj, TabuList())
         assert best.x[0] == pytest.approx(0.25)
         assert moves.axis.size == 2
 
@@ -129,7 +128,7 @@ class TestExplore:
         base = eval_point(obj, [0.5], lambda x: x[0])
         tabu = TabuList()
         tabu.push(np.array([0.25]))
-        best, _ = explore(base, 0.25, obj, tabu)
+        best, _ = explore_one(base, 0.25, obj, tabu)
         # 0.75 is worse than the base but it is the only allowable move.
         assert best.x[0] == pytest.approx(0.75)
 
@@ -140,7 +139,7 @@ class TestExplore:
         tabu = TabuList()
         tabu.push(np.array([0.25]))
         tabu.push(np.array([0.75]))
-        best, moves = explore(base, 0.25, obj, tabu)
+        best, moves = explore_one(base, 0.25, obj, tabu)
         assert best is None
         assert moves.tabu_rejected == 2
         assert calls == []
@@ -150,7 +149,7 @@ class TestExplore:
         calls = []
         obj = Objective(space, fn=lambda raw: (calls.append(raw) or float(raw[0]), raw[0] > 0.4))
         base = SearchPoint(x=np.array([0.5]), value=0.5, feasible=True)
-        best, moves = explore(base, 0.25, obj, TabuList())
+        best, moves = explore_one(base, 0.25, obj, TabuList())
         assert best.x[0] == pytest.approx(0.75)
         assert moves.infeasible_rejected == 1
         # The infeasible candidate still cost an evaluation.
@@ -169,22 +168,16 @@ class TestExplore:
             base_x = rng.random(3)
             base = evaluate(obj, base_x)
             record.clear()
-            best, _ = explore(base, 0.17, obj, TabuList())
+            best, _ = explore_one(base, 0.17, obj, TabuList())
             evaluated = [float(np.sum(coeffs * (r - 0.3) ** 2)) for r in record]
             assert best.value == min(evaluated)
 
     def test_tie_break_prefers_first_generated(self):
         obj = make_objective(lambda raw: 1.0, dim=2)  # flat: all ties
         base = eval_point(obj, [0.5, 0.5], lambda x: 1.0)
-        best, _ = explore(base, 0.1, obj, TabuList())
+        best, _ = explore_one(base, 0.1, obj, TabuList())
         # Increment of variable 0 wins every tie.
         assert np.allclose(best.x, [0.6, 0.5])
-
-    def test_rejects_nonpositive_step(self):
-        obj = make_objective(lambda raw: raw[0])
-        base = eval_point(obj, [0.5], lambda x: x[0])
-        with pytest.raises(ValueError):
-            explore(base, 0.0, obj, TabuList())
 
 
 class TestPatternMove:
@@ -451,8 +444,9 @@ class TestHjStep:
 
 
 class TestNonFiniteFactorAndStep:
-    """A NaN or infinite pattern factor, or a NaN step, is refused before
-    any point reaches the objective, where it would be a NaN coordinate."""
+    """A NaN or infinite pattern factor is refused before any point
+    reaches the objective, where it would be a NaN coordinate. A
+    table's steps come from a validated ``SearchConfig``."""
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_pattern_factor_outside_zero_to_inf(self, k):
@@ -465,12 +459,3 @@ class TestNonFiniteFactorAndStep:
         with pytest.raises(ValueError, match=match):
             hj_stage(state, [0], obj, k_pattern=k)
         assert len(calls) == 1 and state.evals == [1]
-
-    @pytest.mark.parametrize("step", [math.nan, -math.nan, 0.0, -0.1, -math.inf])
-    def test_explore_step_not_positive(self, step):
-        calls = []
-        obj = make_objective(lambda raw: raw[0], dim=2, record=calls)
-        base = eval_point(obj, [0.5, 0.5], lambda x: x[0])
-        with pytest.raises(ValueError, match="^step must be positive"):
-            explore(base, step, obj, TabuList())
-        assert calls == []

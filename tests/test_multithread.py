@@ -18,9 +18,10 @@ from tabukit.control import (
     detect_collision,
     fresh_threads,
     run_single,
+    thread_generators,
 )
 from tabukit.core import Objective, ParameterSpace, denormalize
-from tabukit.multithread import MultiConfig, run_multi, thread_rngs
+from tabukit.multithread import MultiConfig, run_multi
 
 from reference import Tabu, axial_probes
 from support import UNIT
@@ -75,12 +76,12 @@ def test_collision_distance_is_the_max_abs_difference_bit_for_bit(data, n):
 
 class TestThreadSeeds:
     def test_derived_streams_differ(self):
-        rng_a, rng_b = thread_rngs(123)
+        rng_a, rng_b = thread_generators(123, 2)
         assert not np.array_equal(rng_a.random(8), rng_b.random(8))
 
     def test_derivation_reproducible(self):
-        a1, b1 = thread_rngs(7)
-        a2, b2 = thread_rngs(7)
+        a1, b1 = thread_generators(7, 2)
+        a2, b2 = thread_generators(7, 2)
         assert np.array_equal(a1.random(5), a2.random(5))
         assert np.array_equal(b1.random(5), b2.random(5))
 
@@ -267,7 +268,7 @@ class TestErrorPropagation:
         # The starts take calls 1 and 2; the first stage's block holds
         # thread 0's axial rows, then thread 1's.
         space = make_schwefel10().space
-        x0, x1 = (rng.random(10) for rng in thread_rngs(0))
+        x0, x1 = (rng.random(10) for rng in thread_generators(0, 2))
         config = SearchConfig()
         first = []
         for x in (x0, x1):
@@ -339,7 +340,7 @@ class TestAllInfeasible:
             rng = np.random.default_rng(5)
         else:
             result = run_multi(obj, MultiConfig(base=config, start_a=start))
-            rng = thread_rngs(5)[0]
+            rng = thread_generators(5, 2)[0]
         x0 = rng.random(2) if start is None else start
         assert result.best.feasible is False
         assert result.history == []

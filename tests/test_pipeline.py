@@ -30,7 +30,7 @@ from tabukit.core import (
     evaluate,
     evaluate_raw_block,
 )
-from tabukit.hillclimb import axial_block, axial_moves, explore
+from tabukit.hillclimb import axial_block, axial_moves
 from tabukit.hydraulic import (
     STARVATION_POLICIES,
     CircuitParams,
@@ -41,7 +41,7 @@ from tabukit.hydraulic import (
 )
 from tabukit.memory import IntermediateMemory, TabuList
 from tabukit.multithread import MultiConfig, run_multi
-from support import adopted_threads, check_axial_structure, spied
+from support import adopted_threads, check_axial_structure, explore_one, spied
 
 BUILT_IN = {
     "schwefel10": make_schwefel10,
@@ -515,7 +515,7 @@ def test_explore_matches_per_candidate_reference(name):
         tabu = TabuList()
         tabu.push(base.x)
         counted, spy = spied(objective)
-        got, moves = explore(base, step, counted, tabu)
+        got, moves = explore_one(base, step, counted, tabu)
         assert spy.evals == len(want_moves)
         if best is None:
             assert got is None
@@ -530,7 +530,7 @@ def test_explore_infeasible_rows_counted_not_chosen():
     calls = []
     objective = Objective(space, fn=lambda raw: (calls.append(raw) or float(raw.sum()), bool(raw[0] > 0.45)))
     base = SearchPoint(x=np.array([0.5, 0.5]), value=1.0, feasible=True)
-    best, moves = explore(base, 0.1, objective, TabuList())
+    best, moves = explore_one(base, 0.1, objective, TabuList())
     assert len(calls) == 4
     assert moves.infeasible_rejected == 1
     assert best.x.tolist() == [0.5, 0.4]
@@ -595,7 +595,26 @@ def test_fn_batch_wrong_shape_is_reported():
     )
     base = SearchPoint(x=np.array([0.5, 0.5]), value=0.0, feasible=True)
     with pytest.raises(ValueError, match="'short': fn_batch returned shapes"):
-        explore(base, 0.1, objective, TabuList())
+        explore_one(base, 0.1, objective, TabuList())
+
+
+@pytest.mark.parametrize("name", ["schwefel10", "bump20-keane", "circuit", "fn-only"])
+def test_block_of_another_width_is_refused_before_any_call(name):
+    if name == "fn-only":
+        space = ParameterSpace.cube(0.0, 1.0, 3, min_step=1e-6)
+        objective = Objective(space, fn=lambda raw: (raw.sum(), True), name="sum3")
+    else:
+        objective = BUILT_IN[name]()
+    objective, spy = spied(objective)
+    n, space = objective.space.dimension, objective.space
+    centre = (space.lower + space.upper) / 2
+    narrow, wide = np.tile(centre[:-1], (4, 1)), np.tile(np.append(centre, centre[0]), (4, 1))
+    for raw in (narrow, wide, centre, centre[np.newaxis, np.newaxis]):
+        for axial in (None, (centre[np.newaxis], [len(raw)], np.zeros(len(raw), dtype=int))):
+            expected = f"objective {objective.name!r}: expected a (k, {n}) block of raw rows, got shape {raw.shape}"
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                evaluate_raw_block(objective, raw, axial)
+    assert spy.rows == []
 
 
 def test_fn_axial_wrong_shape_is_reported():
@@ -609,7 +628,7 @@ def test_fn_axial_wrong_shape_is_reported():
     )
     base = SearchPoint(x=np.array([0.5, 0.5]), value=0.0, feasible=True)
     with pytest.raises(ValueError, match="'short': fn_axial returned shapes"):
-        explore(base, 0.1, objective, TabuList())
+        explore_one(base, 0.1, objective, TabuList())
     # Without its structure a block goes to fn_batch, whose shapes are right.
     values, feasible = evaluate_raw_block(objective, np.full((3, 2), 0.5))
     assert values.tolist() == [0.0] * 3 and feasible.all()
@@ -625,7 +644,7 @@ def test_non_finite_feasible_block_value_is_an_objective_error():
     )
     base = SearchPoint(x=np.array([0.5]), value=0.0, feasible=True)
     with pytest.raises(ValueError, match="'broken' returned non-finite value nan"):
-        explore(base, 0.1, objective, TabuList())
+        explore_one(base, 0.1, objective, TabuList())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -712,7 +731,7 @@ def test_objective_exception_propagates_unchanged_from_fn_axial():
     objective = Objective(space, fn=lambda raw: (0.0, True), fn_axial=fail)
     base = SearchPoint(x=np.array([0.25, 0.5]), value=0.0, feasible=True)
     with pytest.raises(ObjectiveBug) as raised:
-        explore(base, 0.1, objective, TabuList())
+        explore_one(base, 0.1, objective, TabuList())
     assert raised.value is bug
 
 
@@ -731,7 +750,7 @@ def test_non_finite_feasible_value_same_error_from_both_paths(bad, sense):
     # An axial block goes to fn_axial, which raises the same error.
     objective = Objective(space, fn, sense, "broken", fn_axial=lambda raw, *structure: fn_batch(raw))
     with pytest.raises(ValueError) as raised:
-        explore(SearchPoint(x=np.array([0.5]), value=0.0, feasible=True), 0.1, objective, TabuList())
+        explore_one(SearchPoint(x=np.array([0.5]), value=0.0, feasible=True), 0.1, objective, TabuList())
     messages.add(str(raised.value))
     assert messages == {f"objective 'broken' returned non-finite value {bad!r} for a feasible point"}
 

@@ -4,7 +4,9 @@ The tracer reports a missing boundary as absent instead of failing, so
 a renamed or deleted function would only show up as ``trace.absent`` in
 a traced benchmark pass. This test loads ``perfbench/tracer.py`` by path
 and checks every boundary, the hook arguments read by position and the
-row count that the axial hook reads.
+row count that the axial hook reads. A boundary that exists but that the
+engine never enters would read 0 as silently, so traced runs check that
+each one is entered.
 """
 import importlib.util
 import inspect
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tabukit import cli
 from tabukit.hillclimb import axial_moves
 from tabukit.memory import TabuList
 
@@ -55,3 +58,18 @@ def test_axial_moves_counts_one_candidate_per_row():
     # increment of x2 is tabu.
     assert moves.tabu_rejected == 1
     assert len(moves.candidates) == moves.axis.size == 4
+
+
+#: Boundaries that the engine does not call; they stay only for the tracer.
+TRACER_HELD = {"memory.TabuList.is_tabu", "hillclimb.hj_step"}
+
+
+def test_every_boundary_but_the_tracer_held_is_entered(tracer):
+    t = tracer.Tracer()
+    with tracer.tracing(t):
+        for problem, method in [("schwefel10", "single"), ("circuit", "multi"), ("bump20", "multi")]:
+            spec = cli.ExperimentSpec(problem=problem, method=method, runs=1, overrides={"max_evals": 2000})
+            cli.run_experiment(spec)
+    calls = {b.name: t.calls(b.name) for b in tracer.BOUNDARIES}
+    assert TRACER_HELD <= calls.keys()
+    assert [name for name, n in calls.items() if n == 0 and name not in TRACER_HELD] == [], calls
