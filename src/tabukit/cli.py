@@ -7,8 +7,7 @@ overridden from a key=value config file or --set flags (flags win).
 """
 from __future__ import annotations
 
-import argparse
-import statistics
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -16,10 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .benchmarks import make_bump, make_schwefel10
 from .control import RunResult, SearchConfig, check_number_fields, run_single
 from .core import Objective, normalize
-from .hydraulic import CircuitTargets, make_circuit
 from .multithread import MultiConfig, run_multi
 
 SINGLE = "single"
@@ -116,6 +113,8 @@ def _present(options: dict, **params: str) -> dict:
 
 def _bump_problem(n: int):
     def build(options: dict) -> tuple[Objective, np.ndarray | None]:
+        from .benchmarks import make_bump
+
         objective = make_bump(n, **_present(options, variant="bump_variant"))
         start = normalize(objective.space, np.full(n, 5.0))
         return objective, start
@@ -124,15 +123,21 @@ def _bump_problem(n: int):
 
 
 def _schwefel_problem(options: dict) -> tuple[Objective, np.ndarray | None]:
+    from .benchmarks import make_schwefel10
+
     return make_schwefel10(), None
 
 
 def _circuit_problem(options: dict) -> tuple[Objective, np.ndarray | None]:
+    from .hydraulic import CircuitTargets, make_circuit
+
     targets = CircuitTargets(**_present(options, pump_speed="pump_speed"))
     return make_circuit(targets, **_present(options, policy="starvation")), None
 
 
-#: name -> builder(options) -> (objective, fixed normalized start or None)
+#: name -> builder(options) -> (objective, fixed normalized start or None).
+#: Each builder imports its problem's module when it runs, so an
+#: experiment loads only the problem it uses.
 PROBLEMS: dict[str, Callable[[dict], tuple[Objective, np.ndarray | None]]] = {
     "schwefel10": _schwefel_problem,
     "bump20": _bump_problem(20),
@@ -176,18 +181,31 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ResultRow], Summary]:
     return rows, summarize(rows)
 
 
+def _mean(v: list) -> float:
+    """``statistics.fmean(v)``, by the same operations."""
+    return math.fsum(v) / len(v)
+
+
+def _median(v: list):
+    """``statistics.median(v)``, by the same operations: the middle item,
+    or the mean of the middle two."""
+    v = sorted(v)
+    i = len(v) // 2
+    return v[i] if len(v) % 2 else (v[i - 1] + v[i]) / 2
+
+
 def summarize(rows: list[ResultRow]) -> Summary:
     if not rows:
         raise ValueError("no rows to summarize")
     values = [r.best_value for r in rows]
     evals = [r.eval_count for r in rows]
     return Summary(
-        mean_value=statistics.fmean(values),
-        median_value=statistics.median(values),
+        mean_value=_mean(values),
+        median_value=_median(values),
         min_value=min(values),
         max_value=max(values),
-        mean_evals=statistics.fmean(evals),
-        median_evals=statistics.median(evals),
+        mean_evals=_mean(evals),
+        median_evals=_median(evals),
         min_evals=min(evals),
         max_evals=max(evals),
     )
@@ -287,6 +305,8 @@ def build_spec(settings: dict[str, str]) -> tuple[ExperimentSpec, str | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # only the command line needs it
+
     parser = argparse.ArgumentParser(
         prog="tabukit",
         description="Run seeded tabu-search experiments on the built-in problems.",

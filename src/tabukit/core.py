@@ -217,15 +217,31 @@ def _checked(objective: Objective, value: float) -> float:
     return -value if objective.sense == MAXIMIZE else value
 
 
+def _malformed(objective: Objective, method: str, returned: object, exc: Exception) -> ValueError:
+    """The error for a return of ``method`` that is no ``(value, feasible)``
+    pair of the documented kind; the caller chains it to ``exc``."""
+    return ValueError(
+        f"objective {objective.name!r}: {method} must return (value, feasible), "
+        f"got a {type(returned).__name__} that does not fit: {exc}"
+    )
+
+
 def evaluate_raw(objective: Objective, raw: np.ndarray) -> tuple[float, bool]:
     """(engine value, feasible) of ``objective.fn`` at one denormalized
     point, never ``fn_batch``: an infeasible point carries
     ``INFEASIBLE_VALUE``, and a non-finite feasible value raises the same
-    ValueError as ``evaluate_raw_block``."""
-    value, ok = objective.fn(raw)
-    if not ok:
-        return INFEASIBLE_VALUE, False
-    return _checked(objective, float(value)), True
+    ValueError as ``evaluate_raw_block``. A return that is no
+    ``(value, feasible)`` pair with a real value is a ValueError that
+    names the objective."""
+    returned = objective.fn(raw)
+    try:
+        value, ok = returned
+        if not ok:
+            return INFEASIBLE_VALUE, False
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise _malformed(objective, "fn", returned, exc) from exc
+    return _checked(objective, value), True
 
 
 def evaluate_raw_block(
@@ -241,8 +257,9 @@ def evaluate_raw_block(
     mask. Uses ``objective.fn_axial`` for a block with its structure,
     else ``objective.fn_batch``, else ``objective.fn`` on each row in
     order. Raises ValueError, before any call, for a block that is not
-    ``(k, N)``; and if the objective returns arrays of another shape, or
-    a non-finite value for a feasible row.
+    ``(k, N)``; and if the objective returns no ``(values, feasible)``
+    pair, arrays of another shape, or a non-finite value for a feasible
+    row.
     """
     shape, n = np.shape(raw), objective.space.dimension
     if len(shape) != 2 or shape[1] != n:
@@ -250,15 +267,19 @@ def evaluate_raw_block(
     k = shape[0]
     if axial is not None and objective.fn_axial is not None:
         method = "fn_axial"
-        values, feasible = objective.fn_axial(raw, *axial)
+        returned = objective.fn_axial(raw, *axial)
     elif objective.fn_batch is not None:
         method = "fn_batch"
-        values, feasible = objective.fn_batch(raw)
+        returned = objective.fn_batch(raw)
     else:
         points = [evaluate_raw(objective, row) for row in raw]
         return np.array([v for v, _ in points], dtype=float), np.array([ok for _, ok in points], dtype=bool)
-    values = np.asarray(values, dtype=float)
-    feasible = np.asarray(feasible, dtype=bool)
+    try:
+        values, feasible = returned
+        values = np.asarray(values, dtype=float)
+        feasible = np.asarray(feasible, dtype=bool)
+    except (TypeError, ValueError) as exc:
+        raise _malformed(objective, method, returned, exc) from exc
     if values.shape != (k,) or feasible.shape != (k,):
         raise ValueError(
             f"objective {objective.name!r}: {method} returned shapes {values.shape} and {feasible.shape} for {k} rows"

@@ -1,9 +1,11 @@
 import re
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from tabukit import cli
+from tabukit import benchmarks, hydraulic
 from tabukit.cli import (
     MULTI,
     OPTION_FIELDS,
@@ -209,20 +211,23 @@ class TestProblemRegistry:
 
     def test_unset_options_take_the_factory_defaults(self, monkeypatch):
         # The builders pass only the options that are set, so the defaults
-        # are stated once, on the factories and on CircuitTargets.
+        # are stated once, on the factories and on CircuitTargets. Each
+        # builder imports its factories when it runs, so they are patched
+        # on the modules that define them.
         seen = []
 
-        def record(name):
-            real = getattr(cli, name)
+        def record(module, name):
+            real = getattr(module, name)
 
             def call(*args, **kwargs):
                 seen.append((name, kwargs))
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(cli, name, call)
+            monkeypatch.setattr(module, name, call)
 
-        for name in ("make_bump", "make_circuit", "CircuitTargets"):
-            record(name)
+        record(benchmarks, "make_bump")
+        for name in ("make_circuit", "CircuitTargets"):
+            record(hydraulic, name)
         PROBLEMS["bump20"]({})
         PROBLEMS["circuit"]({})
         assert seen == [("make_bump", {}), ("CircuitTargets", {}), ("make_circuit", {})]
@@ -344,6 +349,30 @@ class TestOutputFormats:
         rows = [ResultRow(0, 0, 1.5, 10, 2.0, np.array([0.5]))]
         text = emit_table(rows, summarize(rows))
         assert len(text.split("\n")) == 3
+
+
+#: Finite floats, -0.0 and subnormals included; bounded so that no sum
+#: of 12 overflows.
+FINITE = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2e-308])
+
+
+def _same(a, b) -> bool:
+    """Equal in type and value; a float down to its bits."""
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+@given(st.lists(st.tuples(FINITE, st.integers(0, 10**12)), min_size=1, max_size=12))
+def test_summary_mean_and_median_have_the_bits_of_statistics(pairs):
+    # summarize does not import statistics; it repeats its operations.
+    rows = [ResultRow(i, i, value, count, 0.0, np.zeros(1)) for i, (value, count) in enumerate(pairs)]
+    values, counts = [value for value, _ in pairs], [count for _, count in pairs]
+    summary = summarize(rows)
+    assert summary.mean_value.hex() == statistics.fmean(values).hex()
+    assert summary.mean_evals.hex() == statistics.fmean(counts).hex()
+    assert _same(summary.median_value, statistics.median(values))
+    assert _same(summary.median_evals, statistics.median(counts))
 
 
 class TestMain:

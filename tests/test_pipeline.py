@@ -28,6 +28,7 @@ from tabukit.core import (
     clamp,
     denormalize,
     evaluate,
+    evaluate_raw,
     evaluate_raw_block,
 )
 from tabukit.hillclimb import axial_block, axial_moves
@@ -585,17 +586,23 @@ def test_scalar_fallback_gives_the_same_run(name):
         assert a.best.x.tobytes() == b.best.x.tobytes()
 
 
+#: Block returns that are not ``(values, feasible)`` arrays of k rows, with
+#: the error that names them: ``method`` is fn_batch or fn_axial.
+WRONG_BLOCKS = {
+    "short": (lambda raw: (np.zeros(1), np.ones(1, dtype=bool)), "{method} returned shapes"),
+    "none": (lambda raw: None, "{method} must return (value, feasible), got a NoneType"),
+    "one-item": (lambda raw: (np.zeros(len(raw)),), "{method} must return (value, feasible), got a tuple"),
+    "text-values": (lambda raw: (["a"] * len(raw), [True] * len(raw)), "{method} must return (value, feasible)"),
+}
+
+
 def test_fn_batch_wrong_shape_is_reported():
     space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
-    objective = Objective(
-        space,
-        fn=lambda raw: (0.0, True),
-        name="short",
-        fn_batch=lambda raw: (np.zeros(1), np.ones(1, dtype=bool)),
-    )
     base = SearchPoint(x=np.array([0.5, 0.5]), value=0.0, feasible=True)
-    with pytest.raises(ValueError, match="'short': fn_batch returned shapes"):
-        explore_one(base, 0.1, objective, TabuList())
+    for returned, message in WRONG_BLOCKS.values():
+        objective = Objective(space, fn=lambda raw: (0.0, True), name="short", fn_batch=returned)
+        with pytest.raises(ValueError, match=re.escape("'short': " + message.format(method="fn_batch"))):
+            explore_one(base, 0.1, objective, TabuList())
 
 
 @pytest.mark.parametrize("name", ["schwefel10", "bump20-keane", "circuit", "fn-only"])
@@ -619,19 +626,41 @@ def test_block_of_another_width_is_refused_before_any_call(name):
 
 def test_fn_axial_wrong_shape_is_reported():
     space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
-    objective = Objective(
-        space,
-        fn=lambda raw: (0.0, True),
-        name="short",
-        fn_batch=lambda raw: (np.zeros(len(raw)), np.ones(len(raw), dtype=bool)),
-        fn_axial=lambda raw, bases, counts, axis: (np.zeros(1), np.ones(1, dtype=bool)),
-    )
     base = SearchPoint(x=np.array([0.5, 0.5]), value=0.0, feasible=True)
-    with pytest.raises(ValueError, match="'short': fn_axial returned shapes"):
-        explore_one(base, 0.1, objective, TabuList())
-    # Without its structure a block goes to fn_batch, whose shapes are right.
-    values, feasible = evaluate_raw_block(objective, np.full((3, 2), 0.5))
-    assert values.tolist() == [0.0] * 3 and feasible.all()
+    for returned, message in WRONG_BLOCKS.values():
+        objective = Objective(
+            space,
+            fn=lambda raw: (0.0, True),
+            name="short",
+            fn_batch=lambda raw: (np.zeros(len(raw)), np.ones(len(raw), dtype=bool)),
+            fn_axial=lambda raw, bases, counts, axis, returned=returned: returned(raw),
+        )
+        with pytest.raises(ValueError, match=re.escape("'short': " + message.format(method="fn_axial"))):
+            explore_one(base, 0.1, objective, TabuList())
+        # Without its structure a block goes to fn_batch, whose shapes are right.
+        values, feasible = evaluate_raw_block(objective, np.full((3, 2), 0.5))
+        assert values.tolist() == [0.0] * 3 and feasible.all()
+
+
+@pytest.mark.parametrize(
+    "returned, cause",
+    [
+        ((None, True), TypeError),
+        (None, TypeError),
+        ((1.0,), ValueError),
+        ((np.array([1.0, 2.0]), True), TypeError),
+    ],
+    ids=["none-value", "none", "one-item", "array-value"],
+)
+def test_fn_return_that_is_no_pair_names_the_objective(returned, cause):
+    space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
+    objective = Objective(space, fn=lambda raw: returned, name="loose")
+    message = "objective 'loose': fn must return (value, feasible), got a "
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
+        evaluate_raw(objective, np.array([0.5, 0.5]))
+    assert type(raised.value.__cause__) is cause
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_single(objective, SearchConfig(seed=0, max_evals=50))
 
 
 def test_non_finite_feasible_block_value_is_an_objective_error():
@@ -704,35 +733,40 @@ class ObjectiveBug(Exception):
     pass
 
 
+#: Raised inside the objective: the engine names a malformed return with a
+#: ValueError chained to a TypeError or ValueError, but passes these through.
+BUGS = (ObjectiveBug("boom"), TypeError("boom"), ValueError("boom"))
+
+
 def test_objective_exception_propagates_unchanged_from_both_paths():
-    bug = ObjectiveBug("boom")
-
-    def fail(raw):
-        raise bug
-
     space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
     x = np.array([0.25, 0.5])
-    for objective in (Objective(space, fn=fail), Objective(space, fn=fail, fn_batch=fail)):
-        with pytest.raises(ObjectiveBug) as raised:
-            evaluate(objective, x)
-        assert raised.value is bug
-        with pytest.raises(ObjectiveBug) as raised:
-            evaluate_block(objective, np.array([x, x]))
-        assert raised.value is bug
+    for bug in BUGS:
+
+        def fail(raw):
+            raise bug
+
+        for objective in (Objective(space, fn=fail), Objective(space, fn=fail, fn_batch=fail)):
+            with pytest.raises(type(bug)) as raised:
+                evaluate(objective, x)
+            assert raised.value is bug
+            with pytest.raises(type(bug)) as raised:
+                evaluate_block(objective, np.array([x, x]))
+            assert raised.value is bug
 
 
 def test_objective_exception_propagates_unchanged_from_fn_axial():
-    bug = ObjectiveBug("boom")
-
-    def fail(*args):
-        raise bug
-
     space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
-    objective = Objective(space, fn=lambda raw: (0.0, True), fn_axial=fail)
     base = SearchPoint(x=np.array([0.25, 0.5]), value=0.0, feasible=True)
-    with pytest.raises(ObjectiveBug) as raised:
-        explore_one(base, 0.1, objective, TabuList())
-    assert raised.value is bug
+    for bug in BUGS:
+
+        def fail(*args):
+            raise bug
+
+        objective = Objective(space, fn=lambda raw: (0.0, True), fn_axial=fail)
+        with pytest.raises(type(bug)) as raised:
+            explore_one(base, 0.1, objective, TabuList())
+        assert raised.value is bug
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
