@@ -62,7 +62,7 @@ class ExperimentSpec:
     options: dict[str, object] = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.problem not in PROBLEMS:
+        if not isinstance(self.problem, str) or self.problem not in PROBLEMS:  # a list is unhashable
             raise ValueError(f"unknown problem: {self.problem!r}")
         if self.method not in (SINGLE, MULTI):
             raise ValueError(f"method must be {SINGLE!r} or {MULTI!r}")
@@ -71,9 +71,12 @@ class ExperimentSpec:
         check_number_fields(self)
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed!r}")
         for key in self.overrides:
             if key not in SEARCH_FIELDS:
                 raise ValueError(f"unknown search setting: {key!r}")
+        SearchConfig(**self.overrides).validate()
         for key in self.options:
             if key not in PROBLEM_OPTIONS[self.problem]:
                 raise ValueError(f"option {key!r} does not apply to problem {self.problem!r}")

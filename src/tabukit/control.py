@@ -12,10 +12,10 @@ plain ``RunResult`` part. The run's threads are one table, ``Threads``:
 thread i is row i of every column, its base, step, tabu ring, generator,
 best point and counters alike, and the table holds the one archive that
 the threads share. Each stage steps the live rows through one
-``hillclimb.hj_stage`` call, which screens all their probes at once,
-evaluates all their axial candidates in one objective call and each
-pattern point alone, and the result is the same as stepping them one
-after another.
+``hillclimb.hj_stage`` call (more at the budget edge), which screens
+all their probes at once, evaluates all their axial candidates in one
+objective call and each pattern point alone, and the result is the
+same as stepping them one after another.
 """
 from __future__ import annotations
 
@@ -323,14 +323,16 @@ def run_lockstep(
     Each stage steps every thread whose step is at or above the floor,
     with the result of stepping them one by one in index order: a
     thread steps only while the total spent before it is below the
-    budget. The threads that step together are evaluated as one block
-    (see ``hj_stage``). Then the stage lets at most one restructure:
-    among the threads that ask, the one with the worst current best
-    (lowest index on ties) goes, and the others keep their request
-    pending for the next stage unless they improve first. After the
-    stage every pair of bases is checked for a collision. The run ends
-    at the first stage that finds no thread at or above the floor, or
-    when the budget is spent.
+    budget. This is the one home of that rule. A thread step spends at
+    most 2N + 1 evaluations, so with B left the leading
+    ``1 + (B - 1) // (2N + 1)`` threads surely step: one ``hj_stage``
+    call steps them as one block, and the rest wait for the actual total.
+    Then the stage lets at most one restructure: among the threads that
+    ask, the one with the worst current best (lowest index on ties)
+    goes, and the others keep their request pending for the next stage
+    unless they improve first. After the stage every pair of bases is
+    checked for a collision. The run ends at the first stage that finds
+    no thread at or above the floor, or when the budget is spent.
 
     The global best starts as thread 0's, so a run that finds no
     feasible point reports thread 0's evaluated start and an empty
@@ -364,17 +366,16 @@ def run_lockstep(
     collisions = CollisionLog()
     terminated_by = EVAL_BUDGET
     live = [i for i in range(k) if threads.step.item(i) >= step_floor]  # only a restructure changes a step
+    most_per_step = 2 * dim + 1  # evaluations: 2N axial rows and one pattern point
     while total < config.max_evals:
-        # Every live thread steps while the budget lasts. One hj_stage
-        # call steps as many of them as the budget surely admits; a
-        # thread it leaves waits for the actual total.
         if not live:
             terminated_by = STEP_FLOOR
             break
         stepping = live
-        while stepping and total < config.max_evals:
-            steps = hj_stage(threads, stepping, objective, config.k_pattern, config.max_evals - total)
-            for i, (outcome, spent) in zip(stepping, steps):
+        while stepping and total < config.max_evals:  # the budget rule of the docstring
+            admitted = stepping[: 1 + (config.max_evals - total - 1) // most_per_step]
+            steps = hj_stage(threads, admitted, objective, config.k_pattern)
+            for i, (outcome, spent) in zip(admitted, steps):
                 if outcome == IMPROVED:
                     fail_count[i] = 0
                     pending[i] = None
@@ -386,7 +387,7 @@ def run_lockstep(
                     history.append((total, best.value))
                 request = pending[i] or control_decision(fail_count[i], config)
                 pending[i] = None if request == CONTINUE else request
-            stepping = stepping[len(steps) :]
+            stepping = stepping[len(admitted) :]
         if total >= config.max_evals:
             break
 

@@ -11,8 +11,9 @@ entry of the tabu list can match a neighbor only when no other
 coordinate of the base lies farther from it than the tolerance.
 
 A thread is a row of the run's ``control.Threads`` table. The driver
-steps the live rows of a stage through one ``hj_stage`` call, with the
-result of stepping them one by one; its docstring says how.
+steps the live rows of a stage through one ``hj_stage`` call (more at
+the budget edge), with the result of stepping them one by one; its
+docstring says how.
 ``explore`` is the stage's exploration half, and ``hj_stage`` keeps the
 winner rule, the pattern point and the adoption. Only ``hj_step`` and
 ``memory.TabuList.is_tabu`` are not called by the engine; they stay as
@@ -24,7 +25,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -85,19 +85,14 @@ def _probe_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     return axis, sign
 
 
-def axial_moves(
-    base_x: np.ndarray, step: np.ndarray, tabu: np.ndarray, match_tol: float, budget: float = math.inf
-) -> MoveSet:
+def axial_moves(base_x: np.ndarray, step: np.ndarray, tabu: np.ndarray, match_tol: float) -> MoveSet:
     """Generate the clamped, tabu-screened axial neighbours of T bases at once.
 
     The bases are ``(T, 1, N)``, the steps ``(T, 1, 1)`` and the tabu rings
     ``(T, capacity, N)``. Each base's 2N probes go by variable index, the
     increment first, which is also the tie-break order downstream; only the
     moved coordinate is computed. Probes that clamp back onto their base are
-    dropped, the rest screened by ``memory.screen_axial``. Thread t steps
-    only while the evaluations that the threads before it may spend, their
-    candidates plus one pattern point each, stay below ``budget``; the
-    first always does. The move set covers the threads that step.
+    dropped, the rest screened by ``memory.screen_axial``.
     """
     axis, sign = _probe_order(base_x.shape[2])
     base_moved = base_x.take(axis, axis=2)
@@ -113,10 +108,6 @@ def axial_moves(
         counts = [axis.size]
     else:
         counts = np.add.reduce(keep, (1, 2)).tolist()
-        stepping = 1 + sum(spent < budget for spent in accumulate(c + 1 for c in counts[:-1]))
-        if stepping < len(counts):
-            rest_near, counts = rest_near[:stepping], counts[:stepping]
-            keep, moved, tabu_hit = keep[:stepping], moved[:stepping], tabu_hit[:stepping]
         axis = axis[keep.nonzero()[2]]
     return MoveSet(axis, moved[keep], counts, int(np.count_nonzero(tabu_hit)), rest_near=rest_near)
 
@@ -137,25 +128,19 @@ def axial_block(space: ParameterSpace, raw: np.ndarray, moves: MoveSet) -> np.nd
 
 
 def explore(
-    x: np.ndarray,
-    raw: np.ndarray,
-    step: np.ndarray,
-    tabu: np.ndarray,
-    objective: Objective,
-    match_tol: float,
-    budget: float = math.inf,
+    x: np.ndarray, raw: np.ndarray, step: np.ndarray, tabu: np.ndarray, objective: Objective, match_tol: float
 ) -> tuple[MoveSet, np.ndarray, np.ndarray]:
     """A stage's exploration: ``axial_moves`` of the bases ``x`` (with
     its arguments), their raw rows (``axial_block`` of the raw bases
-    ``raw``) and the rows' engine values from one ``evaluate_raw_block``
-    call with the block's structure, which also sets the move set's
-    ``infeasible_rejected``. An empty block reaches no objective."""
-    moves = axial_moves(x, step, tabu, match_tol, budget)
-    bases = raw[: len(moves.counts)]
-    block = axial_block(objective.space, bases, moves)
+    ``raw``, one per base) and the rows' engine values from one
+    ``evaluate_raw_block`` call with the block's structure, which also
+    sets the move set's ``infeasible_rejected``. An empty block reaches
+    no objective."""
+    moves = axial_moves(x, step, tabu, match_tol)
+    block = axial_block(objective.space, raw, moves)
     if not len(block):
         return moves, block, np.empty(0)
-    values, feasible = evaluate_raw_block(objective, block, (bases, moves.counts, moves.axis))
+    values, feasible = evaluate_raw_block(objective, block, (raw, moves.counts, moves.axis))
     moves.infeasible_rejected = len(feasible) - int(np.count_nonzero(feasible))
     return moves, block, values
 
@@ -180,21 +165,16 @@ def _pattern_point(base_x: np.ndarray, axis: int, m: float, k: float) -> np.ndar
 
 
 def hj_stage(
-    threads: "Threads",
-    rows: Sequence[int],
-    objective: Objective,
-    k_pattern: float = 1.0,
-    budget: float = math.inf,
+    threads: "Threads", rows: Sequence[int], objective: Objective, k_pattern: float = 1.0
 ) -> list[tuple[str, int]]:
     """One exploration + pattern-move cycle for each of several threads.
 
-    Steps the leading ``rows`` of the ``control.Threads`` table as one
+    Steps every one of ``rows`` of the ``control.Threads`` table as one
     batched operation, with the result of stepping them one by one in
-    that order. A thread takes part only while the evaluations that the
-    threads before it may spend, at most their rows plus one pattern
-    point each, stay below ``budget``; the first always does. Each
-    stepping thread adds what it spent to its ``evals``. Returns
-    ``(outcome, evaluations)`` for each thread that stepped; no rows step none.
+    that order. Each thread adds what it spent, at most its 2N axial
+    rows plus one pattern point, to its ``evals``. Returns one
+    ``(outcome, evaluations)`` per row; no rows step none. Which threads
+    the budget admits is the driver's rule (``control.run_lockstep``).
 
     ``explore`` is the stage's exploration: it reads the table's arrays
     for all the rows at once (the arrays themselves when ``rows`` is
@@ -219,14 +199,15 @@ def hj_stage(
     """
     if not 0.0 < k_pattern < math.inf:  # also rejects NaN, as SearchConfig.validate does
         raise ValueError(f"pattern factor must be positive and finite, got {k_pattern!r}")
+    rows = list(rows)
     if not rows:
         return []
     k = float(k_pattern)
     x, step, tabu, raw = threads.x, threads.step, threads.tabu, threads.raw
-    if list(rows) != list(range(len(x))):  # some threads, or out of row order: copies
+    if rows != list(range(len(x))):  # some threads, or out of row order: copies
         x, step, tabu, raw = x[rows], step[rows], tabu[rows], raw[rows]
     tabu_lists, evals = threads.tabu_lists, threads.evals
-    moves, block, values = explore(x, raw, step, tabu, objective, tabu_lists[0].match_tol, budget)
+    moves, block, values = explore(x, raw, step, tabu, objective, tabu_lists[0].match_tol)
     space = objective.space
     axes, moved, rest_near = moves.axis, moves.moved, moves.rest_near
 

@@ -1,6 +1,7 @@
 """The package's public names: each resolves, the engine's parts are
 imported from their own modules, and the deleted one-thread helpers stay
-deleted. No engine function takes a thread's state beside the thread."""
+deleted. No engine function takes a thread's state beside the thread,
+and no step or memory function takes the budget."""
 import inspect
 
 import pytest
@@ -89,5 +90,23 @@ def test_no_function_takes_thread_state_as_a_parameter(module):
         for name, fn in functions.items()
         for parameter in inspect.signature(fn).parameters
         if parameter in THREAD_STATE
+    }
+    assert taking == set()
+
+
+#: Parameter names for the evaluation budget, whose admission rule only
+#: ``control.run_lockstep`` states.
+BUDGET = {"budget", "max_evals"}
+
+
+@pytest.mark.parametrize("module", [hillclimb, memory], ids=lambda module: module.__name__)
+def test_no_step_or_memory_function_takes_a_budget(module):
+    functions = dict(defined_functions(module))
+    assert {"hj_stage", "TabuList.push"} & functions.keys()
+    taking = {
+        f"{name}({parameter})"
+        for name, fn in functions.items()
+        for parameter in inspect.signature(fn).parameters
+        if parameter in BUDGET
     }
     assert taking == set()

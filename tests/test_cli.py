@@ -40,6 +40,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(problem="rosenbrock").validate()
 
+    @pytest.mark.parametrize("problem", [["schwefel10"], {"schwefel10"}, None], ids=["list", "set", "None"])
+    def test_problem_that_is_no_name_is_unknown(self, problem):
+        # An unhashable one too: the ValueError, not the TypeError of `in PROBLEMS`.
+        with pytest.raises(ValueError, match="^unknown problem: "):
+            ExperimentSpec(problem=problem).validate()
+
     def test_bad_method_and_start(self):
         with pytest.raises(ValueError):
             ExperimentSpec(problem="schwefel10", method="tripled").validate()
@@ -83,6 +89,22 @@ class TestSpecValidation:
     def test_non_integer_runs_or_seed_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             ExperimentSpec(problem="schwefel10", **{name: value}).validate()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"base_seed": -1}, "base_seed must be non-negative, got -1"),
+            ({"overrides": {"max_evals": 0}}, "max_evals must be at least 1"),
+            ({"overrides": {"k_pattern": "2"}}, "k_pattern must be a real number, got '2'"),
+        ],
+        ids=["base_seed", "max_evals", "k_pattern"],
+    )
+    def test_bad_field_named_before_the_problem_is_built(self, fields, message, monkeypatch):
+        built = []
+        monkeypatch.setitem(PROBLEMS, "schwefel10", lambda options: built.append(options))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(ExperimentSpec(problem="schwefel10", **fields))
+        assert built == []
 
 
 class TestBuildSpec:

@@ -12,7 +12,6 @@ after another. The engine must agree with it exactly.
 """
 import ast
 import dataclasses
-import math
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from tabukit.core import Objective, ParameterSpace, SearchPoint, clamp, denormal
 from tabukit.hillclimb import _probe_order, axial_moves, hj_stage
 from tabukit.memory import TabuList, screen_axial
 from tabukit.multithread import MultiConfig, run_multi
-from support import adopted_threads, moves_around, spied
+from support import UNIT, adopted_threads, moves_around, spied
 
 
 def reference_moves(base_x, step, tabu):
@@ -208,8 +207,7 @@ def test_stacked_screen_matches_screen_row_by_row(threads, n, tol, capacity, dat
     # bound coordinates, steps that clamp probes onto both bounds, and
     # entries a tolerance off. The mask is the reference tabu test of
     # every probe built as a full row, and axial_moves gives the
-    # reference's probes, thread by thread, for the threads the budget
-    # admits.
+    # reference's probes, thread by thread, for every thread.
     coordinate = st.one_of(GRID, st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
     bases = np.array([data.draw(st.lists(coordinate, min_size=n, max_size=n)) for _ in range(threads)])
     steps = np.array([data.draw(st.sampled_from([1 / 32, 1 / 16, 0.25, 0.6, 0.1])) for _ in range(threads)])
@@ -232,20 +230,12 @@ def test_stacked_screen_matches_screen_row_by_row(threads, n, tol, capacity, dat
             assert hit[t, 0, p] == ref.is_tabu(row)
 
     wants = [reference_moves(base, step, ref) for base, step, ref in zip(bases, steps, refs)]
-    # Budgets at each thread's edge: what the threads before it may spend.
-    edges = np.cumsum([len(axes) + 1 for axes, _, _ in wants]).tolist()
-    budget = data.draw(st.one_of(st.just(math.inf), st.integers(-1, 6 * n * threads), st.sampled_from(edges)))
-    got = axial_moves(bases[:, np.newaxis], steps.reshape(-1, 1, 1), rings, tol, budget)
-    stepping, spent = 1, len(wants[0][0]) + 1
-    while stepping < threads and spent < budget:
-        spent += len(wants[stepping][0]) + 1
-        stepping += 1
-    wants = wants[:stepping]
+    got = axial_moves(bases[:, np.newaxis], steps.reshape(-1, 1, 1), rings, tol)
     assert got.counts == [len(axes) for axes, _, _ in wants]
     assert got.axis.tolist() == [a for axes, _, _ in wants for a in axes]
     assert got.moved.tobytes() == b"".join(moved.tobytes() for _, moved, _ in wants)
     assert got.tabu_rejected == sum(hits for _, _, hits in wants)
-    assert got.rest_near.tobytes() == rest_near[:stepping].tobytes()
+    assert got.rest_near.tobytes() == rest_near.tobytes()
 
 
 # --- whole runs against the reference -------------------------------------
@@ -395,37 +385,77 @@ def test_reference_imports_only_problem_definitions():
     assert set(taken) <= PROBLEM_DEFINITIONS, sorted(set(taken) - PROBLEM_DEFINITIONS)
 
 
+def spied_stages(monkeypatch):
+    """Record each ``hj_stage`` call of the driver as (total spent before
+    it, rows offered), and check that it steps every row offered."""
+    real_stage, calls = control.hj_stage, []
+
+    def stage(threads, rows, *args):
+        calls.append((sum(threads.evals), list(rows)))
+        steps = real_stage(threads, rows, *args)
+        assert len(steps) == len(rows)
+        return steps
+
+    monkeypatch.setattr(control, "hj_stage", stage)
+    return calls
+
+
+def admitted(max_evals, total, n):
+    """How many threads the driver's bound admits to one call with
+    ``total`` spent: a thread step spends at most 2n + 1."""
+    return 1 + (max_evals - total - 1) // (2 * n + 1)
+
+
 def test_budget_edge_splits_a_stage(monkeypatch):
-    """A thread that the budget bound leaves out of the stacked block
-    still steps when the actual total allows it, as a second group."""
+    """Near the budget the driver's bound admits thread 0 alone; thread 1
+    still steps when the actual total allows it, in a second call."""
     objective = make_schwefel10()
     starts = lockstep_setup(2)
     step_ends = []
     reference_run(objective, SearchConfig(seed=3, max_evals=600), 2, step_ends=step_ends)
-    real_stage = control.hj_stage
-    groups = []
-
-    def stage(threads, rows, *args):
-        steps = real_stage(threads, rows, *args)
-        groups.append((len(rows), len(steps)))
-        return steps
-
-    monkeypatch.setattr(control, "hj_stage", stage)
+    calls = spied_stages(monkeypatch)
     split = 0
     for end in step_ends[::2]:  # where thread 0's steps end
         for offset in (0, 1):
-            groups.clear()
+            calls.clear()
             config = SearchConfig(seed=3, max_evals=end + offset)
             got = run_lockstep(objective, config, starts)
             assert result_key(got) == result_key(reference_run(objective, config, 2))
-            split += groups[-2:] == [(2, 1), (1, 1)]
+            assert all(len(rows) <= admitted(config.max_evals, total, 10) for total, rows in calls)
+            split += [rows for _, rows in calls[-2:]] == [[0], [1]]
     assert split
+
+
+@pytest.mark.parametrize("problem", ["schwefel10", "bump20"])
+def test_runs_across_a_stage_window_match_the_reference(problem, monkeypatch):
+    # Three live threads start a stage with T spent. As the budget sweeps
+    # from T + 1 to T + 2(2N + 1) + 1, the driver's bound admits one, two
+    # and then all three of them to the stage's first call. Every split
+    # point and the budgets on either side of it are swept, and each run
+    # must equal the reference's.
+    objective = PROBLEMS[problem]()
+    n = objective.space.dimension
+    starts = lockstep_setup(3)
+    calls = spied_stages(monkeypatch)
+    run_lockstep(objective, SearchConfig(seed=1, max_evals=1500), starts)
+    whole = [total for total, rows in calls if rows == [0, 1, 2]]
+    start = whole[len(whole) // 2]  # a stage well inside the run, after restructures
+    admits = set()
+    for max_evals in range(start + 1, start + 2 * (2 * n + 1) + 2):
+        config = SearchConfig(seed=1, max_evals=max_evals)
+        calls.clear()
+        got = run_lockstep(objective, config, starts)
+        assert result_key(got) == result_key(reference_run(objective, config, 3))
+        [first] = [rows for total, rows in calls if total == start]
+        assert len(first) == min(3, admitted(max_evals, start, n))
+        admits.add(len(first))
+    assert admits == {1, 2, 3}
 
 
 def test_one_axial_moves_call_per_stage_for_the_stepping_threads(monkeypatch):
     """hj_stage screens and builds the probes of all its threads in one
-    axial_moves call, which covers exactly the threads that step: none
-    that the budget leaves for a later call."""
+    axial_moves call, and steps every thread that it is offered, also at
+    the budget edge, where the driver offers fewer."""
     real_moves, real_stage = hillclimb.axial_moves, control.hj_stage
     calls, stages = [], []
 
@@ -446,8 +476,8 @@ def test_one_axial_moves_call_per_stage_for_the_stepping_threads(monkeypatch):
     starts = lockstep_setup(3)
     for max_evals in range(300, 400, 9):
         run_lockstep(objective, SearchConfig(seed=2, max_evals=max_evals), starts)
-    assert all(calls == [stepped] for _, stepped, calls in stages)
-    assert any(stepped < offered for offered, stepped, _ in stages)
+    assert all(calls == [stepped] and stepped == offered for offered, stepped, calls in stages)
+    assert any(offered < 3 for offered, _, _ in stages)
 
 
 @pytest.mark.parametrize("batch", [True, False], ids=["fn_batch", "fn-only"])
@@ -579,37 +609,57 @@ def test_stage_winner_is_the_first_feasible_minimum_and_infeasible_rows_are_coun
     assert threads.best[1].value == 1.0  # the start, which the tie does not replace
 
 
+@settings(max_examples=60, deadline=None)
+@given(problem=st.sampled_from(sorted(PROBLEMS)), threads=st.integers(1, 3), data=st.data())
+def test_a_thread_step_spends_at_most_2n_plus_1(problem, threads, data):
+    # The driver's budget bound rests on this: whatever the table, a stage
+    # returns one (outcome, spent) per row it is given, in their order,
+    # and each spends at most its 2N axial rows and one pattern point,
+    # all of it booked to that thread's evals. Starts on the bounds,
+    # steps that clamp, tolerances that make probes tabu and stages in a
+    # row that fill the rings.
+    objective = PROBLEMS[problem]()
+    n = objective.space.dimension
+    tol = data.draw(st.sampled_from([0.0, 1e-6, 1 / 8]))
+    config = SearchConfig(n_tabu=data.draw(st.integers(1, 9)), match_tol=tol)
+    starts = [data.draw(st.lists(UNIT, min_size=n, max_size=n)) for _ in range(threads)]
+    table = adopted_threads(objective, starts, config)
+    steps = data.draw(st.lists(st.sampled_from([1 / 32, 0.1, 0.25, 0.6, 1.0]), min_size=threads, max_size=threads))
+    table.step[:, 0, 0] = steps
+    k_pattern = data.draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 3.0)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        order = data.draw(st.permutations(range(threads)))
+        rows = order[: data.draw(st.integers(0, threads))]
+        before = list(table.evals)
+        spent = [spent for _, spent in hj_stage(table, rows, objective, k_pattern)]
+        assert len(spent) == len(rows)
+        assert all(0 <= s <= 2 * n + 1 for s in spent)
+        assert [table.evals[i] - before[i] for i in range(threads)] == [
+            spent[rows.index(i)] if i in rows else 0 for i in range(threads)
+        ]
+
+
 def test_stage_of_no_states_steps_none():
     objective = make_schwefel10()
     threads = adopted_threads(objective, [np.full(10, 0.25)])
     assert hj_stage(threads, [], objective) == []
-    assert hj_stage(threads, [], objective, budget=0) == []
     assert threads.evals == [1]
 
 
-@pytest.mark.parametrize("budget", [0, -5, 0.0, 1])
-def test_first_state_steps_whatever_the_budget(budget):
-    # A budget at or below zero still steps the first thread, as the
-    # driver's serial rule does: a thread steps while the total spent
-    # before it is below the budget.
-    objective = make_schwefel10()
-    threads = adopted_threads(objective, [np.full(10, x) for x in (0.25, 0.75)])
-    steps = hj_stage(threads, [0, 1], objective, budget=budget)
-    assert len(steps) == 1
-    assert steps[0][1] == threads.evals[0] - 1 > 0
-    assert threads.evals[1] == 1
-
-
-def test_threads_out_of_row_order_step_in_their_order():
+@pytest.mark.parametrize(
+    "rows", [[1, 0], (1, 0), np.array([1, 0]), range(1, -1, -1)], ids=["list", "tuple", "ndarray", "range"]
+)
+def test_threads_out_of_row_order_step_in_their_order(rows):
     # Every row of the table, but not in row order: the stage steps the
-    # threads in the order given, as stepping them one at a time does.
+    # threads in the order given, as stepping them one at a time does,
+    # whatever sequence holds the rows.
     objective = make_schwefel10()
 
     def threads():
         return adopted_threads(objective, [np.full(10, x) for x in (0.25, 0.75)])
 
     got, want = threads(), threads()
-    steps = hj_stage(got, [1, 0], objective)
+    steps = hj_stage(got, rows, objective)
     assert steps == hj_stage(want, [1], objective) + hj_stage(want, [0], objective)
     for column in ("x", "raw", "step", "tabu"):
         assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
