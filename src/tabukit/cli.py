@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -73,6 +74,9 @@ class ExperimentSpec:
             raise ValueError("runs must be at least 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed!r}")
+        for name in ("overrides", "options"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ValueError(f"{name} must be a mapping of setting names to values, got {getattr(self, name)!r}")
         for key in self.overrides:
             if key not in SEARCH_FIELDS:
                 raise ValueError(f"unknown search setting: {key!r}")
@@ -303,7 +307,6 @@ def build_spec(settings: dict[str, str]) -> tuple[ExperimentSpec, str | None]:
         known["base_seed"] = known.pop("seed")
     spec = ExperimentSpec(**known, overrides=overrides, options=options)
     spec.validate()
-    SearchConfig(**spec.overrides).validate()
     return spec, out
 
 

@@ -83,8 +83,9 @@ class SearchConfig:
             raise ValueError("step_initial must lie in (0, 1]")
         if self.step_min is not None and not (0.0 < self.step_min <= self.step_initial):
             raise ValueError("step_min must lie in (0, step_initial]")
-        if self.n_tabu < 1 or self.m_elite < 1:
-            raise ValueError("memory capacities must be at least 1")
+        for name in ("n_tabu", "m_elite"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not (0.0 < self.k_pattern < math.inf):
             raise ValueError("k_pattern must be positive and finite")
         if not (0.0 <= self.match_tol < math.inf):

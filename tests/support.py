@@ -1,7 +1,7 @@
-"""Helpers that several test modules share: one thread's axial moves and
-exploration, a table of adopted threads, a strategy of normalized
-coordinates, a spy on what reaches an objective, and the structure
-check of an axial block."""
+"""Helpers that several test modules share: an objective over a cube, one
+thread's axial moves and exploration, a table of adopted threads, a
+strategy of normalized coordinates, a spy on what reaches an objective,
+and the structure check of an axial block."""
 import dataclasses
 import math
 
@@ -9,12 +9,25 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tabukit.control import SearchConfig, fresh_threads
-from tabukit.core import INFEASIBLE_VALUE, MAXIMIZE, SearchPoint, denormalize, evaluate
+from tabukit.core import INFEASIBLE_VALUE, MAXIMIZE, Objective, ParameterSpace, SearchPoint, denormalize, evaluate
 from tabukit.hillclimb import axial_moves, explore
 
 
 #: Normalized coordinates, with -0.0, the bounds and their neighbours among them.
 UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0 - 2**-53, 1.0]))
+
+
+def cube_objective(value, dim=1, lower=-1.0, upper=1.0, min_step=1e-4, feasible=None, calls=None):
+    """A minimized objective over ``[lower, upper]^dim`` whose ``fn`` returns
+    ``float(value(raw))``, feasible unless ``feasible(raw)`` is false, and
+    appends a copy of each raw row to ``calls`` when it is a list."""
+
+    def fn(raw):
+        if calls is not None:
+            calls.append(np.array(raw))
+        return float(value(raw)), feasible is None or bool(feasible(raw))
+
+    return Objective(ParameterSpace.cube(lower, upper, dim, min_step=min_step), fn=fn)
 
 
 def moves_around(base, step, tabu):

@@ -62,6 +62,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(problem="schwefel10", options={"verbose": True}).validate()
 
+    @pytest.mark.parametrize("name", ["overrides", "options"])
+    @pytest.mark.parametrize("value", [None, [("max_evals", 5)], "max_evals=5"], ids=["None", "pairs", "text"])
+    def test_overrides_or_options_that_are_no_mapping_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a mapping of setting names to values, got "):
+            ExperimentSpec(problem="schwefel10", **{name: value}).validate()
+
     @pytest.mark.parametrize(
         "problem, key, value",
         [
@@ -90,14 +96,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             ExperimentSpec(problem="schwefel10", **{name: value}).validate()
 
+    # A bad search setting is named before the problem is built too:
+    # test_control.py's test_bad_value_rejected_before_any_evaluation.
     @pytest.mark.parametrize(
-        "fields, message",
-        [
-            ({"base_seed": -1}, "base_seed must be non-negative, got -1"),
-            ({"overrides": {"max_evals": 0}}, "max_evals must be at least 1"),
-            ({"overrides": {"k_pattern": "2"}}, "k_pattern must be a real number, got '2'"),
-        ],
-        ids=["base_seed", "max_evals", "k_pattern"],
+        "fields, message", [({"base_seed": -1}, "base_seed must be non-negative, got -1")], ids=["base_seed"]
     )
     def test_bad_field_named_before_the_problem_is_built(self, fields, message, monkeypatch):
         built = []
@@ -397,6 +399,12 @@ def test_summary_mean_and_median_have_the_bits_of_statistics(pairs):
     assert _same(summary.median_evals, statistics.median(counts))
 
 
+def exits_two(capsys, args, message="error:"):
+    """``main(args)`` exits 2 and writes ``message`` to stderr."""
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
 class TestMain:
     def test_small_run_exits_zero(self, capsys, tmp_path):
         out = tmp_path / "res.csv"
@@ -446,53 +454,40 @@ class TestMain:
         assert len(out_lines) == 3
 
     def test_unknown_setting_exits_two(self, capsys):
-        code = main(["--problem", "schwefel10", "--set", "warp=9"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        exits_two(capsys, ["--problem", "schwefel10", "--set", "warp=9"])
 
     def test_non_finite_search_setting_exits_two(self, capsys):
-        code = main(["--problem", "schwefel10", "--set", "k_pattern=inf"])
-        assert code == 2
-        assert "k_pattern" in capsys.readouterr().err
+        exits_two(capsys, ["--problem", "schwefel10", "--set", "k_pattern=inf"], "k_pattern")
 
     def test_removed_lockstep_setting_exits_two(self, capsys):
-        code = main(["--problem", "schwefel10", "--method", "multi", "--set", "lockstep=false"])
-        assert code == 2
-        assert "unknown setting: 'lockstep'" in capsys.readouterr().err
+        args = ["--problem", "schwefel10", "--method", "multi", "--set", "lockstep=false"]
+        exits_two(capsys, args, "unknown setting: 'lockstep'")
 
     @pytest.mark.parametrize("speed", ["0", "-5", "nan", "inf"])
     def test_bad_pump_speed_exits_two_naming_the_field(self, capsys, speed):
-        code = main(["--problem", "circuit", "--runs", "1", "--set", "max_evals=50", "--set", f"pump_speed={speed}"])
-        assert code == 2
-        assert "error: pump_speed must be positive and finite" in capsys.readouterr().err
+        args = ["--problem", "circuit", "--runs", "1", "--set", "max_evals=50", "--set", f"pump_speed={speed}"]
+        exits_two(capsys, args, "error: pump_speed must be positive and finite")
 
     def test_option_of_another_problem_exits_two(self, capsys):
-        code = main(["--problem", "schwefel10", "--set", "pump_speed=100"])
-        assert code == 2
-        assert "error: option 'pump_speed' does not apply to problem 'schwefel10'" in capsys.readouterr().err
+        args = ["--problem", "schwefel10", "--set", "pump_speed=100"]
+        exits_two(capsys, args, "error: option 'pump_speed' does not apply to problem 'schwefel10'")
 
     def test_unparsable_set_value_exits_two_naming_the_key(self, capsys):
-        code = main(["--problem", "schwefel10", "--set", "max_evals=1e5"])
-        assert code == 2
-        assert "error: setting 'max_evals' expects int, got '1e5'" in capsys.readouterr().err
+        args = ["--problem", "schwefel10", "--set", "max_evals=1e5"]
+        exits_two(capsys, args, "error: setting 'max_evals' expects int, got '1e5'")
 
     def test_malformed_set_exits_two(self, capsys):
-        code = main(["--problem", "schwefel10", "--set", "max_evals"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        exits_two(capsys, ["--problem", "schwefel10", "--set", "max_evals"])
 
     def test_missing_problem_exits_two(self, capsys):
-        code = main(["--runs", "1"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        exits_two(capsys, ["--runs", "1"])
 
     def test_missing_config_file_exits_two(self, capsys):
-        code = main(["--config", "/no/such/file.cfg"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        exits_two(capsys, ["--config", "/no/such/file.cfg"])
 
     def test_unwritable_out_exits_two(self, capsys):
-        code = main(
+        exits_two(
+            capsys,
             [
                 "--problem",
                 "schwefel10",
@@ -502,7 +497,5 @@ class TestMain:
                 "max_evals=300",
                 "--out",
                 "/no/such/dir/res.csv",
-            ]
+            ],
         )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err

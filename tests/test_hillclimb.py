@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit.core import (
-    Objective,
     ParameterSpace,
     SearchPoint,
     clamp,
@@ -31,19 +30,12 @@ from tabukit.hillclimb import (
 from tabukit.memory import TabuList
 
 import reference
-from support import UNIT, adopted_threads, explore_one, moves_around
+from support import UNIT, adopted_threads, cube_objective, explore_one, moves_around
 
 
 def make_objective(fn, dim=1, record=None):
-    """Minimization objective over [0,1]^dim given a normalized-space fn."""
-    space = ParameterSpace.cube(0.0, 1.0, dim, min_step=1e-6)
-
-    def wrapped(raw):
-        if record is not None:
-            record.append(np.array(raw))
-        return float(fn(raw)), True
-
-    return Objective(space=space, fn=wrapped)
+    """A minimized objective over [0, 1]^dim, so that raw rows are normalized ones."""
+    return cube_objective(fn, dim, lower=0.0, min_step=1e-6, calls=record)
 
 
 def probe_rows(moves, bases):
@@ -144,17 +136,6 @@ class TestExplore:
         assert moves.tabu_rejected == 2
         assert calls == []
 
-    def test_infeasible_candidates_evaluated_but_excluded(self):
-        space = ParameterSpace.cube(0.0, 1.0, 1, min_step=1e-6)
-        calls = []
-        obj = Objective(space, fn=lambda raw: (calls.append(raw) or float(raw[0]), raw[0] > 0.4))
-        base = SearchPoint(x=np.array([0.5]), value=0.5, feasible=True)
-        best, moves = explore_one(base, 0.25, obj, TabuList())
-        assert best.x[0] == pytest.approx(0.75)
-        assert moves.infeasible_rejected == 1
-        # The infeasible candidate still cost an evaluation.
-        assert len(calls) == 2
-
     def test_returns_minimum_of_evaluated_candidates(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -171,13 +152,6 @@ class TestExplore:
             best, _ = explore_one(base, 0.17, obj, TabuList())
             evaluated = [float(np.sum(coeffs * (r - 0.3) ** 2)) for r in record]
             assert best.value == min(evaluated)
-
-    def test_tie_break_prefers_first_generated(self):
-        obj = make_objective(lambda raw: 1.0, dim=2)  # flat: all ties
-        base = eval_point(obj, [0.5, 0.5], lambda x: 1.0)
-        best, _ = explore_one(base, 0.1, obj, TabuList())
-        # Increment of variable 0 wins every tie.
-        assert np.allclose(best.x, [0.6, 0.5])
 
 
 class TestPatternMove:

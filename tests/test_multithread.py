@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tabukit import control, multithread
 from tabukit.benchmarks import make_bump, make_schwefel10
@@ -20,58 +20,37 @@ from tabukit.control import (
     run_single,
     thread_generators,
 )
-from tabukit.core import Objective, ParameterSpace, denormalize
+from tabukit.core import denormalize
 from tabukit.multithread import MultiConfig, run_multi
 
 from reference import Tabu, axial_probes
-from support import UNIT
+from support import UNIT, cube_objective
 
 
-def small_objective(dim=2, seed_fn=None):
-    space = ParameterSpace.cube(-1.0, 1.0, dim, min_step=1e-3)
-    fn = seed_fn or (lambda raw: (float(np.sum(raw**2)), True))
-    return Objective(space=space, fn=fn)
+#: Two close bases and a tolerance: (xa, xb, tol).
+PAIRS = st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.lists(UNIT, min_size=n, max_size=n)] * 2))
 
 
-class TestDetectCollision:
-    def test_identical_bases_collide(self):
-        assert detect_collision(np.array([0.5, 0.5]), np.array([0.5, 0.5]), tol=1e-6)
-
-    def test_distant_bases_do_not(self):
-        assert not detect_collision(np.array([0.0, 0.5]), np.array([1.0, 0.5]), tol=1e-6)
-
-    def test_boundary_is_inclusive(self):
-        # Power-of-two tolerance and offset so the distance is exact.
-        tol = 2.0**-20
-        assert detect_collision(np.array([0.5, 0.5]), np.array([0.5 + tol, 0.5 + tol]), tol=tol)
-        assert not detect_collision(np.array([0.5, 0.5]), np.array([0.5 + 2 * tol, 0.5]), tol=tol)
-
-    def test_appends_to_log(self):
-        xa, xb = np.array([0.5, 0.5]), np.array([0.5, 0.5])
-        log = CollisionLog()
-        detect_collision(xa, xb, tol=1e-6, log=log, eval_count=42)
-        detect_collision(xa, xb, tol=1e-6, log=log, eval_count=43)
-        assert [c for c, _ in log.events] == [42, 43]
-        assert all(d <= 1e-6 for _, d in log.events)
-
-    def test_miss_not_logged(self):
-        log = CollisionLog()
-        detect_collision(np.array([0.0, 0.5]), np.array([1.0, 0.5]), tol=1e-6, log=log, eval_count=1)
-        assert log.events == []
-
-
-@given(data=st.data(), n=st.integers(1, 6))
-def test_collision_distance_is_the_max_abs_difference_bit_for_bit(data, n):
-    # The logged distance has the bits of float(np.abs(a - b).max()),
-    # whichever entry attains it and whatever the signs of zeros.
-    xa = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
-    xb = np.array(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
+# Identical bases collide; distant ones do not; the tolerance is
+# inclusive, at power-of-two offsets whose distance is exact.
+@example(pair=([0.5, 0.5], [0.5, 0.5]), tol=1e-6)
+@example(pair=([0.0, 0.5], [1.0, 0.5]), tol=1e-6)
+@example(pair=([0.5, 0.5], [0.5 + 2.0**-20, 0.5 + 2.0**-20]), tol=2.0**-20)
+@example(pair=([0.5, 0.5], [0.5 + 2.0**-19, 0.5]), tol=2.0**-20)
+@given(pair=PAIRS, tol=st.one_of(st.sampled_from([0.0, 2.0**-20, 1e-6, 2.0]), st.floats(0.0, 1.0)))
+def test_collision_distance_is_the_max_abs_difference_bit_for_bit(pair, tol):
+    # Bases collide when their largest coordinate distance is within the
+    # tolerance. Each collision is logged with its evaluation count and a
+    # distance with the bits of float(np.abs(a - b).max()), whichever
+    # entry attains it and whatever the signs of zeros; a miss is not.
+    xa, xb = np.array(pair[0]), np.array(pair[1])
+    dist = float(np.abs(xa - xb).max())
     log = CollisionLog()
-    assert detect_collision(xa, xb, tol=2.0, log=log, eval_count=7)
-    [(count, dist)] = log.events
-    assert count == 7
-    assert type(dist) is float
-    assert dist.hex() == float(np.abs(xa - xb).max()).hex()
+    hit = detect_collision(xa, xb, tol=tol, log=log, eval_count=7)
+    assert hit == (dist <= tol) == detect_collision(xa, xb, tol=tol)
+    detect_collision(xa, xb, tol=tol, log=log, eval_count=8)
+    assert all(type(d) is float for _, d in log.events)
+    assert [(count, d.hex()) for count, d in log.events] == ([(7, dist.hex()), (8, dist.hex())] if hit else [])
 
 
 class TestThreadSeeds:
@@ -102,7 +81,7 @@ class TestRunMulti:
             assert ta.evals == tb.evals
 
     def test_eval_accounting_exact(self):
-        obj = small_objective(dim=3)
+        obj = cube_objective(lambda raw: float(np.sum(raw**2)), dim=3, min_step=1e-3)
         result = run_multi(obj, MultiConfig(base=SearchConfig(seed=2, max_evals=3000)))
         assert result.evals == sum(t.evals for t in result.threads)
 
@@ -118,19 +97,19 @@ class TestRunMulti:
         assert non_continue_stages > 0
 
     def test_global_best_is_better_thread_best(self):
-        obj = small_objective(dim=3)
+        obj = cube_objective(lambda raw: float(np.sum(raw**2)), dim=3, min_step=1e-3)
         result = run_multi(obj, MultiConfig(base=SearchConfig(seed=4, max_evals=3000)))
         thread_bests = [t.best.value for t in result.threads]
         assert result.best.value == min(thread_bests)
 
     def test_budget_respected(self):
-        obj = small_objective(dim=3)
+        obj = cube_objective(lambda raw: float(np.sum(raw**2)), dim=3, min_step=1e-3)
         result = run_multi(obj, MultiConfig(base=SearchConfig(seed=5, max_evals=50)))
         assert result.terminated_by == EVAL_BUDGET
         assert result.evals <= 50 + 2 * 3 + 1
 
     def test_floor_termination_when_budget_ample(self):
-        obj = small_objective(dim=2)
+        obj = cube_objective(lambda raw: float(np.sum(raw**2)), dim=2, min_step=1e-3)
         result = run_multi(obj, MultiConfig(base=SearchConfig(seed=6, max_evals=200000)))
         assert result.terminated_by == STEP_FLOOR
         floor = 1e-3 / 2.0  # min_step / span
@@ -139,23 +118,9 @@ class TestRunMulti:
 
     def test_fixed_starts_used(self):
         calls = []
-        space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-3)
-
-        def fn(raw):
-            calls.append(np.array(raw))
-            return float(np.sum(raw**2)), True
-
-        obj = Objective(space=space, fn=fn)
-        start_a = np.array([0.25, 0.25])
-        start_b = np.array([0.75, 0.75])
-        run_multi(
-            obj,
-            MultiConfig(
-                base=SearchConfig(seed=7, max_evals=2),
-                start_a=start_a,
-                start_b=start_b,
-            ),
-        )
+        obj = cube_objective(lambda raw: float(np.sum(raw**2)), dim=2, lower=0.0, min_step=1e-3, calls=calls)
+        start_a, start_b = np.array([0.25, 0.25]), np.array([0.75, 0.75])
+        run_multi(obj, MultiConfig(base=SearchConfig(seed=7, max_evals=2), start_a=start_a, start_b=start_b))
         assert np.allclose(calls[0], start_a)
         assert np.allclose(calls[1], start_b)
 
@@ -185,42 +150,15 @@ class TestRunMulti:
 
 
 class TestStartValidation:
-    def test_bad_start_names_thread_before_any_evaluation(self):
-        calls = []
-        obj = small_objective(seed_fn=lambda raw: (calls.append(1) or 0.0, True))
-        config = MultiConfig(base=SearchConfig(), start_a=np.array([0.5, 0.5]), start_b=np.array([np.nan, 0.5]))
-        with pytest.raises(ValueError, match=r"start_b \(thread 1\) has non-finite coordinates at indices \[0\]"):
-            run_multi(obj, config)
-        assert calls == []
-
-    def test_wrong_shape_names_thread(self):
-        obj = small_objective()
-        config = MultiConfig(base=SearchConfig(), start_a=np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(ValueError, match=r"start_a \(thread 0\) must have one coordinate per parameter"):
-            run_multi(obj, config)
-
     def test_no_starts_named_after_the_config_before_any_evaluation(self):
         calls = []
-        obj = small_objective(seed_fn=lambda raw: (calls.append(1) or 0.0, True))
+        obj = cube_objective(lambda raw: 0.0, dim=2, calls=calls)
         with pytest.raises(ValueError, match="max_evals must be at least 1"):
             control.run_lockstep(obj, SearchConfig(max_evals=0), [])
         with pytest.raises(ValueError, match="^a run needs at least one start"):
             control.run_lockstep(obj, SearchConfig(), [])
         with pytest.raises(ValueError, match="^a run needs at least one start"):
             fresh_threads([], SearchConfig())
-        assert calls == []
-
-    @pytest.mark.parametrize("method", ["single", "multi"])
-    def test_bad_config_reported_before_bad_start(self, method):
-        calls = []
-        obj = small_objective(seed_fn=lambda raw: (calls.append(1) or 0.0, True))
-        config = SearchConfig(max_evals=0)
-        bad_start = np.array([np.nan, 0.5])
-        with pytest.raises(ValueError, match="max_evals must be at least 1"):
-            if method == "single":
-                run_single(obj, config, start=bad_start)
-            else:
-                run_multi(obj, MultiConfig(base=config, start_a=bad_start))
         assert calls == []
 
 
@@ -257,6 +195,21 @@ class TestErrorPropagation:
     @pytest.mark.parametrize("method", ["single", "multi"])
     def test_objective_error_propagates(self, method):
         assert len(failing_run(method, 500)) == 500
+        # Every engine block comes with its structure, so these runs send
+        # each axial block to fn_axial, which fails on its m-th block.
+        bump = make_bump(20)
+        for m in (1, 3):
+            blocks = []
+
+            def fn_axial(raw, bases, counts, axis):
+                blocks.append(len(raw))
+                if len(blocks) == m:
+                    raise RuntimeError(f"fn_axial failed on block {m}")
+                return bump.fn_axial(raw, bases, counts, axis)
+
+            with pytest.raises(RuntimeError, match=f"block {m}$"):
+                run_method(dataclasses.replace(bump, fn_axial=fn_axial), method)
+            assert len(blocks) == m
 
     @settings(max_examples=40, deadline=None)
     @given(method=st.sampled_from(["single", "multi"]), m=st.integers(1, 600), seed=st.integers(0, 3))
@@ -282,26 +235,6 @@ class TestErrorPropagation:
 
 
 class TestFnAxialErrorPropagation:
-    # Every engine block comes with its structure, so these runs send each
-    # axial block to fn_axial.
-    @pytest.mark.parametrize("method", ["single", "multi"])
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_objective_error_propagates(self, method, m):
-        bump = make_bump(20)
-        blocks = []
-
-        def fn_axial(raw, bases, counts, axis):
-            blocks.append(len(raw))
-            if len(blocks) == m:
-                raise RuntimeError(f"fn_axial failed on block {m}")
-            return bump.fn_axial(raw, bases, counts, axis)
-
-        result = None
-        with pytest.raises(RuntimeError, match=f"block {m}$"):
-            result = run_method(dataclasses.replace(bump, fn_axial=fn_axial), method)
-        assert result is None
-        assert len(blocks) == m
-
     @pytest.mark.parametrize("method", ["single", "multi"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_feasible_value_raises_the_fn_batch_error(self, method, bad):
@@ -333,7 +266,7 @@ class TestAllInfeasible:
     @pytest.mark.parametrize("method", ["single", "multi"])
     @pytest.mark.parametrize("start", [np.array([0.75, 0.75]), None], ids=["fixed", "random"])
     def test_reports_thread_0_evaluated_start(self, method, start):
-        obj = small_objective(seed_fn=lambda raw: (0.0, False))
+        obj = cube_objective(lambda raw: 0.0, dim=2, min_step=1e-3, feasible=lambda raw: False)
         config = SearchConfig(seed=5, max_evals=2000)
         if method == "single":
             result = run_single(obj, config, start=start)

@@ -526,17 +526,6 @@ def test_explore_matches_per_candidate_reference(name):
             assert float(got.value).hex() == float(best.value).hex()
 
 
-def test_explore_infeasible_rows_counted_not_chosen():
-    space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
-    calls = []
-    objective = Objective(space, fn=lambda raw: (calls.append(raw) or float(raw.sum()), bool(raw[0] > 0.45)))
-    base = SearchPoint(x=np.array([0.5, 0.5]), value=1.0, feasible=True)
-    best, moves = explore_one(base, 0.1, objective, TabuList())
-    assert len(calls) == 4
-    assert moves.infeasible_rejected == 1
-    assert best.x.tolist() == [0.5, 0.4]
-
-
 # --- evaluation accounting over the batch and scalar paths ----------------
 
 
@@ -739,11 +728,12 @@ BUGS = (ObjectiveBug("boom"), TypeError("boom"), ValueError("boom"))
 
 
 def test_objective_exception_propagates_unchanged_from_both_paths():
+    # From fn, from fn_batch, and from fn_axial, which an axial block reaches.
     space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
     x = np.array([0.25, 0.5])
     for bug in BUGS:
 
-        def fail(raw):
+        def fail(*args):
             raise bug
 
         for objective in (Objective(space, fn=fail), Objective(space, fn=fail, fn_batch=fail)):
@@ -753,19 +743,9 @@ def test_objective_exception_propagates_unchanged_from_both_paths():
             with pytest.raises(type(bug)) as raised:
                 evaluate_block(objective, np.array([x, x]))
             assert raised.value is bug
-
-
-def test_objective_exception_propagates_unchanged_from_fn_axial():
-    space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
-    base = SearchPoint(x=np.array([0.25, 0.5]), value=0.0, feasible=True)
-    for bug in BUGS:
-
-        def fail(*args):
-            raise bug
-
         objective = Objective(space, fn=lambda raw: (0.0, True), fn_axial=fail)
         with pytest.raises(type(bug)) as raised:
-            explore_one(base, 0.1, objective, TabuList())
+            explore_one(SearchPoint(x=x, value=0.0, feasible=True), 0.1, objective, TabuList())
         assert raised.value is bug
 
 

@@ -627,6 +627,8 @@ def test_a_thread_step_spends_at_most_2n_plus_1(problem, threads, data):
     steps = data.draw(st.lists(st.sampled_from([1 / 32, 0.1, 0.25, 0.6, 1.0]), min_size=threads, max_size=threads))
     table.step[:, 0, 0] = steps
     k_pattern = data.draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 3.0)))
+    before = list(table.evals)
+    assert hj_stage(table, [], objective, k_pattern) == [] and table.evals == before  # a stage of no rows
     for _ in range(data.draw(st.integers(1, 4))):
         order = data.draw(st.permutations(range(threads)))
         rows = order[: data.draw(st.integers(0, threads))]
@@ -637,13 +639,6 @@ def test_a_thread_step_spends_at_most_2n_plus_1(problem, threads, data):
         assert [table.evals[i] - before[i] for i in range(threads)] == [
             spent[rows.index(i)] if i in rows else 0 for i in range(threads)
         ]
-
-
-def test_stage_of_no_states_steps_none():
-    objective = make_schwefel10()
-    threads = adopted_threads(objective, [np.full(10, 0.25)])
-    assert hj_stage(threads, [], objective) == []
-    assert threads.evals == [1]
 
 
 @pytest.mark.parametrize(
