@@ -100,16 +100,10 @@ class ResultRow:
 
 @dataclass
 class Summary:
-    """Across-run statistics of best values and evaluation counts."""
+    """Across-run means of best values and evaluation counts."""
 
     mean_value: float
-    median_value: float
-    min_value: float
-    max_value: float
     mean_evals: float
-    median_evals: float
-    min_evals: int
-    max_evals: int
 
 
 def _present(options: dict, **params: str) -> dict:
@@ -193,28 +187,12 @@ def _mean(v: list) -> float:
     return math.fsum(v) / len(v)
 
 
-def _median(v: list):
-    """``statistics.median(v)``, by the same operations: the middle item,
-    or the mean of the middle two."""
-    v = sorted(v)
-    i = len(v) // 2
-    return v[i] if len(v) % 2 else (v[i - 1] + v[i]) / 2
-
-
 def summarize(rows: list[ResultRow]) -> Summary:
     if not rows:
         raise ValueError("no rows to summarize")
-    values = [r.best_value for r in rows]
-    evals = [r.eval_count for r in rows]
     return Summary(
-        mean_value=_mean(values),
-        median_value=_median(values),
-        min_value=min(values),
-        max_value=max(values),
-        mean_evals=_mean(evals),
-        median_evals=_median(evals),
-        min_evals=min(evals),
-        max_evals=max(evals),
+        mean_value=_mean([r.best_value for r in rows]),
+        mean_evals=_mean([r.eval_count for r in rows]),
     )
 
 

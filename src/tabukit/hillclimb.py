@@ -200,8 +200,6 @@ def hj_stage(
     if not 0.0 < k_pattern < math.inf:  # also rejects NaN, as SearchConfig.validate does
         raise ValueError(f"pattern factor must be positive and finite, got {k_pattern!r}")
     rows = list(rows)
-    if not rows:
-        return []
     k = float(k_pattern)
     x, step, tabu, raw = threads.x, threads.step, threads.tabu, threads.raw
     if rows != list(range(len(x))):  # some threads, or out of row order: copies

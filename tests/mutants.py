@@ -23,9 +23,10 @@ besides the test files changed (a module of ``src/tabukit``, a file of
 ``perfbench/``, ``pyproject.toml``, or a helper or data file in
 ``tests/``), every mutant runs again. Otherwise a killed or hung mutant
 reruns only if its first killer is gone or sits in a test file that
-changed, and a survivor reruns only against the test files that
-changed. It rewrites OUT, names every mutant caught before that survives
-now, and then exits 1.
+changed, one with no killer (pytest stopped before any test) only if
+any test file changed, and a survivor reruns only against the test
+files that changed. It rewrites OUT, names every mutant caught before
+that survives now, and then exits 1.
 """
 import argparse
 import ast
@@ -252,6 +253,7 @@ def _plan(old, sources, context, tests):
     """(kept records, work) of a recheck of the record ``old``; none kept if the context changed."""
     previous = {(m["module"], m["key"]): m for m in old["mutants"]} if old["context"] == context else {}
     changed = [name for name, h in tests.items() if old["tests"].get(name) != h]
+    same_tests = old["tests"] == tests
     kept, work = [], []
     for module, source in sources.items():
         for mutant in mutants(module, source):
@@ -262,7 +264,7 @@ def _plan(old, sources, context, tests):
                     work.append((mutant, [f"tests/{name}" for name in changed]))
                 else:
                     kept.append({**before, **mutant})
-            elif before and killer in tests and killer not in changed:
+            elif before and (killer in tests and killer not in changed if killer else same_tests):
                 kept.append({**before, **mutant})
             else:
                 work.append((mutant, None))

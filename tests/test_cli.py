@@ -277,11 +277,7 @@ class TestRunExperiment:
         values = [r.best_value for r in rows]
         evals = [r.eval_count for r in rows]
         assert summary.mean_value == pytest.approx(sum(values) / 3, rel=1e-12)
-        assert summary.min_value == min(values)
-        assert summary.max_value == max(values)
         assert summary.mean_evals == pytest.approx(sum(evals) / 3, rel=1e-12)
-        assert summary.min_evals == min(evals)
-        assert summary.max_evals == max(evals)
 
     def test_deterministic_apart_from_wall_time(self, tmp_path):
         spec = ExperimentSpec(
@@ -355,9 +351,13 @@ class TestOutputFormats:
 
     def test_csv_refuses_empty(self, tmp_path):
         path = tmp_path / "never.csv"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^refusing to write an empty CSV$"):
             emit_csv([], None, str(path))
         assert not path.exists()
+        with pytest.raises(ValueError, match="^no rows to render$"):
+            emit_table([], None)
+        with pytest.raises(ValueError, match="^no rows to summarize$"):
+            summarize([])
 
     def test_table_matches_csv_cells(self, sample):
         rows, summary = sample
@@ -380,23 +380,14 @@ class TestOutputFormats:
 FINITE = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2e-308])
 
 
-def _same(a, b) -> bool:
-    """Equal in type and value; a float down to its bits."""
-    if type(a) is not type(b):
-        return False
-    return a.hex() == b.hex() if isinstance(a, float) else a == b
-
-
 @given(st.lists(st.tuples(FINITE, st.integers(0, 10**12)), min_size=1, max_size=12))
-def test_summary_mean_and_median_have_the_bits_of_statistics(pairs):
+def test_summary_means_have_the_bits_of_statistics(pairs):
     # summarize does not import statistics; it repeats its operations.
     rows = [ResultRow(i, i, value, count, 0.0, np.zeros(1)) for i, (value, count) in enumerate(pairs)]
     values, counts = [value for value, _ in pairs], [count for _, count in pairs]
     summary = summarize(rows)
     assert summary.mean_value.hex() == statistics.fmean(values).hex()
     assert summary.mean_evals.hex() == statistics.fmean(counts).hex()
-    assert _same(summary.median_value, statistics.median(values))
-    assert _same(summary.median_evals, statistics.median(counts))
 
 
 def exits_two(capsys, args, message="error:"):
@@ -477,7 +468,7 @@ class TestMain:
         exits_two(capsys, args, "error: setting 'max_evals' expects int, got '1e5'")
 
     def test_malformed_set_exits_two(self, capsys):
-        exits_two(capsys, ["--problem", "schwefel10", "--set", "max_evals"])
+        exits_two(capsys, ["--problem", "schwefel10", "--set", "max_evals"], "error: --set expects KEY=VALUE, got 'max_evals'")
 
     def test_missing_problem_exits_two(self, capsys):
         exits_two(capsys, ["--runs", "1"])

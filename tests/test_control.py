@@ -78,6 +78,7 @@ class TestConfigValidation:
             SearchConfig(step_initial=0.0).validate()
         with pytest.raises(ValueError):
             SearchConfig(step_initial=1.5).validate()
+        SearchConfig(step_initial=1.0).validate()
 
     def test_step_min_range(self):
         with pytest.raises(ValueError):
@@ -112,24 +113,30 @@ class TestConfigValidation:
             ("seed", False),
             ("n_tabu", 0),
             ("m_elite", 0),
+            ("intensify_after", 0),
+            ("intensify_after", 10),  # equal to diversify_after
+            ("step_min", 0.0),
         ],
     )
     def test_bad_value_rejected_before_any_evaluation(self, name, value, monkeypatch):
         # Named by validate, by both runs before a bad start, and by the
-        # experiment runner before it builds the problem.
+        # experiment runner before it builds the problem; thresholds out
+        # of order by the rule they break.
         calls, built = [], []
         obj = cube_objective(lambda raw: raw[0] ** 2, calls=calls)
         cfg = SearchConfig(**{name: value})
-        with pytest.raises(ValueError, match=name):
+        out_of_order = (name, value) in [("intensify_after", 0), ("intensify_after", 10)]
+        match = "^thresholds must satisfy 0 < intensify < diversify < reduce$" if out_of_order else name
+        with pytest.raises(ValueError, match=match):
             cfg.validate()
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=match):
             run_single(obj, cfg, start=np.array([np.nan]))
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=match):
             run_multi(obj, MultiConfig(base=cfg, start_a=np.array([np.nan])))
         assert calls == []
         if name != "seed":  # the runner derives each run's seed itself
             monkeypatch.setitem(PROBLEMS, "schwefel10", lambda options: built.append(options))
-            with pytest.raises(ValueError, match=name):
+            with pytest.raises(ValueError, match=match):
                 run_experiment(ExperimentSpec("schwefel10", overrides={name: value}))
             assert built == []
 

@@ -47,16 +47,14 @@ class TestParameterSpace:
         assert ParameterSpace.cube(0.0, 1.0, np.int64(3), 0.1).dimension == 3
 
     def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            ParameterSpace(np.array([1.0]), np.array([0.0]), np.array([0.1]))
-        with pytest.raises(ValueError):
-            ParameterSpace(np.array([1.0]), np.array([1.0]), np.array([0.1]))
+        for upper in (0.0, 1.0):
+            with pytest.raises(ValueError, match="^every lower bound must be strictly below its upper bound$"):
+                ParameterSpace(np.array([1.0]), np.array([upper]), np.array([0.1]))
 
     def test_rejects_bad_min_step(self):
-        with pytest.raises(ValueError):
-            ParameterSpace(np.array([0.0]), np.array([1.0]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            ParameterSpace(np.array([0.0]), np.array([1.0]), np.array([1.5]))
+        for min_step in (0.0, 1.5):
+            with pytest.raises(ValueError, match=re.escape("min_step must satisfy 0 < min_step <= upper - lower")):
+                ParameterSpace(np.array([0.0]), np.array([1.0]), np.array([min_step]))
 
     @pytest.mark.parametrize(
         "lower, upper, named",
@@ -77,8 +75,14 @@ class TestParameterSpace:
         assert calls == []
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ParameterSpace(np.zeros(2), np.ones(3), np.full(2, 0.1))
+        for lower, upper, min_step, message in (
+            (np.zeros(2), np.ones(3), np.full(2, 0.1), "lower, upper and min_step must have equal length"),
+            (np.zeros(2), np.ones(2), np.full(3, 0.1), "lower, upper and min_step must have equal length"),
+            (np.zeros(0), np.ones(0), np.zeros(0), "bounds must be non-empty 1-D vectors"),
+            (np.zeros((1, 2)), np.ones((1, 2)), np.full((1, 2), 0.1), "bounds must be non-empty 1-D vectors"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ParameterSpace(lower, upper, min_step)
 
 
 class TestCoordinateMaps:
@@ -103,8 +107,9 @@ class TestCoordinateMaps:
 
     def test_normalize_rejects_wrong_shape(self):
         space = unit_space()
-        with pytest.raises(ValueError):
-            normalize(space, np.array([0.5]))
+        for convert in (normalize, denormalize):
+            with pytest.raises(ValueError, match=re.escape("expected 2 components, got (1,)")):
+                convert(space, np.array([0.5]))
 
     @given(st.lists(st.floats(-499.0, 499.0), min_size=3, max_size=3))
     def test_roundtrip(self, raw):

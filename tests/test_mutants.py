@@ -63,8 +63,9 @@ def test_runner_refuses_a_work_directory_inside_the_checkout(tmp_path, monkeypat
 def test_recheck_keeps_a_kill_only_while_nothing_it_read_changed():
     records = list(mutants.mutants("m", SOURCE))
     survivor = {**records[0], "status": "survived", "killer": None}
-    killed = [{**r, "status": "killed", "killer": "tests/test_m.py::test_f"} for r in records[1:]]
-    old = {"context": "c", "tests": {"test_m.py": "h", "test_n.py": "h"}, "mutants": [survivor, *killed]}
+    unnamed = {**records[1], "status": "killed", "killer": None}  # pytest stopped before any test
+    killed = [{**r, "status": "killed", "killer": "tests/test_m.py::test_f"} for r in records[2:]]
+    old = {"context": "c", "tests": {"test_m.py": "h", "test_n.py": "h"}, "mutants": [survivor, unnamed, *killed]}
 
     def plan(context, tests):
         kept, work = mutants._plan(old, {"m": SOURCE}, context, tests)
@@ -72,8 +73,9 @@ def test_recheck_keeps_a_kill_only_while_nothing_it_read_changed():
 
     everything = [r["index"] for r in records]
     assert plan("c", old["tests"]) == (everything, [])
-    # Another test file changed: only the survivor runs, against that file.
-    assert plan("c", {**old["tests"], "test_n.py": "x"}) == (everything[1:], [(0, ["tests/test_n.py"])])
+    # Another test file changed: the survivor runs against that file, the
+    # kill without a killer against the whole suite.
+    assert plan("c", {**old["tests"], "test_n.py": "x"}) == (everything[2:], [(0, ["tests/test_n.py"]), (1, None)])
     # The killer's file changed or is gone: its kills run the whole suite.
     rerun = [(i, None) for i in everything[1:]]
     assert plan("c", {**old["tests"], "test_m.py": "x"}) == ([], [(0, ["tests/test_m.py"])] + rerun)

@@ -13,9 +13,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from reference import Archive, Tabu, axial_probes, evaluate as reference_evaluate
+from reference import Archive, Tabu
 from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit import control, hillclimb
 from tabukit.control import CONTINUE, SearchConfig, run_single
@@ -380,35 +380,44 @@ def test_circuit_out_of_bounds_rows_raise_one_error(data, policy):
 # --- TabuList.is_tabu is the per-entry rule over the ring -----------------
 
 GRID = st.integers(0, 16).map(lambda k: k / 16.0)  # dyadic: distances are exact
+TOLS = [0.0, 1 / 16, 1 / 8, 1e-6]
+
+
+def vectors(dim):
+    return st.lists(st.one_of(GRID, st.floats(0.0, 1.0)), min_size=dim, max_size=dim)
+
+
+@st.composite
+def tabu_cases(draw):
+    """(capacity, tol, pushed, probes): up to three times the capacity of
+    pushes, so that the ring wraps, and probes, some of them exactly the
+    tolerance off an entry that the ring still holds."""
+    dim, capacity, tol = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.sampled_from(TOLS))
+    pushed = draw(st.lists(vectors(dim), max_size=3 * capacity))
+    near = st.sampled_from(pushed[-capacity:]).map(lambda e: [v + tol for v in e]) if pushed else vectors(dim)
+    return capacity, tol, pushed, draw(st.lists(st.one_of(vectors(dim), near), min_size=1, max_size=8))
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    dim=st.integers(1, 4),
-    capacity=st.integers(1, 4),
-    tol=st.sampled_from([0.0, 1 / 16, 1 / 8, 1e-6]),
-    data=st.data(),
+@given(case=tabu_cases())
+@example(case=(2, 1e-6, [[0.1], [0.2], [0.3]], [[0.1], [0.2], [0.3]]))  # FIFO: the oldest entry goes
+@example(case=(3, 1e-6, [[i / 10] for i in range(6)], [[i / 10] for i in range(6)]))
+@example(case=(7, 1e-6, [[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5 + 1e-4]]))  # one push; max norm
+@example(case=(7, 2.0**-20, [[0.5, 0.5]], [[0.5, 0.5 + 2.0**-20], [0.5, 0.5 + 2.0**-19]]))  # inclusive at tol
+@example(case=(7, 1e-6, [], [[0.0]]))  # an empty list matches nothing
+@example(
+    case=(2, 0.125, [[0.5, 0.5], [0.25, 0.25], [0.75, 0.75]], [[0.875, 0.75], [0.25, 0.375], [0.5, 0.5], [0.25, 0.3750001]])
 )
-def test_is_tabu_matches_per_entry_reference(dim, capacity, tol, data):
-    vec = st.lists(st.one_of(GRID, st.floats(0.0, 1.0)), min_size=dim, max_size=dim).map(np.array)
-    pushed = data.draw(st.lists(vec, max_size=3 * capacity))
+def test_is_tabu_matches_per_entry_reference(case):
+    capacity, tol, pushed, probes = case
     tabu, reference = TabuList(capacity, tol), Tabu(capacity, tol)
-    for x in pushed:
+    for x in map(np.array, pushed):
         tabu.push(x)
         reference.push(x)
+        x.fill(math.nan)  # the list keeps a copy
     assert len(tabu) == len(reference.entries)
-
-    near = st.sampled_from(list(reference.entries)).map(lambda e: e + tol) if pushed else vec
-    for x in data.draw(st.lists(st.one_of(vec, near), min_size=1, max_size=8)):
+    for x in map(np.array, probes):
         assert tabu.is_tabu(x) == reference.is_tabu(x)
-
-
-def test_screen_distance_exactly_at_tolerance():
-    tabu = TabuList(capacity=2, match_tol=0.125)
-    for x in ([0.5, 0.5], [0.25, 0.25], [0.75, 0.75]):  # the first push is evicted
-        tabu.push(np.array(x))
-    X = np.array([[0.875, 0.75], [0.25, 0.375], [0.5, 0.5], [0.25, 0.3750001]])
-    assert [tabu.is_tabu(x) for x in X] == [True, True, False, False]
 
 
 def test_screen_empty_list_and_empty_block():
@@ -430,27 +439,52 @@ def test_screen_empty_list_and_empty_block():
 # --- IntermediateMemory.offer is the per-entry rule over the archive rows --
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    dim=st.integers(1, 4),
-    capacity=st.sampled_from([1, 2, 3, 10]),
-    tol=st.sampled_from([0.0, 1 / 16, 1 / 8, 1e-6]),
-    seed=st.integers(0, 2**16),
-    data=st.data(),
-)
-def test_offer_matches_per_entry_reference(dim, capacity, tol, seed, data):
-    vec = st.lists(st.one_of(GRID, st.floats(0.0, 1.0)), min_size=dim, max_size=dim).map(np.array)
-    value = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-10.0, 10.0))  # ties test the insert order
-    memory, reference = IntermediateMemory(capacity, tol), Archive(capacity, tol)
-    for _ in range(data.draw(st.integers(1, 4 * capacity + 4))):
-        if reference.points and data.draw(st.booleans()):
-            # Exactly at, or just past, the tolerance from an archived point.
-            x = data.draw(st.sampled_from(reference.points)).x + data.draw(st.sampled_from([tol, 2 * tol, 1 / 16]))
+@st.composite
+def offer_cases(draw):
+    """(capacity, tol, seed, offers): each offer an (x, value, feasible),
+    some exactly at, or just past, the tolerance from an earlier one, and
+    values that tie, to test the insert order."""
+    dim, capacity, tol = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, 10])), draw(st.sampled_from(TOLS))
+    value = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-10.0, 10.0))
+    offers = []
+    for _ in range(draw(st.integers(1, 4 * capacity + 4))):
+        if offers and draw(st.booleans()):
+            offset = draw(st.sampled_from([tol, 2 * tol, 1 / 16]))
+            x = [v + offset for v in draw(st.sampled_from(offers))[0]]
         else:
-            x = data.draw(vec)
-        p = SearchPoint(x=x, value=data.draw(value), feasible=data.draw(st.sampled_from([True, True, True, False])))
+            x = draw(vectors(dim))
+        offers.append((x, draw(value), draw(st.sampled_from([True, True, True, False]))))
+    return capacity, tol, draw(st.integers(0, 2**16)), offers
+
+
+#: Three offers that fill an archive of capacity 3.
+FULL = [([v / 10, 0.0], v, True) for v in (1.0, 2.0, 3.0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=offer_cases())
+@example(case=(3, 1e-6, 0, [FULL[1], FULL[0], FULL[2]]))
+# Full: a better point displaces the worst; a worse one, or one that ties the worst, is refused.
+@example(case=(3, 1e-6, 0, FULL + [([0.25, 0.0], 2.5, True)]))
+@example(case=(3, 1e-6, 0, FULL + [([0.9, 0.9], 10.0, True), ([0.4, 0.0], 3.0, True)]))
+# A duplicate within the tolerance is refused, however good; one just past it is not.
+@example(case=(3, 1e-6, 0, [([0.5, 0.5], 1.0, True), ([0.5, 0.5], 0.5, True)]))
+@example(case=(3, 1e-6, 0, [([0.5, 0.5], 1.0, True), ([0.5, 0.5 + 1e-7], 0.5, True), ([0.5, 0.5 + 1e-3], 0.5, True)]))
+@example(case=(10, 1e-6, 0, [([0.5], 1.0, False)]))  # infeasible
+# The restart points of one entry, of two, of two 1e-12 apart at tolerance 0, at a bound, and of five.
+@example(case=(10, 1e-6, 1, [([0.4, 0.4, 0.4], 1.0, True)]))
+@example(case=(10, 1e-6, 0, [([0.2, 0.2], 1.0, True), ([0.4, 0.6], 2.0, True)]))
+@example(case=(10, 0.0, 0, [([0.25, 0.75], 1.0, True), ([0.25, 0.75 + 1e-12], 2.0, True)]))
+@example(case=(10, 1e-6, 0, [([0.0, 1.0], 1.0, True)]))
+@example(case=(10, 1e-6, 3, [([0.1 * v, 0.3, 0.7 - 0.1 * v, 0.9], v, True) for v in (4.0, 2.0, 0.0, 3.0, 1.0)]))
+def test_offer_matches_per_entry_reference(case):
+    capacity, tol, seed, offers = case
+    memory, reference = IntermediateMemory(capacity, tol), Archive(capacity, tol)
+    for x, value, feasible in offers:
+        p = SearchPoint(x=np.array(x), value=value, feasible=feasible)
         assert memory.offer(p) == reference.offer(p)
         assert memory.values() == [q.value for q in reference.points]
+        assert len(memory) == len(reference.points)
         if reference.points:
             assert memory.rows().tobytes() == np.array([q.x for q in reference.points]).tobytes()
             assert memory.intensify().tobytes() == reference.intensify().tobytes()
@@ -465,65 +499,6 @@ def test_offer_rejects_a_vector_of_another_length():
         memory.offer(SearchPoint(np.array([0.2]), 0.5, True))
     assert len(memory) == 1
     assert memory.intensify().tolist() == [0.1, 0.2, 0.3]
-
-
-# --- the block pipeline against the per-candidate reference ---------------
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    base=st.lists(st.one_of(GRID, st.floats(0.0, 1.0)), min_size=1, max_size=5).map(np.array),
-    step=st.sampled_from([1 / 16, 0.1, 0.25, 0.6]),
-    tol=st.sampled_from([1e-6, 1 / 16]),
-    data=st.data(),
-)
-def test_axial_moves_match_reference(base, step, tol, data):
-    tabu, reference = TabuList(7, tol), Tabu(7, tol)
-    for _ in range(data.draw(st.integers(0, 4))):
-        i = data.draw(st.integers(0, base.size - 1))
-        x = base.copy()
-        x[i] += data.draw(st.sampled_from([step, -step, 0.0]))
-        tabu.push(clamp(x))
-        reference.push(clamp(x))
-    want, rejected = axial_probes(base, step, reference)
-    moves = axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tol)
-    assert moves.tabu_rejected == rejected
-    assert moves.axis.tolist() == [a for _, a, _ in want]
-    # The reference's sign, read off the moved coordinate.
-    assert [1.0 if m > base[a] else -1.0 for a, m in zip(moves.axis.tolist(), moves.moved)] == [s for _, _, s in want]
-    assert moves.moved.tobytes() == np.array([x[a] for x, a, _ in want]).tobytes()
-
-
-@pytest.mark.parametrize("name", ["schwefel10", "bump20-keane", "circuit"])
-def test_explore_matches_per_candidate_reference(name):
-    objective = BUILT_IN[name]()
-    rng = np.random.default_rng(5)
-    n = objective.space.dimension
-    for trial in range(30):
-        base_x = rng.random(n)
-        if trial % 3 == 0:
-            base_x[rng.integers(n)] = 1.0
-        step = float(rng.choice([0.3, 0.05, 0.001]))
-        base = evaluate(objective, base_x)
-        reference = Tabu(7, 1e-6)
-        reference.push(base.x)
-        want_moves, _ = axial_probes(base.x, step, reference)
-        best = None
-        for x, _, _ in want_moves:
-            point = reference_evaluate(objective, x)
-            if point.feasible and (best is None or point.value < best.value):
-                best = point
-        tabu = TabuList()
-        tabu.push(base.x)
-        counted, spy = spied(objective)
-        got, moves = explore_one(base, step, counted, tabu)
-        assert spy.evals == len(want_moves)
-        if best is None:
-            assert got is None
-        else:
-            assert got.x.tobytes() == best.x.tobytes()
-            assert got.raw.tobytes() == best.raw.tobytes()
-            assert float(got.value).hex() == float(best.value).hex()
 
 
 # --- evaluation accounting over the batch and scalar paths ----------------

@@ -27,7 +27,7 @@ from tabukit.core import Objective, ParameterSpace, SearchPoint, clamp, denormal
 from tabukit.hillclimb import _probe_order, axial_moves, hj_stage
 from tabukit.memory import TabuList, screen_axial
 from tabukit.multithread import MultiConfig, run_multi
-from support import UNIT, adopted_threads, moves_around, spied
+from support import UNIT, adopted_threads, spied
 
 
 def reference_moves(base_x, step, tabu):
@@ -111,51 +111,6 @@ def tabu_entry(draw, base, step, tol):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    base=st.lists(st.one_of(GRID, st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=6).map(
-        np.array
-    ),
-    step=st.sampled_from([1 / 32, 1 / 16, 0.25, 0.6, 0.1]),
-    tol=st.sampled_from(TOLS),
-    capacity=st.integers(1, 4),
-    data=st.data(),
-)
-def test_axial_moves_match_reference_probes(base, step, tol, capacity, data):
-    tabu, ref = tabu_pair(capacity, tol)
-    # From an empty list up to three times the capacity, so the ring wraps.
-    for _ in range(data.draw(st.integers(0, 3 * capacity))):
-        entry = data.draw(tabu_entry(base, step, tol))
-        tabu.push(entry)
-        ref.push(entry)
-    got = moves_around(base, step, tabu)
-    axes, moved, hits = reference_moves(base, step, ref)
-    assert got.axis.tolist() == axes
-    assert got.moved.tobytes() == moved.tobytes()
-    assert got.counts == [len(axes)]
-    assert got.tabu_rejected == hits
-
-
-def test_axial_screen_cases_at_the_tolerance():
-    tol = 1 / 16
-    base = np.array([0.5, 0.0, 1.0])
-    tabu, ref = tabu_pair(4, tol)
-    for entry in (
-        [0.625 + tol, 0.0, 1.0],  # probe 0 (+x0) lies exactly tol away on its own axis
-        [0.375, tol, 1.0],  # probe 1 (-x0) lies exactly tol away on another axis
-        [0.5, 0.125 + 2 * tol, 1.0 - tol],  # probe +x1 is 2 tol off: allowed
-        [0.5 + tol, 0.0, 0.875 - tol],  # probe -x2 is tol off on two axes: tabu
-    ):
-        tabu.push(np.array(entry))
-        ref.push(np.array(entry))
-    got = moves_around(base, 0.125, tabu)
-    axes, moved, hits = reference_moves(base, 0.125, ref)
-    # x1 and x2 sit on a bound, so one probe of each is degenerate.
-    assert got.axis.tolist() == axes == [1]
-    assert got.moved.tolist() == moved.tolist() == [0.125]
-    assert got.tabu_rejected == hits == 3
-
-
-@settings(max_examples=300, deadline=None)
-@given(
     base=st.lists(st.one_of(GRID, st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=6).map(
         np.array
     ),
@@ -193,36 +148,54 @@ def test_pattern_screen_from_the_axial_mask_matches_is_tabu(base, tol, capacity,
     assert tabu.is_tabu(point) == tabu.is_tabu(point + 0.0) == want
 
 
+@st.composite
+def screen_cases(draw):
+    """(tol, capacity, threads): one to three threads, each a base, a step
+    and the entries pushed to its ring, from none up to three times the
+    capacity, so that the ring wraps."""
+    n, tol, capacity = draw(st.integers(1, 5)), draw(st.sampled_from(TOLS)), draw(st.integers(1, 4))
+    coordinate = st.one_of(GRID, st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+    threads = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = np.array(draw(st.lists(coordinate, min_size=n, max_size=n)))
+        step = draw(st.sampled_from([1 / 32, 1 / 16, 0.25, 0.6, 0.1]))
+        entries = [draw(tabu_entry(base, step, tol)).tolist() for _ in range(draw(st.integers(0, 3 * capacity)))]
+        threads.append((base.tolist(), step, entries))
+    return tol, capacity, threads
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    threads=st.integers(1, 3),
-    n=st.integers(1, 5),
-    tol=st.sampled_from(TOLS),
-    capacity=st.integers(1, 4),
-    data=st.data(),
+@given(case=screen_cases())
+@example(case=(1e-6, 7, [([0.5, 0.5], 0.6, [])]))  # every probe clamped onto a bound
+@example(case=(1e-6, 7, [([0.0], 0.1, [])]))  # a probe clamped onto its base
+@example(case=(1e-6, 7, [([0.5, 0.5], 0.1, [[0.4, 0.5]])]))  # a tabu probe
+# At tol = 1/16 around [0.5, 0, 1] by 0.125: probe +x0 lies exactly tol off an entry on its own axis,
+# -x0 exactly tol off on another axis, +x1 2 tol off (allowed) and -x2 tol off on two axes (tabu).
+@example(
+    case=(1 / 16, 4, [([0.5, 0, 1], 0.125, [[0.6875, 0, 1], [0.375, 1 / 16, 1], [0.5, 0.25, 0.9375], [0.5625, 0, 0.8125]])])
 )
-def test_stacked_screen_matches_screen_row_by_row(threads, n, tol, capacity, data):
+def test_stacked_screen_matches_screen_row_by_row(case):
     # T threads screened in one call, each against its own ring: rings
     # filled to different depths and wrapped, bases with signed zeros and
     # bound coordinates, steps that clamp probes onto both bounds, and
     # entries a tolerance off. The mask is the reference tabu test of
     # every probe built as a full row, and axial_moves gives the
     # reference's probes, thread by thread, for every thread.
-    coordinate = st.one_of(GRID, st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
-    bases = np.array([data.draw(st.lists(coordinate, min_size=n, max_size=n)) for _ in range(threads)])
-    steps = np.array([data.draw(st.sampled_from([1 / 32, 1 / 16, 0.25, 0.6, 0.1])) for _ in range(threads)])
-    rings = np.full((threads, capacity, n), np.inf)
+    tol, capacity, threads = case
+    bases = np.array([base for base, _, _ in threads], dtype=float)
+    steps = np.array([step for _, step, _ in threads])
+    n = bases.shape[1]
+    rings = np.full((len(threads), capacity, n), np.inf)
     tabus = [TabuList(capacity, tol, ring) for ring in rings]
-    refs = [Tabu(capacity, tol) for _ in range(threads)]
-    for base, step, tabu, ref in zip(bases, steps, tabus, refs):
-        for _ in range(data.draw(st.integers(0, 3 * capacity))):
-            entry = data.draw(tabu_entry(base, step, tol))
+    refs = [Tabu(capacity, tol) for _ in threads]
+    for (_, _, entries), tabu, ref in zip(threads, tabus, refs):
+        for entry in np.array(entries, dtype=float).reshape(-1, n):
             tabu.push(entry)
             ref.push(entry)
     axis, sign = _probe_order(n)
     moved = clamp(bases[:, axis] + sign * steps[:, np.newaxis])
     hit, rest_near = screen_axial(bases[:, np.newaxis], rings, axis, moved[:, np.newaxis], tol)
-    assert hit.shape == (threads, 1, 2 * n) and rest_near.shape == rings.shape
+    assert hit.shape == (len(threads), 1, 2 * n) and rest_near.shape == rings.shape
     for t, ref in enumerate(refs):
         for p in range(2 * n):
             row = bases[t].copy()
