@@ -1,7 +1,7 @@
 """Helpers that several test modules share: an objective over a cube, one
-thread's exploration, a table of adopted threads, a strategy of
-normalized coordinates, a spy on what reaches an objective, and the
-structure check of an axial block."""
+thread's axial moves and exploration, a table of adopted threads, a
+strategy of normalized coordinates, a spy on what reaches an objective,
+and the structure check of an axial block."""
 import dataclasses
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tabukit.control import SearchConfig, fresh_threads
 from tabukit.core import INFEASIBLE_VALUE, MAXIMIZE, Objective, ParameterSpace, SearchPoint, denormalize, evaluate
-from tabukit.hillclimb import explore
+from tabukit.hillclimb import axial_moves, explore
 
 
 #: Normalized coordinates, with -0.0, the bounds and their neighbours among them.
@@ -28,6 +28,11 @@ def cube_objective(value, dim=1, lower=-1.0, upper=1.0, min_step=1e-4, feasible=
         return float(value(raw)), feasible is None or bool(feasible(raw))
 
     return Objective(ParameterSpace.cube(lower, upper, dim, min_step=min_step), fn=fn)
+
+
+def moves_around(base, step, tabu):
+    """``axial_moves`` of one thread: ``base`` with its step and tabu list."""
+    return axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tabu.match_tol)
 
 
 def explore_one(base, step, objective, tabu):

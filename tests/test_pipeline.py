@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from reference import Archive, Tabu
+from reference import Archive, Tabu, axial_probes, evaluate as reference_evaluate
 from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit import control, hillclimb
 from tabukit.control import CONTINUE, SearchConfig, run_single
@@ -420,6 +420,14 @@ def test_is_tabu_matches_per_entry_reference(case):
         assert tabu.is_tabu(x) == reference.is_tabu(x)
 
 
+def test_screen_distance_exactly_at_tolerance():
+    tabu = TabuList(capacity=2, match_tol=0.125)
+    for x in ([0.5, 0.5], [0.25, 0.25], [0.75, 0.75]):  # the first push is evicted
+        tabu.push(np.array(x))
+    X = np.array([[0.875, 0.75], [0.25, 0.375], [0.5, 0.5], [0.25, 0.3750001]])
+    assert [tabu.is_tabu(x) for x in X] == [True, True, False, False]
+
+
 def test_screen_empty_list_and_empty_block():
     # An empty list matches nothing; a list that holds every probe leaves
     # an empty block to evaluate.
@@ -499,6 +507,65 @@ def test_offer_rejects_a_vector_of_another_length():
         memory.offer(SearchPoint(np.array([0.2]), 0.5, True))
     assert len(memory) == 1
     assert memory.intensify().tolist() == [0.1, 0.2, 0.3]
+
+
+# --- the block pipeline against the per-candidate reference ---------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.lists(st.one_of(GRID, st.floats(0.0, 1.0)), min_size=1, max_size=5).map(np.array),
+    step=st.sampled_from([1 / 16, 0.1, 0.25, 0.6]),
+    tol=st.sampled_from([1e-6, 1 / 16]),
+    data=st.data(),
+)
+def test_axial_moves_match_reference(base, step, tol, data):
+    tabu, reference = TabuList(7, tol), Tabu(7, tol)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, base.size - 1))
+        x = base.copy()
+        x[i] += data.draw(st.sampled_from([step, -step, 0.0]))
+        tabu.push(clamp(x))
+        reference.push(clamp(x))
+    want, rejected = axial_probes(base, step, reference)
+    moves = axial_moves(base.reshape(1, 1, -1), np.full((1, 1, 1), step), tabu.block(base.size), tol)
+    assert moves.tabu_rejected == rejected
+    assert moves.axis.tolist() == [a for _, a, _ in want]
+    # The reference's sign, read off the moved coordinate.
+    assert [1.0 if m > base[a] else -1.0 for a, m in zip(moves.axis.tolist(), moves.moved)] == [s for _, _, s in want]
+    assert moves.moved.tobytes() == np.array([x[a] for x, a, _ in want]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["schwefel10", "bump20-keane", "circuit"])
+def test_explore_matches_per_candidate_reference(name):
+    objective = BUILT_IN[name]()
+    rng = np.random.default_rng(5)
+    n = objective.space.dimension
+    for trial in range(30):
+        base_x = rng.random(n)
+        if trial % 3 == 0:
+            base_x[rng.integers(n)] = 1.0
+        step = float(rng.choice([0.3, 0.05, 0.001]))
+        base = evaluate(objective, base_x)
+        reference = Tabu(7, 1e-6)
+        reference.push(base.x)
+        want_moves, _ = axial_probes(base.x, step, reference)
+        best = None
+        for x, _, _ in want_moves:
+            point = reference_evaluate(objective, x)
+            if point.feasible and (best is None or point.value < best.value):
+                best = point
+        tabu = TabuList()
+        tabu.push(base.x)
+        counted, spy = spied(objective)
+        got, moves = explore_one(base, step, counted, tabu)
+        assert spy.evals == len(want_moves)
+        if best is None:
+            assert got is None
+        else:
+            assert got.x.tobytes() == best.x.tobytes()
+            assert got.raw.tobytes() == best.raw.tobytes()
+            assert float(got.value).hex() == float(best.value).hex()
 
 
 # --- evaluation accounting over the batch and scalar paths ----------------

@@ -27,7 +27,7 @@ from tabukit.core import Objective, ParameterSpace, SearchPoint, clamp, denormal
 from tabukit.hillclimb import _probe_order, axial_moves, hj_stage
 from tabukit.memory import TabuList, screen_axial
 from tabukit.multithread import MultiConfig, run_multi
-from support import UNIT, adopted_threads, spied
+from support import UNIT, adopted_threads, moves_around, spied
 
 
 def reference_moves(base_x, step, tabu):
@@ -107,6 +107,51 @@ def tabu_entry(draw, base, step, tol):
         j = draw(st.integers(0, n - 1))
         x[j] += draw(st.sampled_from([tol, -tol, 2 * tol, 1 / 32]))
     return clamp(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.lists(st.one_of(GRID, st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=6).map(
+        np.array
+    ),
+    step=st.sampled_from([1 / 32, 1 / 16, 0.25, 0.6, 0.1]),
+    tol=st.sampled_from(TOLS),
+    capacity=st.integers(1, 4),
+    data=st.data(),
+)
+def test_axial_moves_match_reference_probes(base, step, tol, capacity, data):
+    tabu, ref = tabu_pair(capacity, tol)
+    # From an empty list up to three times the capacity, so the ring wraps.
+    for _ in range(data.draw(st.integers(0, 3 * capacity))):
+        entry = data.draw(tabu_entry(base, step, tol))
+        tabu.push(entry)
+        ref.push(entry)
+    got = moves_around(base, step, tabu)
+    axes, moved, hits = reference_moves(base, step, ref)
+    assert got.axis.tolist() == axes
+    assert got.moved.tobytes() == moved.tobytes()
+    assert got.counts == [len(axes)]
+    assert got.tabu_rejected == hits
+
+
+def test_axial_screen_cases_at_the_tolerance():
+    tol = 1 / 16
+    base = np.array([0.5, 0.0, 1.0])
+    tabu, ref = tabu_pair(4, tol)
+    for entry in (
+        [0.625 + tol, 0.0, 1.0],  # probe 0 (+x0) lies exactly tol away on its own axis
+        [0.375, tol, 1.0],  # probe 1 (-x0) lies exactly tol away on another axis
+        [0.5, 0.125 + 2 * tol, 1.0 - tol],  # probe +x1 is 2 tol off: allowed
+        [0.5 + tol, 0.0, 0.875 - tol],  # probe -x2 is tol off on two axes: tabu
+    ):
+        tabu.push(np.array(entry))
+        ref.push(np.array(entry))
+    got = moves_around(base, 0.125, tabu)
+    axes, moved, hits = reference_moves(base, 0.125, ref)
+    # x1 and x2 sit on a bound, so one probe of each is degenerate.
+    assert got.axis.tolist() == axes == [1]
+    assert got.moved.tolist() == moved.tolist() == [0.125]
+    assert got.tabu_rejected == hits == 3
 
 
 @settings(max_examples=300, deadline=None)
