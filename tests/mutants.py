@@ -107,13 +107,32 @@ def mutate(source, index):
     raise IndexError(index)
 
 
+def _scopes(tree):
+    """Each node's innermost enclosing definition, as a dotted name
+    (``""`` at module level)."""
+    scopes = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            scopes[child] = scope
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if defines else scope)
+
+    visit(tree, "")
+    return scopes
+
+
 def mutants(module, source):
     """Every mutant of ``source`` as a record without a status. Its key
-    names it by operator and text, so that it survives edits elsewhere."""
+    names it by its enclosing definition, operator and text, and numbers
+    repeats within that definition only, so that it survives edits
+    elsewhere in the module."""
+    tree = ast.parse(source)
+    scopes = _scopes(tree)
     seen = {}
-    for index in range(sum(1 for _ in _sites(ast.parse(source)))):
+    for index, (node, _, _) in enumerate(list(_sites(tree))):
         line, op, before, after, _ = mutate(source, index)
-        digest = hashlib.sha1(f"{op}\0{before}\0{after}".encode()).hexdigest()[:12]
+        digest = hashlib.sha1(f"{scopes[node]}\0{op}\0{before}\0{after}".encode()).hexdigest()[:12]
         seen[digest] = seen.get(digest, -1) + 1
         text = f"{before.splitlines()[0]} -> {after}" if op == "drop" else f"{before} -> {after}"
         yield {"module": module, "index": index, "key": f"{digest}.{seen[digest]}", "line": line, "op": op, "text": text[:160]}
