@@ -130,7 +130,7 @@ def mutants(module, source):
     tree = ast.parse(source)
     scopes = _scopes(tree)
     seen = {}
-    for index, (node, _, _) in enumerate(list(_sites(tree))):
+    for index, (node, _, _) in enumerate(_sites(tree)):
         line, op, before, after, _ = mutate(source, index)
         digest = hashlib.sha1(f"{scopes[node]}\0{op}\0{before}\0{after}".encode()).hexdigest()[:12]
         seen[digest] = seen.get(digest, -1) + 1

@@ -1,11 +1,14 @@
 import re
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tabukit import benchmarks, hydraulic
+from tabukit import benchmarks, cli, hydraulic
 from tabukit.cli import (
     MULTI,
     OPTION_FIELDS,
@@ -416,6 +419,14 @@ class TestMain:
         assert "AVERAGE" in captured.out
         assert f"wrote {out}" in captured.out
         assert out.read_text().startswith("run,seed,best_value,evals,wall_ms")
+
+    def test_module_runs_as_a_script(self):
+        # From the source directory, python -m imports tabukit from this tree.
+        args = ["--problem", "schwefel10", "--runs", "1", "--set", "max_evals=200"]
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-m", "tabukit.cli", *args], cwd=src, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert any(line.startswith("AVERAGE ") for line in done.stdout.splitlines())
 
     def test_flags_beat_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from tabukit.benchmarks import make_bump, make_schwefel10
 from tabukit.core import (
     ParameterSpace,
-    SearchPoint,
     clamp,
     denormalize,
     denormalize_coordinate,
@@ -19,7 +17,6 @@ from tabukit.control import SearchConfig, fresh_threads
 from tabukit.hydraulic import make_circuit
 from tabukit.hillclimb import (
     IMPROVED,
-    NOT_IMPROVED,
     STALLED,
     axial_block,
     axial_moves,
@@ -30,7 +27,7 @@ from tabukit.hillclimb import (
 from tabukit.memory import TabuList
 
 import reference
-from support import UNIT, adopted_threads, cube_objective, explore_one, moves_around
+from support import UNIT, adopted_threads, cube_objective
 
 
 def make_objective(fn, dim=1, record=None):
@@ -44,145 +41,6 @@ def probe_rows(moves, bases):
     X = np.repeat(np.atleast_2d(bases), moves.counts, axis=0)
     X[np.arange(moves.axis.size), moves.axis] = moves.moved
     return X
-
-
-def probe_signs(moves, bases):
-    """1 for each candidate of ``moves`` around ``bases`` that moved up, -1 down."""
-    base = np.repeat(np.atleast_2d(bases), moves.counts, axis=0)[np.arange(moves.axis.size), moves.axis]
-    return np.where(moves.moved > base, 1, -1).tolist()
-
-
-def eval_point(obj, x, value_fn):
-    x = np.asarray(x, dtype=float)
-    return SearchPoint(x=x, value=float(value_fn(x)), feasible=True)
-
-
-class TestAxialMoves:
-    def test_generates_2n_candidates(self):
-        base = np.array([0.5, 0.5])
-        moves = moves_around(base, 0.1, TabuList())
-        assert moves.axis.size == 4
-        got = {tuple(np.round(x, 12)) for x in probe_rows(moves, base)}
-        assert got == {(0.6, 0.5), (0.4, 0.5), (0.5, 0.6), (0.5, 0.4)}
-
-    def test_order_is_axis_major_increment_first(self):
-        base = np.array([0.5, 0.5])
-        moves = moves_around(base, 0.1, TabuList())
-        provenance = list(zip(moves.axis.tolist(), probe_signs(moves, base)))
-        assert provenance == [(0, 1), (0, -1), (1, 1), (1, -1)]
-
-    def test_clamping(self):
-        base = np.array([0.5, 0.5])
-        moves = moves_around(base, 0.6, TabuList())
-        got = {tuple(x) for x in probe_rows(moves, base)}
-        assert got == {(1.0, 0.5), (0.0, 0.5), (0.5, 1.0), (0.5, 0.0)}
-
-    def test_degenerate_clamped_candidates_dropped(self):
-        # Base on the lower bound: the decrement clamps onto the base.
-        base = np.array([0.0])
-        moves = moves_around(base, 0.1, TabuList())
-        assert list(zip(moves.axis.tolist(), probe_signs(moves, base))) == [(0, 1)]
-
-    def test_tabu_candidates_filtered_and_counted(self):
-        tabu = TabuList()
-        tabu.push(np.array([0.4, 0.5]))
-        base = np.array([0.5, 0.5])
-        moves = moves_around(base, 0.1, tabu)
-        assert moves.tabu_rejected == 1
-        assert moves.axis.size == 3
-        for x in probe_rows(moves, base):
-            assert not tabu.is_tabu(x)
-
-    def test_candidates_subset_of_axial_neighbors(self):
-        base = np.array([0.15, 0.8, 0.5])
-        step = 0.3
-        moves = moves_around(base, step, TabuList())
-        allowed = set()
-        for i in range(3):
-            for sign in (1, -1):
-                x = base.copy()
-                x[i] += sign * step
-                allowed.add(tuple(clamp(x)))
-        for x in probe_rows(moves, base):
-            assert tuple(x) in allowed
-
-
-class TestExplore:
-    def test_picks_lowest_value(self):
-        obj = make_objective(lambda raw: raw[0])
-        base = eval_point(obj, [0.5], lambda x: x[0])
-        best, moves = explore_one(base, 0.25, obj, TabuList())
-        assert best.x[0] == pytest.approx(0.25)
-        assert moves.axis.size == 2
-
-    def test_tabu_forces_uphill_move(self):
-        obj = make_objective(lambda raw: raw[0])
-        base = eval_point(obj, [0.5], lambda x: x[0])
-        tabu = TabuList()
-        tabu.push(np.array([0.25]))
-        best, _ = explore_one(base, 0.25, obj, tabu)
-        # 0.75 is worse than the base but it is the only allowable move.
-        assert best.x[0] == pytest.approx(0.75)
-
-    def test_all_candidates_tabu_returns_none(self):
-        calls = []
-        obj = make_objective(lambda raw: raw[0], record=calls)
-        base = eval_point(obj, [0.5], lambda x: x[0])
-        tabu = TabuList()
-        tabu.push(np.array([0.25]))
-        tabu.push(np.array([0.75]))
-        best, moves = explore_one(base, 0.25, obj, tabu)
-        assert best is None
-        assert moves.tabu_rejected == 2
-        assert calls == []
-
-    def test_returns_minimum_of_evaluated_candidates(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            coeffs = rng.random(3)
-            record = []
-            obj = make_objective(
-                lambda raw, c=coeffs: float(np.sum(c * (raw - 0.3) ** 2)),
-                dim=3,
-                record=record,
-            )
-            base_x = rng.random(3)
-            base = evaluate(obj, base_x)
-            record.clear()
-            best, _ = explore_one(base, 0.17, obj, TabuList())
-            evaluated = [float(np.sum(coeffs * (r - 0.3) ** 2)) for r in record]
-            assert best.value == min(evaluated)
-
-
-class TestPatternMove:
-    def test_doubling(self):
-        out = _pattern_point(np.array([0.4]), 0, 0.5, k=1.0)
-        assert out[0] == pytest.approx(0.6)
-
-    def test_identity_when_no_move(self):
-        # The pattern point is the move itself, which None stands for.
-        assert _pattern_point(np.array([0.5]), 0, 0.5, k=1.0) is None
-
-    def test_clamped(self):
-        out = _pattern_point(np.array([0.2]), 0, 0.8, k=2.0)
-        assert out[0] == 1.0
-
-    @given(
-        st.lists(st.floats(0.3, 0.7), min_size=2, max_size=2),
-        st.floats(0.3, 0.7),
-        st.floats(0.1, 0.4),
-        st.integers(0, 1),
-    )
-    def test_collinearity_before_clamping(self, old, moved, k, axis):
-        # With these ranges the raw pattern point stays inside [0,1],
-        # so the clamp is a no-op and the extension formula holds exactly.
-        old = np.asarray(old)
-        new = old.copy()
-        new[axis] = moved
-        out = _pattern_point(old, axis, moved, k)
-        if out is not None:
-            assert np.array_equal(out, new + k * (new - old))
-            assert np.max(np.abs((out - new) - k * (new - old))) <= 1e-12
 
 
 #: Any float, with signed zeros, the unit bounds, NaN and infinities among them.
@@ -341,10 +199,9 @@ class TestUfuncClamps:
                 assert denormalize(space, x[r]).tobytes() == ref[r].tobytes()
 
 
-def quadratic_setup(base_x, fn=None, step=0.1):
-    fn = fn or (lambda raw: (raw[0] - 0.3) ** 2)
-    obj = make_objective(fn)
-    return obj, adopted_threads(obj, [base_x], SearchConfig(step_initial=step))
+def quadratic_setup(base_x):
+    obj = make_objective(lambda raw: (raw[0] - 0.3) ** 2)
+    return obj, adopted_threads(obj, [base_x], SearchConfig(step_initial=0.1))
 
 
 class TestHjStep:
@@ -358,30 +215,6 @@ class TestHjStep:
         assert state.best[0].value == pytest.approx(0.0, abs=1e-12)
         assert state.best[0].x.tobytes() == state.x[0, 0].tobytes()
 
-    def test_exploration_point_kept_when_pattern_worse(self):
-        # f = (x-0.42)^2 from 0.3: explore picks 0.4; its pattern
-        # extension 0.5 overshoots the optimum and is worse, so the
-        # exploration point itself is adopted.
-        obj, state = quadratic_setup(
-            [0.3], fn=lambda raw: (raw[0] - 0.42) ** 2
-        )
-        outcome = hj_step(state, obj)
-        assert state.x[0, 0, 0] == pytest.approx(0.4)
-        assert outcome == IMPROVED
-        assert state.evals == [1 + 3]
-
-    def test_uphill_move_adopted_when_base_is_optimal(self):
-        # From the optimum every neighbor is worse; the least-bad one is
-        # still adopted (the increment wins the exact tie at step 0.25)
-        # but the thread's best did not improve.
-        obj, state = quadratic_setup(
-            [0.5], fn=lambda raw: (raw[0] - 0.5) ** 2, step=0.25
-        )
-        outcome = hj_step(state, obj)
-        assert outcome == NOT_IMPROVED
-        assert state.x[0, 0, 0] == pytest.approx(0.75)
-        assert state.best[0].value == 0.0
-
     def test_stalled_when_all_neighbors_tabu(self):
         obj, state = quadratic_setup([0.5])
         state.tabu_lists[0].push(np.array([0.4]))
@@ -391,42 +224,6 @@ class TestHjStep:
         assert outcome == STALLED
         assert state.evals == [1]
         assert (state.x.tobytes(), state.raw.tobytes()) == base_before
-
-    def test_eval_economy(self):
-        # Never more than 2N+1 evaluations per step (2N neighbors + pattern).
-        rng = np.random.default_rng(11)
-        dim = 4
-        calls = []
-        obj = make_objective(lambda raw: float(np.sum((raw - 0.37) ** 2)), dim=dim, record=calls)
-        state = fresh_threads([evaluate(obj, rng.random(dim))], SearchConfig())
-        for _ in range(30):
-            before, calls_before = state.evals[0], len(calls)
-            hj_step(state, obj)
-            assert state.evals[0] - before == len(calls) - calls_before <= 2 * dim + 1
-
-    def test_adopted_point_never_tabu_at_selection(self):
-        rng = np.random.default_rng(13)
-        obj = make_objective(lambda raw: float(np.sum(np.sin(7 * raw))), dim=3)
-        state = adopted_threads(obj, [rng.random(3)])
-        for _ in range(40):
-            tabu_before = copy.deepcopy(state.tabu_lists[0])
-            outcome = hj_step(state, obj)
-            if outcome == STALLED:
-                break
-            assert not tabu_before.is_tabu(state.x[0, 0])
-
-    def test_adopted_point_recorded_in_tabu_and_elite(self):
-        obj, state = quadratic_setup([0.5])
-        hj_step(state, obj)
-        assert state.tabu_lists[0].is_tabu(state.x[0, 0])
-        assert state.memory.rows()[0].tobytes() == state.x[0, 0].tobytes()
-
-    def test_improvement_tracks_thread_best(self):
-        obj, state = quadratic_setup([0.5])
-        hj_step(state, obj)
-        assert state.best[0].x.tobytes() == state.x[0, 0].tobytes()
-        history_values = [v for _, v in state.history[0]]
-        assert history_values == sorted(history_values, reverse=True)
 
 
 class TestNonFiniteFactorAndStep:

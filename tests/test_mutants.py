@@ -1,6 +1,7 @@
 """The mutation tool (``mutants.py``): its mutants are deterministic, each
-one parses and differs from its source, no docstring is dropped, and its
-runner never works inside the checkout."""
+one parses and differs from its source, no docstring is dropped, a key
+stays put when another definition is deleted, and its runner never works
+inside the checkout."""
 import ast
 import tempfile
 
@@ -46,6 +47,18 @@ def test_small_source_gets_every_operator():
     assert {"1:n -> 1:n + 1", "1:n -> 1:n - 1", "2 -> 3", "2 -> 1"} <= set(ops["shift"])
     assert {"min -> max", "np.argmax -> np.argmin"} <= set(ops["swap"])
     assert ops["sign"] == ["-x -> +x"]
+
+
+def test_deleting_a_definition_renumbers_no_key_in_another():
+    # f and g hold the same mutants "1 -> 2" and "1 -> 0"; numbered over the
+    # whole module, g's keys would shift when f is deleted.
+    f = "def f(s):\n    return s.split('x', 1)\n\n\n"
+    g = "class G:\n    def g(self, s):\n        return s.split('#', 1)\n"
+
+    def keys(source, first_line):
+        return sorted((r["text"], r["key"]) for r in mutants.mutants("m", source) if r["line"] >= first_line)
+
+    assert keys(f + g, 5) == keys(g, 1)
 
 
 def test_runner_refuses_a_work_directory_inside_the_checkout(tmp_path, monkeypatch):

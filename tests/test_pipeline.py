@@ -705,6 +705,14 @@ def test_non_finite_feasible_block_value_is_an_objective_error():
     base = SearchPoint(x=np.array([0.5]), value=0.0, feasible=True)
     with pytest.raises(ValueError, match="'broken' returned non-finite value nan"):
         explore_one(base, 0.1, objective, TabuList())
+    # The first feasible non-finite row is named, past a finite row and an
+    # infeasible NaN, from fn_batch and from fn_axial.
+    block = lambda raw, *structure: ([0.5, math.nan, math.inf], [True, False, True])  # noqa: E731
+    raw, axial = np.array([[0.4], [0.5], [0.6]]), (np.array([[0.5]]), [3], np.array([0, 0, 0]))
+    for method in ("fn_batch", "fn_axial"):
+        objective = Objective(space, fn=lambda raw: (0.0, True), name="broken", **{method: block})
+        with pytest.raises(ValueError, match="'broken' returned non-finite value inf for a feasible point"):
+            evaluate_raw_block(objective, raw, axial)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
