@@ -7,7 +7,8 @@ that is not a docstring, a definition or an import dropped, or a sign
 negated. Each mutant runs in a temporary copy of ``src/``, ``tests/``,
 ``perfbench/`` and ``pyproject.toml`` under the system's temporary
 directory (``TMPDIR``), never in the checkout, under ``pytest -x`` with
-hypothesis seeded, its example database off and no deadline: the mutated
+hypothesis seeded, its example database off, no deadline and no
+shrinking (a property fails at its first failing example): the mutated
 module's test file first, then ``test_corpus.py``, then the rest of
 ``tests/``. One worker runs per CPU. A test that runs longer than the
 alarm marks the mutant hung.
@@ -168,9 +169,10 @@ class Hung(BaseException):
 
 
 def pytest_configure(config):
-    from hypothesis import settings
+    from hypothesis import Phase, settings
 
-    settings.register_profile("mutants", database=None, deadline=None)
+    # Shrinking a failing example changes no status, but it can run past the alarm.
+    settings.register_profile("mutants", database=None, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
     settings.load_profile("mutants")
 
 

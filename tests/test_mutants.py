@@ -1,11 +1,12 @@
 """The mutation tool (``mutants.py``): its mutants are deterministic, each
 one parses and differs from its source, no docstring is dropped, a key
-stays put when another definition is deleted, and its runner never works
-inside the checkout."""
+stays put when another definition is deleted, its runner never works
+inside the checkout, and its hypothesis profile never shrinks."""
 import ast
 import tempfile
 
 import pytest
+from hypothesis import Phase, settings
 
 import mutants
 
@@ -71,6 +72,16 @@ def test_runner_refuses_a_work_directory_inside_the_checkout(tmp_path, monkeypat
             mutants.main(["run", str(tmp_path / "out.json")])
     assert mutants.check_workdir(tmp_path) == tmp_path.resolve()
     assert not (tmp_path / "out.json").exists()
+
+
+def test_profile_fails_at_the_first_failing_example():
+    before = settings.default
+    mutants.pytest_configure(None)
+    try:
+        assert Phase.generate in settings.default.phases and Phase.shrink not in settings.default.phases
+    finally:
+        settings.register_profile("before", before)
+        settings.load_profile("before")
 
 
 def test_recheck_keeps_a_kill_only_while_nothing_it_read_changed():
