@@ -11,11 +11,13 @@ One lockstep driver, ``run_lockstep``, runs K threads and returns a
 plain ``RunResult`` part. The run's threads are one table, ``Threads``:
 thread i is row i of every column, its base, step, tabu ring, generator,
 best point and counters alike, and the table holds the one archive that
-the threads share. Each stage steps the live rows through one
-``hillclimb.hj_stage`` call (more at the budget edge), which screens
-all their probes at once, evaluates all their axial candidates in one
-objective call and each pattern point alone, and the result is the
-same as stepping them one after another.
+the threads share. It is also the run's one ledger: an evaluation counts
+once, in its thread's ``evals``, and ``Threads.adopt`` records each
+improvement once, for its thread and the run. Each stage steps the live
+rows through one ``hillclimb.hj_stage`` call (more at the budget edge),
+which screens all their probes at once, evaluates all their axial
+candidates in one objective call and each pattern point alone, and the
+result is the same as stepping them one after another.
 """
 from __future__ import annotations
 
@@ -105,7 +107,10 @@ class Threads:
     its ring), generator, best point, evaluations, consecutive failures,
     pending restructure (None while it continues) and ``(evaluations,
     best value)`` at each improvement. ``memory`` is the archive that all
-    the threads share. ``rebase`` and ``adopt`` move a base."""
+    the threads share. ``rebase`` and ``adopt`` move a base. ``run_best``
+    is the lowest of the threads' bests, the first of equals (thread 0's
+    sentinel until a feasible point), and ``run_history`` holds
+    ``(sum(evals), value)`` at each of its improvements."""
 
     x: np.ndarray
     raw: np.ndarray
@@ -119,6 +124,8 @@ class Threads:
     pending: list[str | None]
     history: list[list[tuple[int, float]]]
     memory: IntermediateMemory
+    run_best: SearchPoint
+    run_history: list[tuple[int, float]]
 
     def rebase(self, i: int, point: SearchPoint) -> None:
         """Copy ``point`` into thread i's base rows; ``point`` must carry
@@ -131,13 +138,16 @@ class Threads:
     def adopt(self, i: int, point: SearchPoint) -> None:
         """Move thread i's base to ``point``: tabu it, offer it to the
         archive, and make it the thread's best when it is feasible and
-        strictly better."""
+        strictly better, and the run's when it beats that too."""
         self.rebase(i, point)
         self.tabu_lists[i].push(point.x)
         self.memory.offer(point)
         if point.feasible and point.value < self.best[i].value:
             self.best[i] = point
             self.history[i].append((self.evals[i], point.value))
+            if point.value < self.run_best.value:
+                self.run_best = point
+                self.run_history.append((sum(self.evals), point.value))
 
 
 def thread_generators(seed: int, k: int) -> list[np.random.Generator]:
@@ -151,23 +161,23 @@ def thread_generators(seed: int, k: int) -> list[np.random.Generator]:
 def fresh_threads(
     points: Sequence[SearchPoint], config: SearchConfig, rngs: Sequence[np.random.Generator] | None = None
 ) -> Threads:
-    """One thread on each already-evaluated start, whose evaluation is the
-    thread's first: thread i based at ``points[i]``, drawing from
-    ``rngs[i]`` (``thread_generators(config.seed, K)`` by default), all
-    sharing one new archive. Nothing is tabu or archived yet. Until a
-    feasible point takes over, a thread's best is a sentinel at its start,
-    with its ``x`` and ``raw``. Raises ValueError when there are no starts."""
+    """One thread on each already-evaluated start: thread i based at
+    ``points[i]``, drawing from ``rngs[i]`` (``thread_generators(config.seed,
+    K)`` by default), all sharing one new archive. Nothing is counted,
+    tabu or archived yet: the caller counts and adopts each start. Until
+    a feasible point takes over, a thread's best is a sentinel at its
+    start, with its ``x`` and ``raw``. Raises ValueError when there are no starts."""
     if not points:
         raise ValueError("a run needs at least one start, and got none")
     k, n = len(points), points[0].x.size
     rings = np.full((k, config.n_tabu, n), math.inf)
+    bests = [SearchPoint(x=point.x, value=math.inf, feasible=False, raw=point.raw) for point in points]
     threads = Threads(
         np.empty((k, 1, n)), np.empty((k, n)), np.full((k, 1, 1), config.step_initial), rings,
         tabu_lists=[TabuList(config.n_tabu, config.match_tol, ring) for ring in rings],
         rngs=list(thread_generators(config.seed, k) if rngs is None else rngs),
-        best=[SearchPoint(x=point.x, value=math.inf, feasible=False, raw=point.raw) for point in points],
-        evals=[1] * k, fail_count=[0] * k, pending=[None] * k, history=[[] for _ in points],
-        memory=IntermediateMemory(config.m_elite, config.match_tol),
+        best=bests, evals=[0] * k, fail_count=[0] * k, pending=[None] * k, history=[[] for _ in points],
+        memory=IntermediateMemory(config.m_elite, config.match_tol), run_best=bests[0], run_history=[],
     )
     for i, point in enumerate(points):
         threads.rebase(i, point)
@@ -213,27 +223,26 @@ def control_decision(fail_count: int, config: SearchConfig) -> str:
     return CONTINUE
 
 
-def apply_action(threads: Threads, action: str, i: int, objective: Objective, config: SearchConfig) -> int:
+def apply_action(threads: Threads, action: str, i: int, objective: Objective, config: SearchConfig) -> None:
     """Carry out a control action on thread i of ``threads``, in place.
-    Returns the evaluations spent, which are added to its ``evals``.
 
     Intensify and diversify relocate the base, which costs one
-    evaluation; reduce_step halves the step, restarts from the
-    incumbent best and resets the failure counter. With an empty elite
-    archive intensify is a no-op and diversify falls back to a uniform
-    random point.
+    evaluation, added to its ``evals``; reduce_step halves the step,
+    restarts from the incumbent best and resets the failure counter.
+    With an empty elite archive intensify is a no-op and diversify falls
+    back to a uniform random point.
     """
     if action == CONTINUE:
-        return 0
+        return
     if action == REDUCE_STEP:
         threads.step[i] *= config.step_reduce_factor
         threads.rebase(i, threads.best[i])
         threads.fail_count[i] = 0
-        return 0
+        return
     memory = threads.memory
     if action == INTENSIFY:
         if len(memory) == 0:
-            return 0
+            return
         x = memory.intensify()
     elif action == DIVERSIFY:
         if len(memory) == 0:
@@ -246,7 +255,6 @@ def apply_action(threads: Threads, action: str, i: int, objective: Objective, co
     point = evaluate(objective, x)
     threads.evals[i] += 1
     threads.adopt(i, point)
-    return 1
 
 
 @dataclass
@@ -333,11 +341,8 @@ def run_lockstep(
     goes, and the others keep their request pending for the next stage
     unless they improve first. After the stage every pair of bases is
     checked for a collision. The run ends at the first stage that finds
-    no thread at or above the floor, or when the budget is spent.
-
-    The global best starts as thread 0's, so a run that finds no
-    feasible point reports thread 0's evaluated start and an empty
-    history. At K = 1 the global best and history are thread 0's.
+    no thread at or above the floor, or when the budget is spent; its
+    best and history are the table's ``run_best`` and ``run_history``.
     """
     config.validate()
     space = objective.space
@@ -350,13 +355,9 @@ def run_lockstep(
     points = [evaluate(objective, rng.random(dim) if x0 is None else x0) for rng, x0 in zip(rngs, xs)]
     threads = fresh_threads(points, config, rngs)
     bests, evals, fail_count, pending = threads.best, threads.evals, threads.fail_count, threads.pending
-    best = bests[0]  # thread 0's sentinel, at its start
-    history: list[tuple[int, float]] = []
     for i, point in enumerate(points):
+        evals[i] += 1  # thread i's start, evaluation i + 1 of the run
         threads.adopt(i, point)
-        if bests[i].value < best.value:
-            best = bests[i]
-            history.append((i + 1, best.value))  # thread i's start was evaluation i + 1
 
     # Plain loops below: at K = 1 this is the whole per-step overhead
     # of run_single.
@@ -375,20 +376,16 @@ def run_lockstep(
         stepping = live
         while stepping and total < config.max_evals:  # the budget rule of the docstring
             admitted = stepping[: 1 + (config.max_evals - total - 1) // most_per_step]
-            steps = hj_stage(threads, admitted, objective, config.k_pattern)
-            for i, (outcome, spent) in zip(admitted, steps):
+            for i, outcome in zip(admitted, hj_stage(threads, admitted, objective, config.k_pattern)):
                 if outcome == IMPROVED:
                     fail_count[i] = 0
                     pending[i] = None
                 else:
                     fail_count[i] += 1
-                total += spent
-                if bests[i].value < best.value:
-                    best = bests[i]
-                    history.append((total, best.value))
                 request = pending[i] or control_decision(fail_count[i], config)
                 pending[i] = None if request == CONTINUE else request
             stepping = stepping[len(admitted) :]
+            total = sum(evals)
         if total >= config.max_evals:
             break
 
@@ -401,10 +398,8 @@ def run_lockstep(
             i = max(asking, key=lambda j: bests[j].value)  # max keeps the first of equals
             action, pending[i] = pending[i], None
             actions = idle[:i] + (action,) + idle[i + 1 :]
-            total += apply_action(threads, action, i, objective, config)
-            if bests[i].value < best.value:
-                best = bests[i]
-                history.append((total, best.value))
+            apply_action(threads, action, i, objective, config)
+            total = sum(evals)
             live = [i for i in range(k) if threads.step.item(i) >= step_floor]
 
         stages.append(actions)
@@ -417,11 +412,11 @@ def run_lockstep(
         for i in range(k)
     ]
     return MultiRunResult(
-        best=best,
-        best_raw=best.raw.copy(),
+        best=threads.run_best,
+        best_raw=threads.run_best.raw.copy(),
         evals=total,
         terminated_by=terminated_by,
-        history=history,
+        history=threads.run_history,
         threads=reports,
         collisions=collisions,
         stages=stages,

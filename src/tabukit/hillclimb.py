@@ -15,7 +15,8 @@ steps the live rows of a stage through one ``hj_stage`` call (more at
 the budget edge), with the result of stepping them one by one; its
 docstring says how.
 ``explore`` is the stage's exploration half, and ``hj_stage`` keeps the
-winner rule, the pattern point and the adoption. Only ``hj_step`` and
+winner rule, the pattern point and the adoption, and counts what each
+thread spends in its row's ``evals``. Only ``hj_step`` and
 ``memory.TabuList.is_tabu`` are not called by the engine; they stay as
 boundaries that ``perfbench/tracer.py`` wraps.
 """
@@ -64,7 +65,6 @@ class MoveSet:
     moved: np.ndarray
     counts: list[int]
     tabu_rejected: int = 0
-    infeasible_rejected: int = 0
     #: ``memory.screen_axial``'s ``(T, capacity, N)`` leave-one-out mask,
     #: for screening the pattern points with ``TabuList.axial_is_tabu``.
     rest_near: np.ndarray | None = None
@@ -133,15 +133,13 @@ def explore(
     """A stage's exploration: ``axial_moves`` of the bases ``x`` (with
     its arguments), their raw rows (``axial_block`` of the raw bases
     ``raw``, one per base) and the rows' engine values from one
-    ``evaluate_raw_block`` call with the block's structure, which also
-    sets the move set's ``infeasible_rejected``. An empty block reaches
-    no objective."""
+    ``evaluate_raw_block`` call with the block's structure. An empty
+    block reaches no objective."""
     moves = axial_moves(x, step, tabu, match_tol)
     block = axial_block(objective.space, raw, moves)
     if not len(block):
         return moves, block, np.empty(0)
-    values, feasible = evaluate_raw_block(objective, block, (raw, moves.counts, moves.axis))
-    moves.infeasible_rejected = len(feasible) - int(np.count_nonzero(feasible))
+    values, _ = evaluate_raw_block(objective, block, (raw, moves.counts, moves.axis))
     return moves, block, values
 
 
@@ -166,14 +164,14 @@ def _pattern_point(base_x: np.ndarray, axis: int, m: float, k: float) -> np.ndar
 
 def hj_stage(
     threads: "Threads", rows: Sequence[int], objective: Objective, k_pattern: float = 1.0
-) -> list[tuple[str, int]]:
+) -> list[str]:
     """One exploration + pattern-move cycle for each of several threads.
 
     Steps every one of ``rows`` of the ``control.Threads`` table as one
     batched operation, with the result of stepping them one by one in
     that order. Each thread adds what it spent, at most its 2N axial
-    rows plus one pattern point, to its ``evals``. Returns one
-    ``(outcome, evaluations)`` per row; no rows step none. Which threads
+    rows plus one pattern point, to its ``evals``. Returns one outcome
+    per row; no rows step none. Which threads
     the budget admits is the driver's rule (``control.run_lockstep``).
 
     ``explore`` is the stage's exploration: it reads the table's arrays
@@ -209,19 +207,18 @@ def hj_stage(
     space = objective.space
     axes, moved, rest_near = moves.axis, moves.moved, moves.rest_near
 
-    steps: list[tuple[str, int]] = []
+    outcomes: list[str] = []
     stop = 0
     for t, (i, count) in enumerate(zip(rows, moves.counts)):
         start, stop = stop, stop + count
-        spent = count
+        evals[i] += count
         if count:
             # The first lowest row; +inf there means no feasible row, as
             # infeasible rows carry INFEASIBLE_VALUE and feasible ones are finite.
             w = start + int(values[start:stop].argmin())
             value = values.item(w)
         if not count or value == INFEASIBLE_VALUE:
-            evals[i] += spent
-            steps.append((STALLED, spent))
+            outcomes.append(STALLED)
             continue
         a, m = axes.item(w), moved.item(w)
         base_x = x[t, 0]
@@ -235,7 +232,7 @@ def hj_stage(
                 p_raw = block[w].copy()
                 p_raw[a] = denormalize_coordinate(space, a, p)
                 p_value, _ = evaluate_raw(objective, p_raw)
-                spent += 1
+                evals[i] += 1
                 # An infeasible pattern point's INFEASIBLE_VALUE is never below the finite winner's.
                 if p_value < value:
                     adopted = SearchPoint(x=p_x, value=p_value, feasible=True, raw=p_raw)
@@ -243,15 +240,14 @@ def hj_stage(
             move_x = base_x.copy()
             move_x[a] = m
             adopted = SearchPoint(x=move_x, value=value, feasible=True, raw=block[w].copy())
-        evals[i] += spent
         best_before = threads.best[i].value
         threads.adopt(i, adopted)
-        steps.append((IMPROVED if adopted.value < best_before - IMPROVE_TOL else NOT_IMPROVED, spent))
-    return steps
+        outcomes.append(IMPROVED if adopted.value < best_before - IMPROVE_TOL else NOT_IMPROVED)
+    return outcomes
 
 
 def hj_step(state: "Threads", objective: Objective, k_pattern: float = 1.0) -> str:
     """One exploration + pattern-move cycle from the base of a one-thread
     table ``state``: ``hj_stage`` for its row. Returns the outcome. The
     engine does not call it; it stays as a ``perfbench/tracer.py`` boundary."""
-    return hj_stage(state, [0], objective, k_pattern)[0][0]
+    return hj_stage(state, [0], objective, k_pattern)[0]

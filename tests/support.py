@@ -56,11 +56,12 @@ def explore_one(base, step, objective, tabu):
 
 def adopted_threads(objective, starts, config=None):
     """A ``control.Threads`` table with one thread at each normalized start,
-    each start evaluated and adopted as ``run_lockstep`` adopts it: tabu,
-    offered to the archive and the thread's best when feasible."""
+    each start evaluated, counted and adopted as ``run_lockstep`` adopts
+    it: tabu, offered to the archive and the thread's best when feasible."""
     points = [evaluate(objective, np.asarray(x, dtype=float)) for x in starts]
     threads = fresh_threads(points, config or SearchConfig())
     for i, point in enumerate(points):
+        threads.evals[i] += 1
         threads.adopt(i, point)
     return threads
 

@@ -181,26 +181,56 @@ class TestConfigValidation:
 
 
 def one_thread(adopted=True, **config):
-    """(objective x², config, one-thread table at 0.7): the start adopted
-    as a run adopts it (tabu, archived), or, unless ``adopted``, not."""
+    """(objective x², config, one-thread table at 0.7): the start counted
+    and adopted as a run adopts it (tabu, archived), or, unless
+    ``adopted``, neither."""
     obj, cfg = cube_objective(lambda raw: raw[0] ** 2), SearchConfig(**config)
     threads = adopted_threads(obj, [[0.7]], cfg) if adopted else fresh_threads([evaluate(obj, np.array([0.7]))], cfg)
     return obj, cfg, threads
+
+
+def test_adopt_keeps_the_run_record():
+    # The run's best and history change only where a feasible point beats
+    # the run's best, which it can only do while beating its thread's.
+    obj = cube_objective(lambda raw: raw[0] ** 2, feasible=lambda raw: raw[0] != 0.0)
+    threads = adopted_threads(obj, [[0.7], [0.2]])  # raw 0.4 and -0.6
+    start, other = threads.best
+    assert threads.run_best is start and threads.run_history == [(1, start.value)]
+
+    better = evaluate(obj, np.array([0.55]))  # raw 0.1: thread 1's best and the run's
+    threads.evals[1] += 1
+    threads.adopt(1, better)
+    assert threads.best[1] is better and threads.run_best is better
+    assert threads.run_history == [(1, start.value), (3, better.value)]
+
+    own = evaluate(obj, np.array([0.35]))  # raw -0.3: thread 0's best only
+    threads.evals[0] += 1
+    threads.adopt(0, own)
+    assert threads.best[0] is own and threads.history[0][-1] == (2, own.value)
+    assert threads.run_best is better and threads.run_history == [(1, start.value), (3, better.value)]
+
+    infeasible = evaluate(obj, np.array([0.5]))  # raw 0.0
+    assert not infeasible.feasible
+    threads.evals[1] += 1
+    threads.adopt(1, infeasible)
+    assert threads.best == [own, better]
+    assert threads.history == [[(1, start.value), (2, own.value)], [(1, other.value), (2, better.value)]]
+    assert threads.run_best is better and threads.run_history == [(1, start.value), (3, better.value)]
 
 
 class TestApplyAction:
     def test_continue_is_noop(self):
         obj, cfg, threads = one_thread()
         base_before = threads.x.tobytes()
-        assert apply_action(threads, CONTINUE, 0, obj, cfg) == 0
-        assert threads.evals == [1]
+        apply_action(threads, CONTINUE, 0, obj, cfg)
+        assert threads.evals == [1]  # the start's only
         assert threads.x.tobytes() == base_before
 
     def test_reduce_step(self):
         obj, cfg, threads = one_thread(step_initial=0.1, step_reduce_factor=0.5)
         threads.fail_count[0] = 15
         threads.x[0, 0] = 0.2  # moved off the best, which the restart returns to
-        assert apply_action(threads, REDUCE_STEP, 0, obj, cfg) == 0
+        apply_action(threads, REDUCE_STEP, 0, obj, cfg)
         assert threads.step.item(0) == 0.05
         assert threads.fail_count == [0]
         assert threads.x[0, 0].tobytes() == threads.best[0].x.tobytes()
@@ -221,30 +251,30 @@ class TestApplyAction:
         obj, cfg, threads = one_thread()
         for x in ([0.2], [0.6]):
             threads.memory.offer(evaluate(obj, np.array(x)))
-        assert apply_action(threads, INTENSIFY, 0, obj, cfg) == 1
-        assert threads.evals == [2]
+        apply_action(threads, INTENSIFY, 0, obj, cfg)
+        assert threads.evals == [1 + 1]
         assert threads.x[0, 0, 0] == pytest.approx(0.5)  # the centroid of 0.7, 0.2 and 0.6
         assert threads.tabu_lists[0].is_tabu(threads.x[0, 0])
 
     def test_intensify_empty_memory_noop(self):
         obj, cfg, threads = one_thread(adopted=False)  # nothing archived yet
         base_before = threads.x.tobytes()
-        assert apply_action(threads, INTENSIFY, 0, obj, cfg) == 0
-        assert threads.evals == [1]
+        apply_action(threads, INTENSIFY, 0, obj, cfg)
+        assert threads.evals == [0]  # nothing counted, the start included
         assert threads.x.tobytes() == base_before
 
     def test_diversify_consumes_one_eval(self):
         obj, cfg, threads = one_thread(adopted=False)
         threads.memory.offer(evaluate(obj, np.array([0.25])))
-        assert apply_action(threads, DIVERSIFY, 0, obj, cfg) == 1
-        assert threads.evals == [2]
+        apply_action(threads, DIVERSIFY, 0, obj, cfg)
+        assert threads.evals == [0 + 1]
         # Single elite entry: the diversified point must copy its value.
         assert threads.x[0, 0, 0] == 0.25
 
     def test_diversify_empty_memory_uses_random_point(self):
         obj, cfg, threads = one_thread(adopted=False)
-        assert apply_action(threads, DIVERSIFY, 0, obj, cfg) == 1
-        assert threads.evals == [2]
+        apply_action(threads, DIVERSIFY, 0, obj, cfg)
+        assert threads.evals == [0 + 1]
         assert 0.0 <= threads.x[0, 0, 0] <= 1.0
 
     def test_relocations_offered_to_memory(self):

@@ -241,4 +241,4 @@ class TestNonFiniteFactorAndStep:
             hj_step(state, obj, k_pattern=k)
         with pytest.raises(ValueError, match=match):
             hj_stage(state, [0], obj, k_pattern=k)
-        assert len(calls) == 1 and state.evals == [1]
+        assert len(calls) == 1 and state.evals == [0]  # the start, evaluated but not counted

@@ -766,18 +766,19 @@ def test_objective_calls_per_stage(name, method, monkeypatch):
         rows.append(moves.axis.size)
         return moves
 
-    def hj_stage(*args):
+    def hj_stage(threads, *args):
         rows.clear()
-        steps = real_hj_stage(*args)
+        before = sum(threads.evals)
+        outcomes = real_hj_stage(threads, *args)
         tally["stages"] += sum(rows) > 0
         tally["rows"] += sum(rows)
-        tally["patterns"] += sum(spent for _, spent in steps) - sum(rows)
-        return steps
+        tally["patterns"] += sum(threads.evals) - before - sum(rows)
+        return outcomes
 
-    def apply_action(*args):
-        spent = real_apply_action(*args)
-        tally["relocations"] += spent
-        return spent
+    def apply_action(threads, *args):
+        before = sum(threads.evals)
+        real_apply_action(threads, *args)
+        tally["relocations"] += sum(threads.evals) - before
 
     real_axial_moves, real_hj_stage, real_apply_action = hillclimb.axial_moves, control.hj_stage, control.apply_action
     monkeypatch.setattr(hillclimb, "axial_moves", axial_moves)

@@ -328,12 +328,13 @@ def test_run_ends_when_the_tolerance_reaches_the_step(monkeypatch):
     config = SearchConfig(seed=3, max_evals=1500, match_tol=0.05, intensify_after=1, diversify_after=2, reduce_after=3)
     real_stage, idle = control.hj_stage, [0]
 
-    def stage(*args, **kwargs):
-        steps = real_stage(*args, **kwargs)
-        idle[0] = 0 if any(spent for _, spent in steps) else idle[0] + 1
+    def stage(table, *args, **kwargs):
+        before = sum(table.evals)
+        outcomes = real_stage(table, *args, **kwargs)
+        idle[0] = 0 if sum(table.evals) > before else idle[0] + 1
         if idle[0] == IDLE_STAGES:
             raise TimeoutError(f"{IDLE_STAGES} stages in a row spent no evaluation")
-        return steps
+        return outcomes
 
     monkeypatch.setattr(control, "hj_stage", stage)
     run_lockstep(make_schwefel10(), config, lockstep_setup(2))
@@ -548,11 +549,15 @@ def test_stage_winner_is_the_first_feasible_minimum_and_infeasible_rows_are_coun
     # Thread 0's rows are all infeasible: it stalls and spends them.
     # Thread 1's are mixed: its infeasible row reports a lower value than
     # any feasible one and must not win; its feasible rows tie, so the
-    # first of them wins. The block's infeasible rows are counted once.
+    # first of them wins. The block's infeasible rows are evaluated once
+    # and counted in their threads' evals.
     space = ParameterSpace.cube(0.0, 1.0, 2, min_step=1e-6)
+    infeasible = []
 
     def fn_batch(raw):
-        return np.where(raw[:, 0] > 0.8, -5.0, 1.0), (0.5 <= raw[:, 0]) & (raw[:, 0] <= 0.8)
+        feasible = (0.5 <= raw[:, 0]) & (raw[:, 0] <= 0.8)
+        infeasible.append(len(raw) - int(np.count_nonzero(feasible)))
+        return np.where(raw[:, 0] > 0.8, -5.0, 1.0), feasible
 
     def fn(raw):
         values, feasible = fn_batch(raw[np.newaxis])
@@ -568,13 +573,14 @@ def test_stage_winner_is_the_first_feasible_minimum_and_infeasible_rows_are_coun
     monkeypatch.setattr(hillclimb, "axial_moves", axial_moves)
     threads = adopted_threads(objective, [np.full(2, x) for x in (0.25, 0.75)])
     stalled_base = threads.x[0].tobytes(), threads.raw[0].tobytes()
+    infeasible.clear()  # the starts'
 
-    steps = hj_stage(threads, [0, 1], objective)
+    outcomes = hj_stage(threads, [0, 1], objective)
 
     [moves] = made
     assert moves.counts == [4, 4]
-    assert moves.infeasible_rejected == 4 + 1
-    assert steps == [(hillclimb.STALLED, 4), (hillclimb.NOT_IMPROVED, 4 + 1)]  # thread 1's pattern point ties
+    assert sum(infeasible) == 4 + 1
+    assert outcomes == [hillclimb.STALLED, hillclimb.NOT_IMPROVED]  # thread 1's pattern point ties
     assert (threads.x[0].tobytes(), threads.raw[0].tobytes()) == stalled_base
     assert threads.evals == [1 + 4, 1 + 5]
     assert threads.x[1, 0].tolist() == [0.75 - 0.1, 0.75]  # the second row; the first moved past 0.8
@@ -586,9 +592,9 @@ def test_stage_winner_is_the_first_feasible_minimum_and_infeasible_rows_are_coun
 @given(problem=st.sampled_from(sorted(PROBLEMS)), threads=st.integers(1, 3), data=st.data())
 def test_a_thread_step_spends_at_most_2n_plus_1(problem, threads, data):
     # The driver's budget bound rests on this: whatever the table, a stage
-    # returns one (outcome, spent) per row it is given, in their order,
-    # and each spends at most its 2N axial rows and one pattern point,
-    # all of it booked to that thread's evals. Starts on the bounds,
+    # returns one outcome per row it is given, and each row spends at
+    # most its 2N axial rows and one pattern point, all of it booked to
+    # that thread's evals, and no other row spends. Starts on the bounds,
     # steps that clamp, tolerances that make probes tabu and stages in a
     # row that fill the rings.
     objective = PROBLEMS[problem]()
@@ -606,12 +612,9 @@ def test_a_thread_step_spends_at_most_2n_plus_1(problem, threads, data):
         order = data.draw(st.permutations(range(threads)))
         rows = order[: data.draw(st.integers(0, threads))]
         before = list(table.evals)
-        spent = [spent for _, spent in hj_stage(table, rows, objective, k_pattern)]
-        assert len(spent) == len(rows)
-        assert all(0 <= s <= 2 * n + 1 for s in spent)
-        assert [table.evals[i] - before[i] for i in range(threads)] == [
-            spent[rows.index(i)] if i in rows else 0 for i in range(threads)
-        ]
+        assert len(hj_stage(table, rows, objective, k_pattern)) == len(rows)
+        spent = [table.evals[i] - before[i] for i in range(threads)]
+        assert all(0 <= s <= 2 * n + 1 if i in rows else s == 0 for i, s in enumerate(spent))
 
 
 @pytest.mark.parametrize(
